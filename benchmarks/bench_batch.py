@@ -1,11 +1,11 @@
-"""The batch subsystem itself: serial vs parallel, cache behavior.
+"""The batch subsystem itself: serial vs parallel, store behavior.
 
 The fast-bench CI smoke.  Runs the ucap-size sweep (the Table I grid at
 smoke scale) three ways - serially, fanned out over worker processes, and
-again against a warm cache - asserts the three agree exactly, and writes
-the repo's perf-trajectory artifact ``BENCH_batch.json`` with the
-serial/parallel wall-clocks, cache hit/miss counts, and per-scenario MPC
-solve statistics.
+again against a warm experiment store - asserts the three agree exactly,
+and writes the repo's perf-trajectory artifact ``BENCH_batch.json`` with
+the serial/parallel wall-clocks, store hit/miss counts, and per-scenario
+MPC solve statistics.
 
 Parallel wall-clock beats serial only when the runner has >= 2 cores; the
 assertion here is therefore on *correctness* (bitwise-identical metrics),
@@ -16,10 +16,12 @@ while the speedup is recorded for the trajectory and checked by CI on its
 from __future__ import annotations
 
 import os
+import tempfile
 
 from benchmarks.conftest import BATCH_WORKERS, run_once
-from repro.sim.batch import ResultCache, run_batch, scenario_grid
+from repro.sim.batch import run_batch, scenario_grid
 from repro.sim.scenario import Scenario
+from repro.store import ExperimentStore
 
 #: Smoke-scale ucap-size sweep: both ends of the paper's Table I range,
 #: all three Table I methodologies, on the short NYCC route with a reduced
@@ -41,13 +43,13 @@ def test_batch_parallel_matches_serial_and_records_trajectory(benchmark):
     # parallel execution must not change a single bit of the results
     assert [c.metrics for c in parallel.cells] == [c.metrics for c in serial.cells]
 
-    # the shared on-disk cache: the first pass may hit (CI restores
-    # .repro_cache between runs - that is the point), the second pass must
-    # serve every cell without recomputing
-    cache = ResultCache()
-    warmup = run_batch(SWEEP, workers=0, cache=cache)
-    cached = run_batch(SWEEP, workers=0, cache=cache)
-    assert warmup.cache_hits + warmup.cache_misses == len(SWEEP)
+    # a fresh store in a temp dir: the first pass computes every cell, the
+    # second must serve every cell without recomputing
+    with tempfile.TemporaryDirectory() as store_dir:
+        store = ExperimentStore(store_dir)
+        warmup = run_batch(SWEEP, workers=0, store=store)
+        cached = run_batch(SWEEP, workers=0, store=store)
+    assert warmup.cache_hits == 0 and warmup.cache_misses == len(SWEEP)
     assert cached.cache_hits == len(SWEEP) and cached.cache_misses == 0
     assert [c.metrics for c in cached.cells] == [c.metrics for c in serial.cells]
 
@@ -89,7 +91,7 @@ def test_batch_parallel_matches_serial_and_records_trajectory(benchmark):
         f"batch sweep ({len(SWEEP)} cells): serial {serial.wall_s:.2f} s, "
         f"parallel x{BATCH_WORKERS} {parallel.wall_s:.2f} s "
         f"({parallel.methodology}, speedup {speedup:.2f}x on "
-        f"{os.cpu_count()} core(s)), warm cache {cached.wall_s:.2f} s -> {path}"
+        f"{os.cpu_count()} core(s)), warm store {cached.wall_s:.2f} s -> {path}"
     )
 
     # on a multi-core runner the fan-out must actually pay off

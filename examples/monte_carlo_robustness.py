@@ -10,7 +10,8 @@ specific speed trace.
 
 The (member x methodology) ensemble is a plain scenario grid
 (``Scenario(perturb_seed=...)``) executed by :func:`repro.run_batch`, so
-it fans out over worker processes and caches per-member results.
+it fans out over worker processes and caches per-member results in the
+experiment store in ``.repro_store``.
 
 Usage::
 
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from repro import Scenario, run_batch, scenario_grid
-from repro.sim.batch import ResultCache
+from repro.store import ExperimentStore
 
 METHODS = ("parallel", "dual", "otem")
 
@@ -38,7 +39,7 @@ def main():
         methodology=METHODS,
     )
     batch = run_batch(
-        grid, workers=workers, cache=ResultCache()
+        grid, workers=workers, store=ExperimentStore(".repro_store")
     ).raise_on_failure()
 
     qloss = {seed: {} for seed in range(members)}

@@ -8,7 +8,7 @@ price point).
 
 The sweep is one :func:`repro.run_batch` grid: pass a worker count to fan
 it out over processes, and repeated invocations are served from the
-on-disk result cache in ``.repro_cache``.
+experiment store in ``.repro_store``.
 
 Usage::
 
@@ -18,7 +18,7 @@ Usage::
 import sys
 
 from repro import Scenario, run_batch, scenario_grid
-from repro.sim.batch import ResultCache
+from repro.store import ExperimentStore
 from repro.utils.units import kelvin_to_celsius
 
 SIZES_F = (5_000.0, 10_000.0, 15_000.0, 20_000.0, 25_000.0)
@@ -37,7 +37,7 @@ def main():
         ucap_farads=SIZES_F,
     )
     batch = run_batch(
-        grid, workers=workers, cache=ResultCache()
+        grid, workers=workers, store=ExperimentStore(".repro_store")
     ).raise_on_failure()
 
     print(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.sim.batch import ResultCache, run_batch
+from repro.sim.batch import run_batch
 from repro.sim.scenario import Scenario
 
 #: The paper's Table I sweep.
@@ -74,21 +74,20 @@ def table1_data(
     cycle: str = "us06",
     repeat: int = 2,
     workers: int = 0,
-    cache: ResultCache | None = None,
 ) -> Table1Data:
     """Regenerate Table I on the US06 cycle.
 
     Capacity losses are normalized to the parallel architecture at the
     largest swept size, exactly as in the paper.  The (size x method) grid
     runs through :func:`repro.sim.batch.run_batch`: pass ``workers`` to
-    fan it out over processes and ``cache`` to reuse stored cells.
+    fan it out over processes.
     """
     scenarios = [
         Scenario(methodology=m, cycle=cycle, repeat=repeat, ucap_farads=size)
         for size in sizes_f
         for m in methods
     ]
-    batch = run_batch(scenarios, workers=workers, cache=cache).raise_on_failure()
+    batch = run_batch(scenarios, workers=workers).raise_on_failure()
 
     raw_qloss: Dict[float, Dict[str, float]] = {s: {} for s in sizes_f}
     raw_power: Dict[float, Dict[str, float]] = {s: {} for s in sizes_f}

@@ -67,12 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; 0 = serial in-process (default)",
     )
     batch.add_argument(
-        "--cache-dir",
-        default=".repro_cache",
-        help="result-cache directory (default: .repro_cache)",
+        "--store-dir",
+        default=".repro_store",
+        help=(
+            "experiment-store directory, shared with serve "
+            "(default: .repro_store)"
+        ),
     )
     batch.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
+        "--no-cache", action="store_true", help="run without the experiment store"
     )
     batch.add_argument(
         "--timeout",
@@ -411,18 +414,19 @@ def _grid_from_args(args) -> tuple:
 def cmd_batch(args, out) -> int:
     import json
 
-    from repro.sim.batch import ResultCache, run_batch, scenario_grid
+    from repro.sim.batch import run_batch, scenario_grid
+    from repro.store import ExperimentStore
 
     base, axes = _grid_from_args(args)
     if args.seeds:
         axes["perturb_seed"] = list(range(args.seeds))
     scenarios = scenario_grid(base, **axes)
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    store = None if args.no_cache else ExperimentStore(args.store_dir)
     result = run_batch(
         scenarios,
         workers=args.workers,
-        cache=cache,
+        store=store,
         timeout_s=args.timeout,
         execution=args.engine_backend,
     )

@@ -554,8 +554,8 @@ class MPCPlannerVec:
     would produce for the same replan sequence - same starts, same
     warm/cold budgets, same L-BFGS-B iterate trajectory (the driver is
     probe-verified bitwise against ``optimize.minimize``), same winner
-    race.  ``tests/core/test_mpc_vec.py`` enforces this to 1e-9 on plan
-    actions and cost (observed agreement: exact).
+    race.  ``tests/core/test_mpc.py::TestBatchedPlanner`` asserts exact
+    equality of plan actions, cost, iteration counts and solver stats.
 
     Parameters
     ----------

@@ -15,8 +15,9 @@ Public API
     The quantities the paper's evaluation reports.
 ``Scenario`` / ``run_scenario``
     One-call convenience wrapper (controller + cycle + sizing -> result).
-``run_batch`` / ``scenario_grid`` / ``BatchResult`` / ``ResultCache``
-    Parallel execution of scenario grids with content-addressed caching.
+``run_batch`` / ``scenario_grid`` / ``BatchResult``
+    Parallel execution of scenario grids, cached in a
+    :class:`repro.store.ExperimentStore` when one is passed.
 ``run_lockstep`` / ``lockstep_supported``
     The vectorized lockstep engine: baseline ensembles advance as one
     struct-of-arrays batch (``run_batch(execution="auto")`` uses it).
@@ -29,7 +30,6 @@ from repro.sim.scenario import Scenario, build_controller, run_scenario
 from repro.sim.batch import (
     BatchCell,
     BatchResult,
-    ResultCache,
     run_batch,
     scenario_fingerprint,
     scenario_grid,
@@ -53,7 +53,6 @@ __all__ = [
     "run_scenario",
     "BatchCell",
     "BatchResult",
-    "ResultCache",
     "run_batch",
     "scenario_fingerprint",
     "scenario_grid",

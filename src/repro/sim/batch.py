@@ -1,4 +1,4 @@
-"""Parallel batch execution of scenario grids, with a result cache.
+"""Parallel batch execution of scenario grids, cached in the experiment store.
 
 Every sweep in the evaluation - Table I's bank sizes, the ambient
 temperature extension, the Monte-Carlo robustness ensemble - is an
@@ -13,12 +13,12 @@ SummaryMetrics` into a :class:`BatchResult`:
   cell* (``cell.error``) instead of the sweep;
 * **per-scenario timeout** - a best-effort wall-clock budget per cell
   (a cell that exceeds it is marked failed and abandoned);
-* **content-addressed caching** - an on-disk store keyed by a fingerprint
+* **content-addressed caching** - pass ``store=`` (a
+  :class:`repro.store.ExperimentStore`) to key every cell by a fingerprint
   of the full scenario (controller, pack, vehicle, coolant, weights, MPC
-  knobs) plus the engine backend assigned to the cell, so repeated sweeps
-  and CI re-runs skip already-computed cells; pass ``store=`` (a
-  :class:`repro.store.ExperimentStore`) instead of ``cache=`` for the
-  durable SQLite+npz variant the sweep service resumes from;
+  knobs) plus the engine backend assigned to it, so repeated sweeps, CI
+  re-runs and the sweep service after a restart skip already-computed
+  cells;
 * **lockstep vectorization** - cells that share an architecture (and,
   for OTEM, a solver shape) are batched onto the struct-of-arrays engine
   (:mod:`repro.sim.engine_vec`), advancing the whole group per NumPy step
@@ -26,7 +26,9 @@ SummaryMetrics` into a :class:`BatchResult`:
   OTEM cells running the vectorized rollout backend, whose replan waves
   are solved in lockstep by :class:`repro.core.mpc.MPCPlannerVec`;
   scalar-backend OTEM cells and singleton groups stay on the scalar
-  engine (``execution="auto"``).
+  engine (``execution="auto"``).  A lockstep group that raises is rerun
+  cell by cell on the scalar engine, and every rerouted cell records the
+  exception in ``BatchCell.fallback``.
 
 Serial execution (``workers=0``) goes through exactly the same cell
 runner, so parallel results are bitwise identical to serial ones (see
@@ -40,7 +42,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -61,9 +62,6 @@ CACHE_SCHEMA = 4
 
 #: Accepted ``run_batch(execution=...)`` modes.
 EXECUTION_MODES = ("auto", "lockstep", "scalar")
-
-#: Default cache directory (created on first use; gitignored).
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Error string marking cells skipped by a :func:`run_batch` ``cancel``
 #: hook (the sweep service matches on the ``"cancelled"`` prefix).
@@ -101,7 +99,7 @@ def scenario_fingerprint(scenario: Scenario, engine_backend: str = "scalar") -> 
 
 
 # ---------------------------------------------------------------------- #
-# the per-cell payload (what workers return and the cache stores)
+# the per-cell payload (what workers return and the store keeps)
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,11 @@ class BatchCell:
     """One grid cell of a :class:`BatchResult`.
 
     ``metrics`` is ``None`` exactly when ``error`` is set; ``cached`` marks
-    cells served from the result cache (their ``wall_s`` is the original
-    compute time, not the lookup time).  ``engine_backend`` names the
-    engine that computed the cell (``"scalar"`` or ``"lockstep"``).
+    cells served from the store (their ``wall_s`` is the original compute
+    time, not the lookup time).  ``engine_backend`` names the engine that
+    computed the cell (``"scalar"`` or ``"lockstep"``).  ``fallback`` is
+    ``"<ExcType>: msg"`` when the lockstep group the cell was assigned to
+    raised and the cell was rerouted to the scalar engine, else ``None``.
     """
 
     index: int
@@ -141,59 +141,12 @@ class BatchCell:
     cached: bool = False
     error: str | None = None
     engine_backend: str = "scalar"
+    fallback: str | None = None
 
     @property
     def ok(self) -> bool:
         """Whether the cell computed successfully."""
         return self.error is None
-
-
-# ---------------------------------------------------------------------- #
-# the cache
-
-
-class ResultCache:
-    """Content-addressed on-disk store of :class:`CellPayload` pickles.
-
-    One file per fingerprint under ``directory``; corrupt or unreadable
-    entries count as misses and are overwritten.  Instances track their
-    own hit/miss counters (reported per batch).
-    """
-
-    def __init__(self, directory: str | os.PathLike = DEFAULT_CACHE_DIR):
-        self._dir = os.fspath(directory)
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def directory(self) -> str:
-        """Root directory of the store."""
-        return self._dir
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self._dir, f"{key}.pkl")
-
-    def get(self, key: str) -> CellPayload | None:
-        """Look a payload up; ``None`` (and a miss) when absent/corrupt."""
-        try:
-            with open(self._path(key), "rb") as fh:
-                payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, CellPayload):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: CellPayload) -> None:
-        """Store a payload (atomic rename so readers never see partials)."""
-        os.makedirs(self._dir, exist_ok=True)
-        tmp = self._path(key) + f".tmp{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, self._path(key))
 
 
 # ---------------------------------------------------------------------- #
@@ -318,6 +271,7 @@ def cell_row(cell: BatchCell) -> dict:
         "wall_s": cell.wall_s,
         "cached": cell.cached,
         "engine_backend": cell.engine_backend,
+        "fallback": cell.fallback,
         "error": cell.error,
     }
     if cell.metrics is not None:
@@ -330,15 +284,11 @@ def cell_row(cell: BatchCell) -> dict:
         # leaves last_cost at its NaN sentinel, which json.dumps emits as
         # bare `NaN` - invalid JSON to strict consumers.
         row["solver_last_cost"] = cell.solver.last_cost_or_none
-        # pre-schema-2 pickles lack the field
-        row["solver_backend"] = getattr(cell.solver, "backend", "scalar")
-        # winner attribution (schema 4+; getattr for old pickles):
-        # which start seed won each replan race
-        row["solver_wins_warm"] = getattr(cell.solver, "wins_warm", 0)
-        row["solver_wins_neutral"] = getattr(cell.solver, "wins_neutral", 0)
-        row["solver_wins_full_cool"] = getattr(
-            cell.solver, "wins_full_cool", 0
-        )
+        row["solver_backend"] = cell.solver.backend
+        # winner attribution: which start seed won each replan race
+        row["solver_wins_warm"] = cell.solver.wins_warm
+        row["solver_wins_neutral"] = cell.solver.wins_neutral
+        row["solver_wins_full_cool"] = cell.solver.wins_full_cool
     return row
 
 
@@ -353,7 +303,7 @@ def _lockstep_assignment(scenarios: list, execution: str) -> set:
     cells are supported when they run the vectorized rollout backend;
     scalar-backend MPC cells always stay scalar (routing them would
     silently switch solver backends).  The decision uses only the input
-    grid, never the cache state, so the per-cell fingerprints are
+    grid, never the store state, so the per-cell fingerprints are
     deterministic.
     """
     if execution == "scalar":
@@ -370,11 +320,8 @@ def _lockstep_assignment(scenarios: list, execution: str) -> set:
 def run_batch(
     scenarios: Iterable[Scenario] | Sequence[Scenario],
     workers: int = 0,
-    cache: ResultCache | None = None,
-    cache_dir: str | os.PathLike | None = None,
     store=None,
     timeout_s: float | None = None,
-    on_cell: Callable[[BatchCell], None] | None = None,
     on_cell_done: Callable[[BatchCell], None] | None = None,
     cancel: Callable[[], bool] | None = None,
     execution: str = "auto",
@@ -395,32 +342,25 @@ def run_batch(
         the degradation is visible as ``BatchResult.methodology ==
         "serial-fallback"``.  Workers only ever compute scalar-assigned
         cells; lockstep groups run in-process (they are one NumPy loop).
-    cache / cache_dir:
-        Pass a :class:`ResultCache` (or just a directory) to skip cells
-        whose fingerprint is already stored and to store fresh results.
-        ``None`` (default) disables caching.
     store:
-        A :class:`repro.store.ExperimentStore` (or anything with the same
-        ``get``/``put``/``hits``/``misses`` surface) used exactly like
-        ``cache`` but durable and queryable: previously computed cells are
-        skipped across processes, sessions, and service restarts.
-        Mutually exclusive with ``cache``/``cache_dir``.
+        A :class:`repro.store.ExperimentStore`: cells whose fingerprint is
+        already stored are served from it (across processes, sessions and
+        service restarts) and fresh results are stored.  ``None``
+        (default) disables caching.
     timeout_s:
         Best-effort per-cell wall-clock budget (scalar pool mode only): a
         cell still pending that long after its turn comes up is marked
         failed with a timeout error and abandoned.
-    on_cell / on_cell_done:
+    on_cell_done:
         Progress callback invoked with each finished :class:`BatchCell`
         in completion order (serial mode: submission order; lockstep
         groups report their cells when the group completes).
-        ``on_cell_done`` is the canonical name; ``on_cell`` remains as a
-        back-compat alias and at most one may be passed.
     cancel:
         Cooperative cancellation hook: a zero-argument callable polled
         before each pending cell (and each lockstep group) starts.  Once
         it returns True, every not-yet-computed cell is marked failed
         with a ``"cancelled: ..."`` error instead of being computed;
-        already-finished cells and cache hits are unaffected.
+        already-finished cells and store hits are unaffected.
     execution:
         Engine selection: ``"auto"`` (default) routes supported cells
         with at least one group-mate onto the lockstep struct-of-arrays
@@ -431,7 +371,8 @@ def run_batch(
         supported cell onto the lockstep engine; ``"scalar"`` forces the
         scalar engine for all cells (pre-lockstep behavior).  A lockstep
         group that fails re-routes its cells to the scalar path
-        one-by-one, preserving crash isolation.
+        one-by-one, preserving crash isolation; each rerouted cell
+        carries the group's exception as ``fallback``.
 
     Returns
     -------
@@ -445,11 +386,6 @@ def run_batch(
         raise ValueError(
             f"unknown execution mode {execution!r}; choose from {EXECUTION_MODES}"
         )
-    if on_cell is not None and on_cell_done is not None:
-        raise ValueError("pass on_cell_done or its alias on_cell, not both")
-    on_cell_done = on_cell_done if on_cell_done is not None else on_cell
-    if store is not None and (cache is not None or cache_dir is not None):
-        raise ValueError("pass store or cache/cache_dir, not both")
     scalar_methodology = "serial"
     if workers >= 2:
         if (os.cpu_count() or 1) <= 1:
@@ -457,12 +393,8 @@ def run_batch(
             scalar_methodology = "serial-fallback"
         else:
             scalar_methodology = "process-pool"
-    if store is not None:
-        cache = store
-    elif cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir)
-    hits0 = cache.hits if cache else 0
-    misses0 = cache.misses if cache else 0
+    hits0 = store.hits if store is not None else 0
+    misses0 = store.misses if store is not None else 0
     cancelled = cancel if cancel is not None else (lambda: False)
 
     lockstep_cells = _lockstep_assignment(scenarios, execution)
@@ -472,6 +404,8 @@ def run_batch(
 
     start = time.perf_counter()
     cells: list = [None] * len(scenarios)
+    #: index -> "<ExcType>: msg" of the lockstep group that rerouted it
+    fallbacks: dict = {}
 
     def finish(index: int, cell: BatchCell) -> None:
         cells[index] = cell
@@ -490,16 +424,17 @@ def run_batch(
             cycle_name=payload.cycle_name,
             wall_s=payload.wall_s,
             cached=cached,
-            engine_backend=getattr(payload, "engine_backend", "scalar"),
+            engine_backend=payload.engine_backend,
+            fallback=fallbacks.get(index),
         )
 
-    # serve cache hits first; collect the cells that actually need compute
+    # serve store hits first; collect the cells that actually need compute
     pending: list = []
     keys: dict = {}
     for i, scenario in enumerate(scenarios):
-        if cache is not None:
+        if store is not None:
             keys[i] = scenario_fingerprint(scenario, engine_backend=backend_of(i))
-            payload = cache.get(keys[i])
+            payload = store.get(keys[i])
             if payload is not None:
                 finish(i, from_payload(i, payload, cached=True))
                 continue
@@ -509,11 +444,16 @@ def run_batch(
         if payload is None:
             finish(
                 index,
-                BatchCell(index=index, scenario=scenarios[index], error=error),
+                BatchCell(
+                    index=index,
+                    scenario=scenarios[index],
+                    error=error,
+                    fallback=fallbacks.get(index),
+                ),
             )
             return
-        if cache is not None:
-            cache.put(keys[index], payload)
+        if store is not None:
+            store.put(keys[index], payload)
         finish(index, from_payload(index, payload, cached=False))
 
     lock_pending = [i for i in pending if i in lockstep_cells]
@@ -521,7 +461,7 @@ def run_batch(
 
     # lockstep groups first (in-process, one NumPy loop per group); a group
     # that fails re-routes its cells to the scalar path below, where each
-    # cell is crash-isolated individually
+    # cell is crash-isolated individually and records why it was rerouted
     if lock_pending:
         groups: dict = {}
         for i in lock_pending:
@@ -534,14 +474,15 @@ def run_batch(
             t0 = time.perf_counter()
             try:
                 results = run_lockstep([scenarios[i] for i in indices])
-            except Exception:  # noqa: BLE001 - fall back, isolate per cell
+            except Exception as exc:  # noqa: BLE001 - fall back, isolate per cell
                 for i in indices:
                     lockstep_cells.discard(i)
-                    if cache is not None:
+                    fallbacks[i] = f"{type(exc).__name__}: {exc}"
+                    if store is not None:
                         keys[i] = scenario_fingerprint(
                             scenarios[i], engine_backend="scalar"
                         )
-                        payload = cache.get(keys[i])
+                        payload = store.get(keys[i])
                         if payload is not None:
                             finish(i, from_payload(i, payload, cached=True))
                             continue
@@ -602,8 +543,8 @@ def run_batch(
         cells=tuple(cells),
         wall_s=time.perf_counter() - start,
         workers=workers,
-        cache_hits=(cache.hits - hits0) if cache else 0,
-        cache_misses=(cache.misses - misses0) if cache else 0,
+        cache_hits=(store.hits - hits0) if store is not None else 0,
+        cache_misses=(store.misses - misses0) if store is not None else 0,
         methodology=methodology,
     )
 

@@ -23,10 +23,8 @@ restart - is served from disk instead of recomputing.  Design points:
 * **sweep records** - the sweep service persists job records and tidy row
   sets here, which is what makes restarts resume instead of recompute.
 
-The store is duck-compatible with :class:`repro.sim.batch.ResultCache`
-(``get``/``put``/``hits``/``misses``), and
-:meth:`ExperimentStore.migrate_pickle_cache` imports an existing pickle
-cache directory wholesale.
+It is the one result cache of the package: ``run_batch(store=...)``, the
+``repro batch`` CLI and the sweep service all read and write cells here.
 """
 
 from __future__ import annotations
@@ -82,8 +80,8 @@ class StoreStats:
     """Point-in-time counters of one :class:`ExperimentStore` instance.
 
     ``hits``/``misses``/``quarantined``/``evicted`` are per-instance
-    session counters (like :class:`~repro.sim.batch.ResultCache`);
-    ``cells``/``total_bytes`` describe the on-disk population.
+    session counters; ``cells``/``total_bytes`` describe the on-disk
+    population.
     """
 
     cells: int
@@ -158,7 +156,7 @@ class ExperimentStore:
         return os.path.join(self._dir, QUARANTINE_DIR, f"{key}.npz")
 
     # ------------------------------------------------------------------ #
-    # cell payloads (duck-compatible with ResultCache)
+    # cell payloads
 
     def put(self, key: str, payload, trace: Trace | None = None) -> None:
         """Store one cell payload (atomically), optionally with its trace.
@@ -338,41 +336,6 @@ class ExperimentStore:
             dropped += 1
         self.evicted += dropped
         return dropped
-
-    # ------------------------------------------------------------------ #
-    # migration from the flat pickle cache
-
-    def migrate_pickle_cache(self, cache_dir: str | os.PathLike) -> int:
-        """Import a :class:`~repro.sim.batch.ResultCache` directory.
-
-        Every readable ``<fingerprint>.pkl`` payload is stored under its
-        fingerprint; unreadable pickles are skipped.  Returns the number
-        of cells imported - after which the pickle directory can simply be
-        deleted.
-        """
-        import pickle
-
-        from repro.sim.batch import CellPayload
-
-        imported = 0
-        cache_dir = os.fspath(cache_dir)
-        try:
-            names = sorted(os.listdir(cache_dir))
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".pkl"):
-                continue
-            try:
-                with open(os.path.join(cache_dir, name), "rb") as fh:
-                    payload = pickle.load(fh)
-            except Exception:  # noqa: BLE001 - skip corrupt legacy entries
-                continue
-            if not isinstance(payload, CellPayload):
-                continue
-            self.put(name[: -len(".pkl")], payload)
-            imported += 1
-        return imported
 
     # ------------------------------------------------------------------ #
     # sweep records (the service's durable job state)

@@ -8,12 +8,12 @@ import pytest
 from repro.sim.batch import (
     BatchCell,
     CellPayload,
-    ResultCache,
     run_batch,
     scenario_fingerprint,
     scenario_grid,
 )
 from repro.sim.scenario import Scenario
+from repro.store import ExperimentStore
 
 #: A small grid of fast (baseline-only) scenarios on the shortest cycle.
 GRID = scenario_grid(
@@ -82,7 +82,7 @@ class TestSerialRun:
 
     def test_progress_callback(self):
         seen = []
-        run_batch(GRID[:2], on_cell=seen.append)
+        run_batch(GRID[:2], on_cell_done=seen.append)
         assert [c.index for c in seen] == [0, 1]
         assert all(isinstance(c, BatchCell) for c in seen)
 
@@ -121,51 +121,47 @@ class TestParallelRun:
 
 class TestCache:
     def test_second_run_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = run_batch(GRID, cache=cache)
+        store = ExperimentStore(tmp_path)
+        first = run_batch(GRID, store=store)
         assert first.cache_hits == 0 and first.cache_misses == len(GRID)
-        second = run_batch(GRID, cache=cache)
+        second = run_batch(GRID, store=store)
         assert second.cache_hits == len(GRID) and second.cache_misses == 0
         assert all(c.cached for c in second.cells)
         assert [c.metrics for c in second.cells] == [c.metrics for c in first.cells]
 
     def test_parameter_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache)
+        store = ExperimentStore(tmp_path)
+        run_batch(GRID[:1], store=store)
         varied = [dataclasses.replace(GRID[0], initial_temp_k=305.0)]
-        rerun = run_batch(varied, cache=cache)
+        rerun = run_batch(varied, store=store)
         assert rerun.cache_hits == 0 and rerun.cache_misses == 1
 
-    def test_cache_dir_shorthand(self, tmp_path):
-        d = tmp_path / "store"
-        run_batch(GRID[:1], cache_dir=d)
-        assert list(d.glob("*.pkl"))
-        hit = run_batch(GRID[:1], cache_dir=d)
-        assert hit.cache_hits == 1
-
     def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = ExperimentStore(tmp_path)
         bad = [dataclasses.replace(GRID[0], cycle="no-such-cycle")]
-        run_batch(bad, cache=cache)
-        rerun = run_batch(bad, cache=cache)
+        run_batch(bad, store=store)
+        rerun = run_batch(bad, store=store)
         assert rerun.cache_hits == 0
         assert not rerun.ok
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache)
-        for f in tmp_path.glob("*.pkl"):
-            f.write_bytes(b"not a pickle")
-        rerun = run_batch(GRID[:1], cache=cache)
-        assert rerun.ok and rerun.cache_hits == 0
+        assert len(store) == 0
 
     def test_payload_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        batch = run_batch(GRID[:1], cache=cache)
-        key = scenario_fingerprint(GRID[0])
-        payload = cache.get(key)
-        assert isinstance(payload, CellPayload)
-        assert payload.metrics == batch.cells[0].metrics
+        """The payload a run_batch stores comes back equal to the cell it
+        produced, and stays picklable for the process pool."""
+        store = ExperimentStore(tmp_path)
+        batch = run_batch(GRID[:1], store=store)
+        cell = batch.cells[0]
+        payload = store.get(
+            scenario_fingerprint(GRID[0], engine_backend=cell.engine_backend)
+        )
+        assert payload == CellPayload(
+            controller_name=cell.controller_name,
+            cycle_name=cell.cycle_name,
+            metrics=cell.metrics,
+            solver=cell.solver,
+            wall_s=cell.wall_s,
+            engine_backend=cell.engine_backend,
+        )
         assert pickle.loads(pickle.dumps(payload)) == payload
 
 
@@ -264,16 +260,6 @@ class TestSolverStatsPlumbing:
         # strict consumers reject NaN tokens; the payload must survive
         json.dumps(result.bench_payload(), allow_nan=False)
 
-    def test_pre_schema_2_stats_default_to_scalar_backend(self):
-        """Old cache pickles predate SolverStats.backend."""
-        from repro.core.mpc import SolverStats
-        from repro.sim.batch import BatchResult
-
-        stats = SolverStats(solves=1, total_iterations=3, last_cost=1.0)
-        object.__delattr__(stats, "backend")
-        cell = BatchCell(index=0, scenario=GRID[0], solver=stats)
-        row = BatchResult(cells=(cell,), wall_s=0.0, workers=0).rows()[0]
-        assert row["solver_backend"] == "scalar"
 
 
 class TestLockstepRouting:
@@ -349,6 +335,31 @@ class TestLockstepRouting:
         assert "no-such-cycle" in batch.cells[1].error
         assert batch.cells[0].engine_backend == "scalar"
         assert batch.methodology == "serial"  # nothing stayed on lockstep
+        # both cells say why they left the lockstep engine
+        assert all("no-such-cycle" in c.fallback for c in batch.cells)
+
+    def test_group_failure_is_recorded_on_every_cell(self, monkeypatch, tmp_path):
+        """The rerouted cells carry the group's exception, whether they are
+        computed or served from the store, so resubmitted rows match."""
+        import repro.sim.batch as batch_mod
+        from repro.service.jobs import service_row
+
+        def explode(scenarios):
+            raise RuntimeError("lockstep wave diverged")
+
+        monkeypatch.setattr(batch_mod, "run_lockstep", explode)
+        store = ExperimentStore(tmp_path)
+        expected = "RuntimeError: lockstep wave diverged"
+        first = run_batch(GRID, store=store)
+        assert first.ok
+        assert [c.engine_backend for c in first.cells] == ["scalar"] * 4
+        assert [r["fallback"] for r in first.rows()] == [expected] * 4
+        second = run_batch(GRID, store=store)
+        assert all(c.cached for c in second.cells)
+        assert [c.fallback for c in second.cells] == [expected] * 4
+        assert [service_row(c) for c in second.cells] == [
+            service_row(c) for c in first.cells
+        ]
 
 
 #: A fast lockstep-eligible OTEM scenario (vectorized backend, tiny solver).
@@ -434,20 +445,12 @@ class TestMPCLockstepRouting:
             for c in batch.cells
             if c.scenario.methodology == "otem"
         )
-
-    def test_old_solver_pickles_default_to_zero_wins(self):
-        """Pre-schema-4 SolverStats lack the wins_* fields."""
-        from repro.core.mpc import SolverStats
-        from repro.sim.batch import BatchResult
-
-        stats = SolverStats(solves=2, total_iterations=5, last_cost=1.0)
-        for field in ("wins_warm", "wins_neutral", "wins_full_cool"):
-            object.__delattr__(stats, field)
-        cell = BatchCell(index=0, scenario=GRID[0], solver=stats)
-        row = BatchResult(cells=(cell,), wall_s=0.0, workers=0).rows()[0]
-        assert row["solver_wins_warm"] == 0
-        assert row["solver_wins_neutral"] == 0
-        assert row["solver_wins_full_cool"] == 0
+        assert [c.fallback for c in batch.cells] == [
+            None,
+            "RuntimeError: solver wave diverged",
+            None,
+            "RuntimeError: solver wave diverged",
+        ]
 
 
 class TestEngineBackendCache:
@@ -463,41 +466,10 @@ class TestEngineBackendCache:
             s, engine_backend="scalar"
         )
 
-    def test_backend_switch_never_serves_stale_rows(self, tmp_path):
-        """Same grid, different engine: a cache hit across backends would
-        silently blur which engine produced a number."""
-        cache = ResultCache(tmp_path)
-        first = run_batch(GRID, cache=cache)  # auto: all lockstep
-        assert first.cache_misses == len(GRID)
-        rerun = run_batch(GRID, cache=cache)
-        assert rerun.cache_hits == len(GRID)
-        assert all(c.engine_backend == "lockstep" for c in rerun.cells)
-        forced = run_batch(GRID, cache=cache, execution="scalar")
-        assert forced.cache_hits == 0 and forced.cache_misses == len(GRID)
-        assert all(c.engine_backend == "scalar" for c in forced.cells)
-
-    def test_schema_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache)
-        monkeypatch.setattr("repro.sim.batch.CACHE_SCHEMA", 2)
-        stale = run_batch(GRID[:1], cache=cache)
-        assert stale.cache_hits == 0 and stale.cache_misses == 1
-
     def test_rows_carry_engine_backend(self):
         rows = run_batch(GRID).rows()
         assert [r["engine_backend"] for r in rows] == ["lockstep"] * 4
-
-    def test_pre_schema_3_payloads_default_to_scalar(self, tmp_path):
-        """Old cache pickles predate CellPayload.engine_backend."""
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache, execution="scalar")
-        key = scenario_fingerprint(GRID[0])
-        payload = cache.get(key)
-        object.__delattr__(payload, "engine_backend")
-        cache.put(key, payload)
-        served = run_batch(GRID[:1], cache=cache, execution="scalar")
-        assert served.cache_hits == 1
-        assert served.cells[0].engine_backend == "scalar"
+        assert [r["fallback"] for r in rows] == [None] * 4
 
     def test_lockstep_cells_share_group_wall_time(self):
         batch = run_batch(GRID[:2])  # one lockstep group of two
@@ -538,16 +510,6 @@ class TestProgressCallback:
         batch = run_batch(GRID, workers=2, execution="scalar", on_cell_done=seen.append)
         assert batch.ok
         assert sorted(c.index for c in seen) == [0, 1, 2, 3]
-
-    def test_on_cell_is_an_alias(self):
-        via_alias, via_canonical = [], []
-        run_batch(GRID[:2], on_cell=via_alias.append)
-        run_batch(GRID[:2], on_cell_done=via_canonical.append)
-        assert [c.index for c in via_alias] == [c.index for c in via_canonical]
-
-    def test_alias_and_canonical_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_batch(GRID[:1], on_cell=print, on_cell_done=print)
 
     def test_failed_cells_still_reported(self):
         bad = dataclasses.replace(GRID[0], cycle="no-such-cycle")
@@ -600,7 +562,7 @@ class TestCancellation:
         assert all("cancelled" in c.error for c in skipped)
 
     def test_cancelled_cells_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID, cache=cache, execution="scalar", cancel=lambda: True)
-        rerun = run_batch(GRID, cache=cache, execution="scalar")
+        store = ExperimentStore(tmp_path)
+        run_batch(GRID, store=store, execution="scalar", cancel=lambda: True)
+        rerun = run_batch(GRID, store=store, execution="scalar")
         assert rerun.cache_hits == 0 and rerun.ok

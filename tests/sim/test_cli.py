@@ -71,8 +71,8 @@ class TestBatch:
             "dual",
             "-c",
             "nycc",
-            "--cache-dir",
-            str(tmp_path / "cache"),
+            "--store-dir",
+            str(tmp_path / "store"),
         ]
 
     def test_batch_grid_runs(self, tmp_path):

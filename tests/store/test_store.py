@@ -1,5 +1,5 @@
 """The experiment store: durability, corruption quarantine, eviction,
-migration, and the run_batch(store=...) no-recompute guarantee."""
+and the run_batch(store=...) no-recompute guarantee."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ import pytest
 import repro.sim.batch as batch_mod
 from repro.sim.batch import (
     CellPayload,
-    ResultCache,
     run_batch,
     scenario_fingerprint,
     scenario_grid,
@@ -151,8 +150,8 @@ class TestCorruption:
 
 
 class TestSchemaInvalidation:
-    """Mirrors the CACHE_SCHEMA tests of tests/sim/test_batch.py: the
-    fingerprint embeds the schema, so a bump makes every old key unreachable."""
+    """The fingerprint embeds the schema and the engine backend, so a bump
+    or a backend switch makes every old key unreachable."""
 
     def test_schema_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
         store = ExperimentStore(tmp_path)
@@ -162,11 +161,17 @@ class TestSchemaInvalidation:
         assert stale.cache_hits == 0 and stale.cache_misses == 1
 
     def test_backend_switch_never_serves_stale_rows(self, tmp_path):
+        """Same grid, different engine: a hit across backends would
+        silently blur which engine produced a number."""
         store = ExperimentStore(tmp_path)
         first = run_batch(GRID, store=store)  # auto: all lockstep
         assert first.cache_misses == len(GRID)
+        rerun = run_batch(GRID, store=store)
+        assert rerun.cache_hits == len(GRID)
+        assert all(c.engine_backend == "lockstep" for c in rerun.cells)
         forced = run_batch(GRID, store=store, execution="scalar")
         assert forced.cache_hits == 0 and forced.cache_misses == len(GRID)
+        assert all(c.engine_backend == "scalar" for c in forced.cells)
 
 
 class TestEviction:
@@ -198,39 +203,7 @@ class TestEviction:
             ExperimentStore(tmp_path, max_bytes=0)
 
 
-class TestMigration:
-    def test_pickle_cache_migrates_wholesale(self, tmp_path):
-        cache = ResultCache(tmp_path / "pickles")
-        run_batch(GRID, cache=cache, execution="scalar")
-        store = ExperimentStore(tmp_path / "store")
-        imported = store.migrate_pickle_cache(tmp_path / "pickles")
-        assert imported == len(GRID)
-        # the migrated entries serve the same sweep without recompute
-        served = run_batch(GRID, store=store, execution="scalar")
-        assert served.cache_hits == len(GRID)
-        assert all(c.cached for c in served.cells)
-
-    def test_corrupt_pickles_skipped(self, tmp_path):
-        cache_dir = tmp_path / "pickles"
-        cache = ResultCache(cache_dir)
-        run_batch(GRID[:1], cache=cache, execution="scalar")
-        (cache_dir / "deadbeef.pkl").write_bytes(b"junk")
-        store = ExperimentStore(tmp_path / "store")
-        assert store.migrate_pickle_cache(cache_dir) == 1
-
-    def test_missing_cache_dir_is_empty_migration(self, tmp_path):
-        store = ExperimentStore(tmp_path / "store")
-        assert store.migrate_pickle_cache(tmp_path / "no-such-dir") == 0
-
-
 class TestRunBatchIntegration:
-    def test_store_and_cache_are_mutually_exclusive(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        with pytest.raises(ValueError, match="store or cache"):
-            run_batch(GRID[:1], store=store, cache=ResultCache(tmp_path))
-        with pytest.raises(ValueError, match="store or cache"):
-            run_batch(GRID[:1], store=store, cache_dir=tmp_path)
-
     def test_second_run_recomputes_nothing_and_rows_are_byte_identical(
         self, tmp_path, monkeypatch
     ):
@@ -333,9 +306,9 @@ class TestStats:
         assert ExperimentStore(tmp_path).stats().hit_rate == 0.0
 
 
-def test_fingerprint_compat_with_result_cache():
-    """The store keys are the batch runner's fingerprints - identical to
-    what the pickle cache uses, which is what makes migration lossless."""
+def test_store_keys_are_batch_fingerprints():
+    """The store is keyed by the batch runner's scenario fingerprints:
+    stable for equal scenarios, distinct for any changed knob."""
     s = dataclasses.replace(GRID[0], perturb_seed=7)
     assert scenario_fingerprint(s) == scenario_fingerprint(s)
     assert scenario_fingerprint(s) != scenario_fingerprint(GRID[0])
