@@ -10,12 +10,11 @@ nominal cycle), all OTEM with the vectorized rollout backend, run
 * as **serial scalar-engine runs** - the per-scenario reference the
   lockstep columns are equivalence-tested against.
 
-Timing the full serial side at ensemble scale would dominate the CI
-budget, so the serial cost is measured on a sample of the ensemble and
-extrapolated linearly (per-scenario runs are independent; wall time is
-additive).  Results land in ``BENCH_mpc_ensemble.json``; the acceptance
-target is a >= 3x ensemble speedup, asserted strictly where CI controls
-the machine (``REPRO_REQUIRE_SPEEDUP``).
+Both sides are timed in full: all 32 serial runs and the lockstep group,
+and every lockstep column is checked against its serial reference.
+Results land in ``BENCH_mpc_ensemble.json``; the acceptance target is a
+>= 3x ensemble speedup, asserted strictly where CI controls the machine
+(``REPRO_REQUIRE_SPEEDUP``).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from repro.sim.scenario import Scenario, run_scenario
 
 #: Ensemble size (the acceptance floor is 32 scenarios).
 ENSEMBLE = 32
-
-#: Serial reference sample (extrapolated to ENSEMBLE; runs are independent).
-SERIAL_SAMPLE = 4
 
 #: Solver shape: moderate horizon/budget so the bench stays in CI scale
 #: while every scenario still replans ~20 times over the nycc route.
@@ -58,28 +54,25 @@ def _ensemble() -> list:
 def test_mpc_ensemble_lockstep_speedup(benchmark):
     scenarios = _ensemble()
 
-    # serial scalar-engine reference on a sample, extrapolated
-    sample = scenarios[:SERIAL_SAMPLE]
+    # serial scalar-engine reference, every scenario
     start = time.perf_counter()
-    serial_results = [run_scenario(s) for s in sample]
-    serial_sample_s = time.perf_counter() - start
-    serial_per_scenario_s = serial_sample_s / SERIAL_SAMPLE
-    serial_extrapolated_s = serial_per_scenario_s * ENSEMBLE
+    serial_results = [run_scenario(s) for s in scenarios]
+    serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
     lockstep_results = run_once(benchmark, run_lockstep_group, scenarios)
     lockstep_s = time.perf_counter() - start
 
     # the speedup is only meaningful if the columns are the same numbers:
-    # sampled columns must match their serial references (identical solver
+    # every column must match its serial reference (identical solver
     # stats; metrics to the documented ulp budget)
-    for lock, ref in zip(lockstep_results, serial_results):
+    for lock, ref in zip(lockstep_results, serial_results, strict=True):
         assert lock.solver == ref.solver
         assert abs(lock.metrics.qloss_percent - ref.metrics.qloss_percent) <= (
             1e-9 * abs(ref.metrics.qloss_percent)
         )
 
-    speedup = serial_extrapolated_s / lockstep_s
+    speedup = serial_s / lockstep_s
 
     from repro.utils.perf import record_bench
 
@@ -94,25 +87,20 @@ def test_mpc_ensemble_lockstep_speedup(benchmark):
                 "max_function_evals": KNOBS["mpc_max_evals"],
                 "rollout_backend": KNOBS["rollout_backend"],
             },
-            "serial_sample": SERIAL_SAMPLE,
-            "serial_sample_s": serial_sample_s,
-            "serial_per_scenario_s": serial_per_scenario_s,
-            "serial_extrapolated_s": serial_extrapolated_s,
+            "serial_s": serial_s,
+            "serial_per_scenario_s": serial_s / ENSEMBLE,
             "lockstep_s": lockstep_s,
             "lockstep_per_scenario_s": lockstep_s / ENSEMBLE,
             "speedup": speedup,
             "cpu_count": os.cpu_count(),
-            "solves_per_scenario": [
-                r.solver.solves for r in lockstep_results[:SERIAL_SAMPLE]
-            ],
+            "solves_per_scenario": [r.solver.solves for r in lockstep_results],
         },
     )
 
     print()
     print(
         f"otem ensemble ({ENSEMBLE} x {KNOBS['cycle']}): "
-        f"serial {serial_extrapolated_s:.1f} s (extrapolated from "
-        f"{SERIAL_SAMPLE}), lockstep {lockstep_s:.1f} s "
+        f"serial {serial_s:.1f} s, lockstep {lockstep_s:.1f} s "
         f"-> {speedup:.2f}x -> {path}"
     )
 

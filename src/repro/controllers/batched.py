@@ -308,30 +308,14 @@ class BatchedOTEM:
         """
         # imported here: repro.core pulls in repro.sim, which circles back
         # to this module through the lockstep engine
-        from repro.battery.pack import BatteryPack
         from repro.core.mpc import MPCPlannerVec
-        from repro.core.rollout import PredictionModel
-        from repro.hees.hybrid import default_battery_converter, default_cap_converter
-        from repro.ultracap.bank import UltracapBank
+        from repro.core.otem import prediction_model
 
         first = scenarios[0]
-        models = []
-        for s in scenarios:
-            cap_params = s.cap_params()
-            # converters identical to the plant's defaults so predictions
-            # match - same probes the scalar OTEMController builds
-            pack_probe = BatteryPack(s.pack)
-            bank_probe = UltracapBank(cap_params)
-            models.append(
-                PredictionModel(
-                    s.pack,
-                    cap_params,
-                    s.coolant,
-                    default_battery_converter(pack_probe),
-                    default_cap_converter(bank_probe),
-                    s.weights,
-                )
-            )
+        models = [
+            prediction_model(s.pack, s.cap_params(), s.coolant, s.weights)
+            for s in scenarios
+        ]
         planner = MPCPlannerVec(
             models,
             horizon=first.mpc_horizon,

@@ -16,15 +16,16 @@ Two rollout backends drive the penalty solver:
 * ``"vectorized"`` - :class:`repro.core.rollout_vec.BatchPredictionModel`
   evaluates every multi-start candidate's central-difference stencil as
   one batched kernel call per L-BFGS-B ``fun+jac`` round, and the
-  multi-start race is a single joint solve over the stacked candidates
-  (the objective is block-separable, so minimizing the sum solves each
-  start).  Several times faster per solve at the same budget; the scalar
-  model stays the semantic reference (see benchmarks/bench_mpc_solver.py).
+  multi-start race runs through the lockstep driver of
+  :mod:`repro.core.lbfgsb_lockstep` (the objective is block-separable, so
+  minimizing the sum over the stacked candidates solves each start).
+  Several times faster per solve at the same budget; the scalar model
+  stays the semantic reference (see benchmarks/bench_mpc_solver.py).
 
-:class:`MPCPlannerVec` extends the vectorized backend *across scenarios*:
-S independent planners replan in lockstep, their multi-start stencils
-stacked into one kernel call per L-BFGS-B round via the reverse-
-communication driver in :mod:`repro.core.lbfgsb_lockstep`.  Each
+One function, :func:`_race`, runs that race for any number of planners.
+A vectorized :class:`MPCPlanner` is its one-planner case;
+:class:`MPCPlannerVec` runs S independent planners in lockstep, every
+pending scenario's stencil stacked into one kernel call per round.  Each
 scenario's iterate sequence is exactly what its own
 ``MPCPlanner(rollout_backend="vectorized")`` would produce (same starts,
 same budgets, same solver protocol) - the batching changes when
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from repro.core.lbfgsb_lockstep import minimize_lockstep
+from repro.core.lbfgsb_lockstep import lockstep_available, minimize_lockstep
 from repro.core.rollout import PredictionModel, RolloutResult
 from repro.core.rollout_vec import BatchPredictionModel
 
@@ -59,7 +60,10 @@ class SolverStats:
         Objective value achieved by the most recent solve (NaN before the
         first solve; serialize via :attr:`last_cost_or_none`).
     backend:
-        Rollout backend the planner used (``"scalar"`` or ``"vectorized"``).
+        Rollout backend the planner used (``"scalar"`` or ``"vectorized"``);
+        ``"vectorized+serial"`` when the lockstep L-BFGS-B driver failed
+        its probe and every race ran as serial ``optimize.minimize``
+        calls instead (:func:`repro.core.lbfgsb_lockstep.lockstep_available`).
     wins_warm / wins_neutral / wins_full_cool:
         How many solves each multi-start candidate won: the shifted
         previous plan (``warm``), the do-nothing plan (``neutral``), or
@@ -226,11 +230,18 @@ class MPCPlanner:
     @property
     def stats(self) -> SolverStats:
         """Optimizer effort accumulated since the last :meth:`reset`."""
+        backend = self._backend
+        if (
+            backend == "vectorized"
+            and self._method == "penalty"
+            and not lockstep_available()
+        ):
+            backend += "+serial"
         return SolverStats(
             solves=self._solves,
             total_iterations=self._total_iterations,
             last_cost=self._last_cost,
-            backend=self._backend,
+            backend=backend,
             wins_warm=self._wins["warm"],
             wins_neutral=self._wins["neutral"],
             wins_full_cool=self._wins["full_cool"],
@@ -323,8 +334,19 @@ class MPCPlanner:
     # ------------------------------------------------------------------ #
     # solver backends
 
-    def _solve_penalty(self, objective, state, n):
-        """Multi-start L-BFGS-B on the hinge-penalty objective (scalar)."""
+    def _solve_penalty(self, state, preview, step):
+        """Multi-start L-BFGS-B on the hinge-penalty objective (scalar).
+
+        Returns ``(z, nit, cost, label)``: the winning decision vector,
+        the iterations summed over the starts, its cost, and the label of
+        the start it came from.
+        """
+        model = self._model
+
+        def objective(z: np.ndarray) -> float:
+            cap, inlet = self._denormalize(z)
+            return model.rollout_cost(state, cap, inlet, preview, step)
+
         starts = self._starts(state[1])
         labels = self._start_labels()
         budgets = self._budgets(len(starts))
@@ -336,7 +358,7 @@ class MPCPlanner:
                 objective,
                 z0,
                 method="L-BFGS-B",
-                bounds=[(0.0, 1.0)] * (2 * n),
+                bounds=[(0.0, 1.0)] * (2 * self._n),
                 options={
                     "maxfun": budget,
                     "maxiter": 60,
@@ -348,98 +370,14 @@ class MPCPlanner:
             if best is None or result.fun < best.fun:
                 best = result
                 best_label = label
-        best.nit = iterations
-        self._wins[best_label] += 1
-        return best
-
-    def _solve_penalty_batched(self, state, preview, step):
-        """One joint L-BFGS-B race over the stacked multi-start candidates.
-
-        The hinge-penalty objective is evaluated by the batched kernel: a
-        ``fun+jac`` round costs a *single* rollout-kernel invocation over
-        the stacked central-difference stencil of every candidate
-        (``S * (4N+1)`` rows), instead of ``2N+1`` serial Python rollouts
-        per candidate.  The stacked objective is the sum of the per-block
-        costs; blocks share no variables, so minimizing the sum optimizes
-        each start, and the best block wins the race.
-        """
-        n = self._n
-        dim = 2 * n
-        eps = self.FD_EPS
-        vec = self._vec_model
-        starts = self._starts(state[1])
-        labels = self._start_labels()
-        s = len(starts)
-        z0 = np.concatenate(starts)
-        rows = 2 * dim + 1  # base + forward + backward stencil per block
-        offsets = np.zeros((rows, dim))
-        idx = np.arange(dim)
-        offsets[1 + idx, idx] = eps
-        offsets[1 + dim + idx, idx] = -eps
-
-        def block_costs(blocks: np.ndarray) -> np.ndarray:
-            cap = self._cap_lo + blocks[:, :n] * self._cap_scale
-            inlet = self._inlet_lo + blocks[:, n:] * self._inlet_scale
-            return vec.rollout_costs(state, cap, inlet, preview, step)
-
-        seen = {"first": None, "z": None, "base": None}
-
-        def fun_and_grad(z: np.ndarray) -> tuple:
-            stencil = z.reshape(s, 1, dim) + offsets
-            costs = block_costs(stencil.reshape(s * rows, dim)).reshape(s, rows)
-            base = costs[:, 0].copy()
-            if seen["first"] is None:
-                seen["first"] = base  # the start points' own costs (x0 round)
-            seen["z"], seen["base"] = z.copy(), base
-            grad = (costs[:, 1 : 1 + dim] - costs[:, 1 + dim :]) / (2.0 * eps)
-            return float(base.sum()), grad.reshape(s * dim)
-
-        # budget parity with the scalar path: there one scipy fun
-        # evaluation is one rollout and a gradient burns 2N+1 of the
-        # maxfun budget, so a start with budget b gets b/(2N+1) fun+jac
-        # rounds.  The joint solve advances every start per round, so the
-        # round count is the scalar *total* spread over the s stacked
-        # blocks: sum(budgets)/(s*(2N+1)).  A cold solve (both seeds at
-        # full budget) gets maxfun/(2N+1) rounds; a warm solve (the
-        # diversifier at half budget) gets ~3/4 of that - warm replans
-        # are cheaper than cold ones, matching the scalar backend instead
-        # of the flat 2/s*maxfun/(2N+1) both used to get (the vectorized
-        # warm==cold anomaly BENCH_mpc.json once recorded)
-        rounds = max(
-            4, int(math.ceil(sum(self._budgets(s)) / (s * (dim + 1))))
-        )
-        result = optimize.minimize(
-            fun_and_grad,
-            z0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=[(0.0, 1.0)] * (s * dim),
-            options={"maxfun": rounds, "maxiter": 60, "ftol": 1e-12},
-        )
-        blocks = np.clip(result.x.reshape(s, dim), 0.0, 1.0)
-        # L-BFGS-B guarantees descent of the *sum*, not of every block -
-        # race the solved blocks against their own starting points.  Both
-        # cost vectors usually come from cached fun rounds (the x0 round
-        # evaluated the starts; the final round usually evaluated result.x).
-        if seen["z"] is not None and np.array_equal(seen["z"], result.x):
-            final_costs = seen["base"]
-        else:
-            final_costs = block_costs(blocks)
-        candidates = np.concatenate([blocks, np.asarray(starts)])
-        costs = np.concatenate([final_costs, seen["first"]])
-        winner = int(np.argmin(costs))
-        # winner < s is a solved block, winner >= s its unsolved start;
-        # either way the originating candidate is winner % s
-        self._wins[labels[winner % s]] += 1
-        result.x = candidates[winner]
-        result.fun = float(costs[winner])
-        return result
+        return best.x, iterations, float(best.fun), best_label
 
     def _solve_slsqp(self, state, preview, step):
         """SLSQP with C1/C4/C5 as explicit inequality constraints (Eq. 18).
 
         Objective and constraints share one cached rollout per decision
         vector (SLSQP evaluates them separately, the rollout dominates).
+        Returns ``(z, nit, cost, label)`` like :meth:`_solve_penalty`.
         """
         from repro.core.rollout import TEMP_MAX_K
 
@@ -482,8 +420,30 @@ class MPCPlanner:
             options={"maxiter": max(20, self._maxfun // 10), "ftol": 1e-9},
         )
         # single-start solver: the (possibly warm) seed wins by default
-        self._wins["warm" if self._last_z is not None else "neutral"] += 1
-        return result
+        label = "warm" if self._last_z is not None else "neutral"
+        return result.x, int(result.nit), float(result.fun), label
+
+    def _commit(self, state, preview, step, z, nit, cost, label) -> MPCPlan:
+        """Book one finished solve and build its plan.
+
+        Every solver path ends here: the winning decision vector becomes
+        the next warm start, the effort counters and win attribution
+        advance, and the plan carries the detailed predicted rollout.
+        """
+        z_opt = np.clip(z, 0.0, 1.0)
+        self._last_z = z_opt
+        self._solves += 1
+        self._total_iterations += nit
+        self._last_cost = cost
+        self._wins[label] += 1
+        cap, inlet = self._denormalize(z_opt)
+        return MPCPlan(
+            cap_bus_w=cap,
+            inlet_temp_k=inlet,
+            predicted=self._model.rollout(state, cap, inlet, preview, step),
+            solver_iterations=nit,
+            solver_cost=cost,
+        )
 
     def plan(self, state: tuple, preview_w: np.ndarray, dt: float | None = None) -> MPCPlan:
         """Solve one horizon.
@@ -498,55 +458,177 @@ class MPCPlanner:
         dt:
             Optional override of the horizon step duration [s].
         """
-        n = self._n
         step = self._dt if dt is None else dt
-        # pad the preview once, as an ndarray - the rollouts index it
-        # directly, no per-evaluation list copies
-        src = np.asarray(preview_w, dtype=float)[:n]
-        if src.size < n:
-            preview = np.zeros(n)
-            preview[: src.size] = src
-        else:
-            preview = src
-
-        model = self._model
-
+        preview = _pad_previews(preview_w, self._n)[0]
         if self._method == "slsqp":
-            result = self._solve_slsqp(state, preview, step)
+            solved = self._solve_slsqp(state, preview, step)
         elif self._backend == "vectorized":
-            result = self._solve_penalty_batched(state, preview, step)
+            states = np.asarray(state, dtype=float)[None, :]
+            return _race([self], states, preview[None, :], step)[0]
         else:
+            solved = self._solve_penalty(state, preview, step)
+        return self._commit(state, preview, step, *solved)
 
-            def objective(z: np.ndarray) -> float:
-                cap, inlet = self._denormalize(z)
-                return model.rollout_cost(state, cap, inlet, preview, step)
 
-            result = self._solve_penalty(objective, state, n)
-        z_opt = np.clip(result.x, 0.0, 1.0)
-        self._last_z = z_opt
-        self._solves += 1
-        self._total_iterations += int(result.nit)
-        self._last_cost = float(result.fun)
-        cap, inlet = self._denormalize(z_opt)
-        predicted = model.rollout(state, cap, inlet, preview, step)
-        return MPCPlan(
-            cap_bus_w=cap,
-            inlet_temp_k=inlet,
-            predicted=predicted,
-            solver_iterations=int(result.nit),
-            solver_cost=float(result.fun),
+def _pad_previews(previews, n: int) -> np.ndarray:
+    """``(S, n)`` previews: extra columns dropped, short rows zero-padded.
+
+    Padded once per solve, as an ndarray - the rollouts index it
+    directly, no per-evaluation list copies.
+    """
+    src = np.atleast_2d(np.asarray(previews, dtype=float))[:, :n]
+    if src.shape[1] == n:
+        return src
+    padded = np.zeros((src.shape[0], n))
+    padded[:, : src.shape[1]] = src
+    return padded
+
+
+def _race(planners, states, previews, step) -> list:
+    """One lockstep multi-start race per planner; one plan per planner.
+
+    Every planner races its :meth:`MPCPlanner._starts` as one stacked
+    L-BFGS-B problem whose objective is the sum of the per-start costs
+    (the starts share no variables, so minimizing the sum solves each).
+    A ``fun+jac`` round evaluates the central-difference stencil of every
+    pending problem's starts - ``2 * (4N+1)`` rows per problem - in a
+    single :meth:`~repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`
+    call, each row with its own state, preview and bank energy.
+
+    Parameters
+    ----------
+    planners:
+        Vectorized-backend planners sharing one solver shape and one
+        batched model (only the bank energy may differ).
+    states:
+        ``(S, 4)`` rows of (T_b, T_c, SoC, SoE).
+    previews:
+        ``(S, N)`` padded previews (see :func:`_pad_previews`).
+    step:
+        Horizon step duration [s].
+    """
+    p0 = planners[0]
+    vec = p0._vec_model
+    ecap = np.array([p._model.ecap for p in planners])
+    n = p0._n
+    dim = 2 * n
+    eps = MPCPlanner.FD_EPS
+
+    # per-planner starts / budgets (warm status may differ per row)
+    all_starts = []
+    all_labels = []
+    rounds = []
+    for j, p in enumerate(planners):
+        starts = p._starts(states[j, 1])
+        all_starts.append(starts)
+        all_labels.append(p._start_labels())
+        s = len(starts)
+        # budget parity with the scalar path: there one scipy fun
+        # evaluation is one rollout and a gradient burns 2N+1 of the
+        # maxfun budget, so a start with budget b gets b/(2N+1) fun+jac
+        # rounds.  The stacked solve advances every start per round, so
+        # the round count is the scalar *total* spread over the s
+        # stacked blocks: sum(budgets)/(s*(2N+1)).  A cold solve (both
+        # seeds at full budget) gets maxfun/(2N+1) rounds; a warm solve
+        # (the diversifier at half budget) gets ~3/4 of that - warm
+        # replans are cheaper than cold ones, as on the scalar backend.
+        rounds.append(
+            max(4, int(math.ceil(sum(p._budgets(s)) / (s * (dim + 1)))))
         )
+    s = len(all_starts[0])  # always 2 (warm or cold race)
+    rows = 2 * dim + 1  # base + forward + backward stencil per block
+    offsets = np.zeros((rows, dim))
+    idx_d = np.arange(dim)
+    offsets[1 + idx_d, idx_d] = eps
+    offsets[1 + dim + idx_d, idx_d] = -eps
+    x0s = np.stack([np.concatenate(st) for st in all_starts])
+
+    def kernel(blocks: np.ndarray, scen_idx: np.ndarray) -> np.ndarray:
+        """Stacked costs for candidate rows tagged with planner ids."""
+        cap = p0._cap_lo + blocks[:, :n] * p0._cap_scale
+        inlet = p0._inlet_lo + blocks[:, n:] * p0._inlet_scale
+        return vec.rollout_costs_stacked(
+            states[scen_idx],
+            cap,
+            inlet,
+            previews[scen_idx],
+            step,
+            ecap=ecap[scen_idx],
+        )
+
+    m = len(planners)
+    seen_first: list = [None] * m
+    seen_z: list = [None] * m
+    seen_base: list = [None] * m
+
+    def evaluate(batch: np.ndarray, idx: np.ndarray) -> tuple:
+        b = batch.shape[0]
+        stencil = batch.reshape(b, s, 1, dim) + offsets
+        scen_idx = np.repeat(idx, s * rows)
+        costs = kernel(stencil.reshape(b * s * rows, dim), scen_idx)
+        costs = costs.reshape(b, s, rows)
+        f = np.empty(b)
+        grads = np.empty((b, s * dim))
+        for r in range(b):
+            j = int(idx[r])
+            base = costs[r, :, 0].copy()
+            if seen_first[j] is None:
+                seen_first[j] = base  # the start points' own costs
+            seen_z[j], seen_base[j] = batch[r].copy(), base
+            grad = (costs[r, :, 1 : 1 + dim] - costs[r, :, 1 + dim :]) / (2.0 * eps)
+            f[r] = float(base.sum())
+            grads[r] = grad.reshape(s * dim)
+        return f, grads
+
+    results = minimize_lockstep(
+        evaluate,
+        x0s,
+        np.zeros(s * dim),
+        np.ones(s * dim),
+        maxfun=rounds,
+        maxiter=60,
+        ftol=1e-12,
+    )
+
+    plans = []
+    for j, (p, res) in enumerate(zip(planners, results)):
+        blocks = np.clip(res.x.reshape(s, dim), 0.0, 1.0)
+        # L-BFGS-B guarantees descent of the *sum*, not of every block -
+        # race the solved blocks against their own starting points.  Both
+        # cost vectors usually come from cached rounds (the x0 round
+        # evaluated the starts; the final round usually evaluated res.x).
+        if seen_z[j] is not None and np.array_equal(seen_z[j], res.x):
+            final_costs = seen_base[j]
+        else:
+            final_costs = kernel(blocks, np.full(s, j))
+        candidates = np.concatenate([blocks, np.asarray(all_starts[j])])
+        costs = np.concatenate([final_costs, seen_first[j]])
+        winner = int(np.argmin(costs))
+        # winner < s is a solved block, winner >= s its unsolved start;
+        # either way the originating candidate is winner % s
+        plans.append(
+            p._commit(
+                tuple(states[j]),
+                previews[j],
+                step,
+                candidates[winner],
+                int(res.nit),
+                float(costs[winner]),
+                all_labels[j][winner % s],
+            )
+        )
+    return plans
 
 
 class MPCPlannerVec:
     """Solves S scenarios' OTEM horizon problems in lockstep.
 
-    One planner per scenario would issue S independent
-    ``optimize.minimize`` calls per replan wave; this twin drives all S
-    solves simultaneously through the reverse-communication L-BFGS-B
-    driver (:mod:`repro.core.lbfgsb_lockstep`), stacking every pending
-    scenario's multi-start central-difference stencil into a *single*
-    kernel call per round via
+    One planner per scenario would run S separate races per replan wave;
+    this twin hands all S planners to one :func:`_race`, which drives
+    their solves simultaneously through the reverse-communication
+    L-BFGS-B driver (:mod:`repro.core.lbfgsb_lockstep`), stacking every
+    pending scenario's multi-start central-difference stencil into a
+    *single* kernel call per round via
     :meth:`repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`.
 
     Equivalence contract: scenario ``j``'s plans are identical to what a
@@ -593,9 +675,9 @@ class MPCPlannerVec:
                         "lockstep MPC group may only vary "
                         f"{sorted(self.VARYING_CONSTANTS)}"
                     )
-        # one scalar planner per scenario carries that scenario's warm
-        # start, counters, and win attribution; plan_batch() drives their
-        # solves jointly and writes the bookkeeping back through them
+        # one vectorized planner per scenario carries that scenario's warm
+        # start, counters, and win attribution; plan_batch() races them
+        # jointly and each planner books its own solve
         self._planners = [
             MPCPlanner(
                 mdl,
@@ -609,8 +691,6 @@ class MPCPlannerVec:
             )
             for mdl in models
         ]
-        self._vec = BatchPredictionModel.from_scalar(models[0])
-        self._ecap = np.array([mdl.ecap for mdl in models])
         self._n = horizon
         self._dt = step_s
 
@@ -671,130 +751,13 @@ class MPCPlannerVec:
         """
         if indices is None:
             planners = self._planners
-            ecap = self._ecap
         else:
-            sel = [int(j) for j in np.asarray(indices).ravel()]
-            planners = [self._planners[j] for j in sel]
-            ecap = self._ecap[sel]
+            planners = [self._planners[int(j)] for j in np.asarray(indices).ravel()]
         m = len(planners)
-        n = self._n
-        dim = 2 * n
-        eps = MPCPlanner.FD_EPS
-        step = self._dt if dt is None else dt
         states = np.asarray(states, dtype=float)
         if states.shape != (m, 4):
             raise ValueError(f"states must be {(m, 4)}, got {states.shape}")
-        src = np.atleast_2d(np.asarray(previews, dtype=float))[:, :n]
-        if src.shape[0] != m:
-            raise ValueError(f"previews must have {m} rows, got {src.shape[0]}")
-        if src.shape[1] < n:
-            previews_p = np.zeros((m, n))
-            previews_p[:, : src.shape[1]] = src
-        else:
-            previews_p = src
-
-        # per-scenario starts / budgets (warm status may differ per row)
-        all_starts = []
-        all_labels = []
-        rounds = []
-        for j, p in enumerate(planners):
-            starts = p._starts(states[j, 1])
-            all_starts.append(starts)
-            all_labels.append(p._start_labels())
-            s = len(starts)
-            rounds.append(
-                max(4, int(math.ceil(sum(p._budgets(s)) / (s * (dim + 1)))))
-            )
-        s = len(all_starts[0])  # always 2 (warm or cold race)
-        rows = 2 * dim + 1
-        offsets = np.zeros((rows, dim))
-        idx_d = np.arange(dim)
-        offsets[1 + idx_d, idx_d] = eps
-        offsets[1 + dim + idx_d, idx_d] = -eps
-        x0s = np.stack([np.concatenate(st) for st in all_starts])
-
-        p0 = planners[0]
-        cap_lo, cap_scale = p0._cap_lo, p0._cap_scale
-        inlet_lo, inlet_scale = p0._inlet_lo, p0._inlet_scale
-        vec = self._vec
-
-        def kernel(blocks: np.ndarray, scen_idx: np.ndarray) -> np.ndarray:
-            """Stacked costs for candidate rows tagged with scenario ids."""
-            cap = cap_lo + blocks[:, :n] * cap_scale
-            inlet = inlet_lo + blocks[:, n:] * inlet_scale
-            return vec.rollout_costs_stacked(
-                states[scen_idx],
-                cap,
-                inlet,
-                previews_p[scen_idx],
-                step,
-                ecap=ecap[scen_idx],
-            )
-
-        seen_first: list = [None] * m
-        seen_z: list = [None] * m
-        seen_base: list = [None] * m
-
-        def evaluate(batch: np.ndarray, idx: np.ndarray) -> tuple:
-            b = batch.shape[0]
-            stencil = batch.reshape(b, s, 1, dim) + offsets
-            scen_idx = np.repeat(idx, s * rows)
-            costs = kernel(stencil.reshape(b * s * rows, dim), scen_idx)
-            costs = costs.reshape(b, s, rows)
-            f = np.empty(b)
-            grads = np.empty((b, s * dim))
-            for r in range(b):
-                j = int(idx[r])
-                base = costs[r, :, 0].copy()
-                if seen_first[j] is None:
-                    seen_first[j] = base  # the start points' own costs
-                seen_z[j], seen_base[j] = batch[r].copy(), base
-                grad = (costs[r, :, 1 : 1 + dim] - costs[r, :, 1 + dim :]) / (
-                    2.0 * eps
-                )
-                f[r] = float(base.sum())
-                grads[r] = grad.reshape(s * dim)
-            return f, grads
-
-        results = minimize_lockstep(
-            evaluate,
-            x0s,
-            np.zeros(s * dim),
-            np.ones(s * dim),
-            maxfun=rounds,
-            maxiter=60,
-            ftol=1e-12,
-        )
-
-        plans = []
-        for j, (p, res) in enumerate(zip(planners, results)):
-            blocks = np.clip(res.x.reshape(s, dim), 0.0, 1.0)
-            if seen_z[j] is not None and np.array_equal(seen_z[j], res.x):
-                final_costs = seen_base[j]
-            else:
-                final_costs = kernel(blocks, np.full(s, j))
-            candidates = np.concatenate([blocks, np.asarray(all_starts[j])])
-            costs = np.concatenate([final_costs, seen_first[j]])
-            winner = int(np.argmin(costs))
-            p._wins[all_labels[j][winner % s]] += 1
-            z_opt = np.clip(candidates[winner], 0.0, 1.0)
-            nit = int(res.nit)
-            cost = float(costs[winner])
-            p._last_z = z_opt
-            p._solves += 1
-            p._total_iterations += nit
-            p._last_cost = cost
-            cap, inlet = p._denormalize(z_opt)
-            predicted = p._model.rollout(
-                tuple(states[j]), cap, inlet, previews_p[j], step
-            )
-            plans.append(
-                MPCPlan(
-                    cap_bus_w=cap,
-                    inlet_temp_k=inlet,
-                    predicted=predicted,
-                    solver_iterations=nit,
-                    solver_cost=cost,
-                )
-            )
-        return plans
+        previews = _pad_previews(previews, self._n)
+        if previews.shape[0] != m:
+            raise ValueError(f"previews must have {m} rows, got {previews.shape[0]}")
+        return _race(planners, states, previews, self._dt if dt is None else dt)

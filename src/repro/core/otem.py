@@ -22,6 +22,30 @@ from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams
 
 
+def prediction_model(
+    pack_config: PackConfig,
+    cap_params: UltracapParams,
+    coolant: CoolantParams,
+    weights: CostWeights,
+) -> PredictionModel:
+    """The MPC's prediction model for one simulated plant.
+
+    The converters come from probes of the plant's own pack and bank, so
+    they are identical to the plant's defaults and the predictions match
+    the simulated HEES.  Both :class:`OTEMController` and the lockstep
+    twin (:class:`repro.controllers.batched.BatchedOTEM`) build their
+    models here.
+    """
+    return PredictionModel(
+        pack_config,
+        cap_params,
+        coolant,
+        default_battery_converter(BatteryPack(pack_config)),
+        default_cap_converter(UltracapBank(cap_params)),
+        weights,
+    )
+
+
 class OTEMController:
     """Optimized Thermal and Energy Management.
 
@@ -91,19 +115,8 @@ class OTEMController:
         self._coolant = coolant
         self._weights = weights if weights is not None else CostWeights()
 
-        # converters identical to the plant's defaults so predictions match
-        pack_probe = BatteryPack(pack_config)
-        bank_probe = UltracapBank(self._cap_params)
-        model = PredictionModel(
-            pack_config,
-            self._cap_params,
-            coolant,
-            default_battery_converter(pack_probe),
-            default_cap_converter(bank_probe),
-            self._weights,
-        )
         self._planner = MPCPlanner(
-            model,
+            prediction_model(pack_config, self._cap_params, coolant, self._weights),
             horizon=horizon,
             step_s=mpc_step_s,
             max_function_evals=max_function_evals,

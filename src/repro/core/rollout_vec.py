@@ -19,8 +19,8 @@ regardless of how rows are stacked.
 
 This is the solver hot path: a batched finite-difference gradient costs
 one kernel invocation instead of ``2N+1`` serial Python rollouts, and the
-multi-start candidates of :meth:`repro.core.mpc.MPCPlanner._solve_penalty`
-race as rows of a single batch.  The scalar model stays the semantic
+multi-start candidates of the lockstep race (:func:`repro.core.mpc._race`)
+evaluate as rows of a single batch.  The scalar model stays the semantic
 reference; this module only exists to make it fast.
 """
 

@@ -1,5 +1,7 @@
 """MPC planner tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,16 +252,67 @@ class TestBatchedPlanner:
         assert plan.solver_cost == ref_plan.solver_cost
         assert plan.solver_iterations == ref_plan.solver_iterations
 
-    def test_cold_and_warm_waves_match_per_scenario_solves(self):
-        """Three replan waves: one cold, two warm, mixed bank sizes."""
+    def _three_waves(self):
+        """One cold and two warm waves (mixed bank sizes) through both
+        vectorized entry points: the (batched, per-planner) plans of each
+        wave, then the batched and the per-planner stats."""
         vec, refs = self._planner_pair()
+        waves = []
         for wave in range(3):
             states = self.STATES + 0.5 * wave  # drift the states a little
-            plans = vec.plan_batch(states, self.PREVIEWS)
-            for j, (plan, ref) in enumerate(zip(plans, refs)):
-                ref_plan = ref.plan(tuple(states[j]), self.PREVIEWS[j])
+            batched = vec.plan_batch(states, self.PREVIEWS)
+            single = [
+                ref.plan(tuple(states[j]), self.PREVIEWS[j])
+                for j, ref in enumerate(refs)
+            ]
+            waves.append((batched, single))
+        return waves, vec.stats, tuple(r.stats for r in refs)
+
+    def test_cold_and_warm_waves_match_per_scenario_solves(self):
+        waves, vec_stats, ref_stats = self._three_waves()
+        for batched, single in waves:
+            for plan, ref_plan in zip(batched, single):
                 self._assert_plans_equal(plan, ref_plan)
-        assert vec.stats == tuple(r.stats for r in refs)
+        assert vec_stats == ref_stats
+
+    def test_lockstep_race_matches_scipy_fallback(self, monkeypatch):
+        """The scipy reference for the race: with the setulb driver
+        forced off, every problem goes through ``optimize.minimize``, and
+        both vectorized planners must still give the lockstep driver's
+        actions, costs and iteration counts bit for bit.  SolverStats
+        name the driver that ran."""
+        import scipy.optimize
+
+        import repro.core.lbfgsb_lockstep as driver
+
+        lockstep, lock_vec_stats, lock_ref_stats = self._three_waves()
+
+        calls = []
+        minimize = scipy.optimize.minimize
+
+        def counted_minimize(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "_driver_ok", False)
+        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+        serial, serial_vec_stats, serial_ref_stats = self._three_waves()
+
+        # 3 waves x (3 batched + 3 single-planner) problems, all scipy
+        assert len(calls) == 18
+        for (lock_batched, lock_single), (ser_batched, ser_single) in zip(
+            lockstep, serial
+        ):
+            for plans in (lock_single, ser_batched, ser_single):
+                for plan, ref_plan in zip(plans, lock_batched):
+                    self._assert_plans_equal(plan, ref_plan)
+        lockstep_stats = lock_vec_stats + lock_ref_stats
+        serial_stats = serial_vec_stats + serial_ref_stats
+        assert {s.backend for s in lockstep_stats} == {"vectorized"}
+        assert {s.backend for s in serial_stats} == {"vectorized+serial"}
+        assert [dataclasses.replace(s, backend="") for s in serial_stats] == [
+            dataclasses.replace(s, backend="") for s in lockstep_stats
+        ]
 
     def test_stats_carry_winner_attribution(self):
         vec, _ = self._planner_pair()

@@ -237,6 +237,24 @@ class TestSolverStatsPlumbing:
         assert row["solver_backend"] == "vectorized"
         assert row["rollout_backend"] == "vectorized"
 
+    def test_serial_driver_fallback_is_labelled(self, monkeypatch):
+        """When the lockstep L-BFGS-B driver is unavailable the race runs
+        on serial scipy solves, and the row says so."""
+        import repro.core.lbfgsb_lockstep as driver
+
+        monkeypatch.setattr(driver, "_driver_ok", False)
+        scenario = Scenario(
+            methodology="otem",
+            cycle="nycc",
+            mpc_horizon=4,
+            mpc_step_s=30.0,
+            mpc_max_evals=10,
+            rollout_backend="vectorized",
+        )
+        batch = run_batch([scenario])
+        assert batch.cells[0].ok
+        assert batch.rows()[0]["solver_backend"] == "vectorized+serial"
+
     def test_baseline_cell_has_no_solver_stats(self):
         batch = run_batch(GRID[:1])
         assert batch.cells[0].solver is None
