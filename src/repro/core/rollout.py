@@ -10,6 +10,16 @@ rollout matches the real plant step-for-step within tight tolerance.
 The rollout returns the OTEM objective (Eq. 19) plus hinge penalties for the
 softened state constraints and the terminal restoration-cost terms.
 
+Where the floats come from: the MPC passes ndarrays (the denormalized plan,
+the padded preview) and often a NumPy-scalar state.  Indexing those yields
+``np.float64``, whose arithmetic costs about three times that of ``float``
+for the same IEEE doubles.  So ``PredictionModel._rollout`` converts every
+input to ``float`` once at entry, binds the model constants to locals and
+calls each model piece once per step; the loop then never touches NumPy.
+``+ - * /``, ``math.sqrt``, ``math.exp`` and ``**`` round identically on
+both types, so the costs are bit for bit those of the NumPy-scalar loop
+(``tests/core/test_rollout.py::TestMPCInputTypes`` pins them).
+
 This scalar loop is the *semantic reference*;
 :class:`repro.core.rollout_vec.BatchPredictionModel` vectorizes the same
 physics over a batch of candidate plans for the solver hot path and is
@@ -184,7 +194,8 @@ class PredictionModel:
             (T_b, T_c, SoC, SoE) at the start of the horizon.
         cap_bus:
             Ultracap bus-power commands per step [W], length N (any
-            indexable sequence, including an ndarray - no copy is taken).
+            sequence of numbers, including an ndarray; read once into a
+            list of floats).
         inlet:
             Coolant inlet commands per step [K], length N.
         preview_w:
@@ -206,9 +217,42 @@ class PredictionModel:
         return self._rollout(state, cap_bus, inlet, preview_w, dt, detailed=True)
 
     def _rollout(self, state, cap_bus, inlet, preview_w, dt, detailed):
-        w = self.w
-        tb, tc, soc, soe = state
+        # plain floats in, plain floats throughout (see the module docstring)
+        tb, tc, soc, soe = map(float, state)
+        cap_bus = list(map(float, cap_bus))
+        inlet = list(map(float, inlet))
+        preview_w = list(map(float, preview_w))
+        dt = float(dt)
         n = len(cap_bus)
+
+        w = self.w
+        w1, w2, w3 = w.w1, w.w2, w.w3
+        hinge_temp, hinge_soc = w.hinge_temp, w.hinge_soc
+        hinge_soe, hinge_power = w.hinge_soe, w.hinge_power
+        voc_of, res_of = self._voc, self._res
+        cap_eta, bat_eta = self._cap_eta, self._bat_eta
+        exp, sqrt = math.exp, math.sqrt
+        gas = GAS_CONSTANT
+        temp_max = TEMP_MAX_K
+        n_cells, series, capacity_c = self.n_cells, self.pack_series, self.capacity_c
+        entropy = self.entropy
+        l1, neg_l2, l3 = self.aging_l1, -self.aging_l2, self.aging_l3
+        i_max = self.i_max_cell
+        ecap, vr, cap_pmax = self.ecap, self.vr, self.cap_pmax
+        soe_min, soe_max = self.soe_min, self.soe_max
+        wc, eta_cool, pump = self.wc, self.eta_cool, self.pump
+        min_inlet = self.min_inlet
+        cool_drop = eta_cool * self.pc_max / wc
+        # trapezoidal Eq. 17 (same as CoolingLoop): the matrix depends on dt only
+        h_half = self.h / 2.0
+        cb_dt = self.cb / dt
+        cc_dt = self.cc_heat / dt
+        wc_half = wc / 2.0
+        a11 = cb_dt + h_half
+        a12 = a21 = -self.h / 2.0
+        a22 = cc_dt + h_half + wc_half
+        det = a11 * a22 - a12 * a21
+
         objective = 0.0
         penalty = 0.0
         cooling_j = 0.0
@@ -220,126 +264,103 @@ class PredictionModel:
             socs = [soc]
             soes = [soe]
 
-        gas = GAS_CONSTANT
         for k in range(n):
             # --- cooling command (C2/C3 clamps, Eq. 16) ---
-            coldest = tc - self.eta_cool * self.pc_max / self.wc
-            if coldest < self.min_inlet:
-                coldest = self.min_inlet
+            coldest = tc - cool_drop
+            if coldest < min_inlet:
+                coldest = min_inlet
             ti = inlet[k]
             if ti < coldest:
                 ti = coldest
             if ti > tc:
                 ti = tc
-            p_cool = self.wc * (tc - ti) / self.eta_cool
-            total = preview_w[k] + p_cool + self.pump
+            p_cool = wc * (tc - ti) / eta_cool
+            total = preview_w[k] + p_cool + pump
 
             # --- ultracapacitor branch ---
             pcb = cap_bus[k]
-            if pcb > self.cap_pmax:
-                pcb = self.cap_pmax
-            elif pcb < -self.cap_pmax:
-                pcb = -self.cap_pmax
+            if pcb > cap_pmax:
+                pcb = cap_pmax
+            elif pcb < -cap_pmax:
+                pcb = -cap_pmax
             soe_before = soe
             soe_floor = max(soe, 1.0)
-            vcap = self.vr * math.sqrt(soe_floor / 100.0)
-            eta_c = self._cap_eta(vcap)
+            vcap = vr * sqrt(soe_floor / 100.0)
+            eta_c = cap_eta(vcap)
             cap_port = pcb / eta_c if pcb >= 0.0 else pcb * eta_c
             # hard guard: never predict below 1% stored energy
-            max_out = (soe - 1.0) / 100.0 * self.ecap / dt
+            max_out = (soe - 1.0) / 100.0 * ecap / dt
             if cap_port > max_out:
                 cap_port = max(0.0, max_out)
                 pcb = cap_port * eta_c
             de_cap = cap_port * dt
-            soe = soe - 100.0 * de_cap / self.ecap
+            soe = soe - 100.0 * de_cap / ecap
 
             # --- battery branch ---
-            vpack = self._voc(soc) * self.pack_series
-            eta_b = self._bat_eta(vpack)
+            voc = voc_of(soc)
+            res = res_of(soc, tb)
+            eta_b = bat_eta(voc * series)
+            # C6 with voltage sag: the true deliverable limit is at the cell
+            # current rating, not the nameplate power
+            bat_max_port = i_max * (voc - i_max * res) * n_cells
             # mirror the plant's guard: charging the bank may not displace
             # load delivery (battery bus power is capped at its C6 limit)
             if pcb < 0.0:
-                voc_g = self._voc(soc)
-                res_g = self._res(soc, tb)
-                bat_max_bus = (
-                    self.i_max_cell
-                    * (voc_g - self.i_max_cell * res_g)
-                    * self.n_cells
-                    * eta_b
-                )
-                headroom = bat_max_bus - (total if total > 0.0 else 0.0)
+                headroom = bat_max_port * eta_b - (total if total > 0.0 else 0.0)
                 if headroom < 0.0:
                     headroom = 0.0
                 if -pcb > headroom:
                     pcb = -headroom
                     cap_port = pcb * eta_c
                     # redo the bank bookkeeping with the reduced charge
-                    soe = soe_before - 100.0 * cap_port * dt / self.ecap
+                    soe = soe_before - 100.0 * cap_port * dt / ecap
                     de_cap = cap_port * dt
             bat_bus = total - pcb
             bat_port = bat_bus / eta_b if bat_bus >= 0.0 else bat_bus * eta_b
-            per_cell = bat_port / self.n_cells
-            voc = self._voc(soc)
-            res = self._res(soc, tb)
+            per_cell = bat_port / n_cells
             disc = voc * voc - 4.0 * res * per_cell
             if disc < 0.0:
                 current = voc / (2.0 * res)
             else:
-                current = (voc - math.sqrt(disc)) / (2.0 * res)
-            if current > self.i_max_cell:
-                current = self.i_max_cell
-            elif current < -self.i_max_cell:
-                current = -self.i_max_cell
-            heat_cell = current * current * res + current * tb * self.entropy
-            heat = heat_cell * self.n_cells if heat_cell > 0.0 else 0.0
-            q_inc = (
-                self.aging_l1
-                * math.exp(-self.aging_l2 / (gas * tb))
-                * abs(current) ** self.aging_l3
-                * dt
-            )
-            de_bat = voc * current * self.n_cells * dt
-            soc = soc - 100.0 * current * dt / self.capacity_c
+                current = (voc - sqrt(disc)) / (2.0 * res)
+            if current > i_max:
+                current = i_max
+            elif current < -i_max:
+                current = -i_max
+            heat_cell = current * current * res + current * tb * entropy
+            heat = heat_cell * n_cells if heat_cell > 0.0 else 0.0
+            q_inc = l1 * exp(neg_l2 / (gas * tb)) * abs(current) ** l3 * dt
+            de_bat = voc * current * n_cells * dt
+            soc = soc - 100.0 * current * dt / capacity_c
 
-            # --- thermal update (trapezoidal Eq. 17, same as CoolingLoop) ---
-            h, cbh, cch, wc2 = self.h, self.cb, self.cc_heat, self.wc
-            a11 = cbh / dt + h / 2.0
-            a12 = -h / 2.0
-            b1 = cbh / dt * tb - h / 2.0 * (tb - tc) + heat
-            a21 = -h / 2.0
-            a22 = cch / dt + h / 2.0 + wc2 / 2.0
-            b2 = cch / dt * tc + h / 2.0 * (tb - tc) + wc2 * ti - wc2 / 2.0 * tc
-            det = a11 * a22 - a12 * a21
+            # --- thermal update ---
+            b1 = cb_dt * tb - h_half * (tb - tc) + heat
+            b2 = cc_dt * tc + h_half * (tb - tc) + wc * ti - wc_half * tc
             tb = (b1 * a22 - a12 * b2) / det
             tc = (a11 * b2 - a21 * b1) / det
 
             # --- accumulate objective (Eq. 19) ---
-            objective += w.w1 * p_cool * dt + w.w2 * q_inc + w.w3 * (de_bat + de_cap)
+            objective += w1 * p_cool * dt + w2 * q_inc + w3 * (de_bat + de_cap)
             cooling_j += p_cool * dt
             qloss += q_inc
             hees_j += de_bat + de_cap
 
             # --- constraint hinges (C1, C4, C5, C6) ---
-            over_t = tb - TEMP_MAX_K
+            over_t = tb - temp_max
             if over_t > 0.0:
-                penalty += w.hinge_temp * over_t * over_t
+                penalty += hinge_temp * over_t * over_t
             under_soc = 20.0 - soc
             if under_soc > 0.0:
-                penalty += w.hinge_soc * under_soc * under_soc
-            under_soe = self.soe_min - soe
+                penalty += hinge_soc * under_soc * under_soc
+            under_soe = soe_min - soe
             if under_soe > 0.0:
-                penalty += w.hinge_soe * under_soe * under_soe
-            over_soe = soe - self.soe_max
+                penalty += hinge_soe * under_soe * under_soe
+            over_soe = soe - soe_max
             if over_soe > 0.0:
-                penalty += w.hinge_soe * over_soe * over_soe
-            # C6 with voltage sag: the true deliverable limit is at the cell
-            # current rating, not the nameplate power
-            bat_max_port = (
-                self.i_max_cell * (voc - self.i_max_cell * res) * self.n_cells
-            )
+                penalty += hinge_soe * over_soe * over_soe
             over_p = bat_port - bat_max_port
             if over_p > 0.0:
-                penalty += w.hinge_power * over_p * over_p
+                penalty += hinge_power * over_p * over_p
 
             if detailed:
                 temps.append(tb)
@@ -351,45 +372,32 @@ class PredictionModel:
         soe_deficit = w.terminal_soe_ref - soe
         terminal = 0.0
         if soe_deficit > 0.0:
-            deficit_j = soe_deficit / 100.0 * self.ecap
-            terminal += w.w3 * w.terminal_energy_gain * deficit_j
+            deficit_j = soe_deficit / 100.0 * ecap
+            terminal += w3 * w.terminal_energy_gain * deficit_j
             # aging price of the post-horizon refill: the battery will push
             # deficit_j at the assumed refill power, incurring Eq. 5 loss at
             # the horizon-end temperature - so draining the bank is never a
             # free way to rest the battery
-            refill_i = w.terminal_refill_power_w / (
-                self.n_cells * self._voc(soc)
-            )
+            refill_i = w.terminal_refill_power_w / (n_cells * voc_of(soc))
             refill_time = deficit_j / w.terminal_refill_power_w
             refill_qloss = (
-                self.aging_l1
-                * math.exp(-self.aging_l2 / (gas * tb))
-                * abs(refill_i) ** self.aging_l3
-                * refill_time
+                l1 * exp(neg_l2 / (gas * tb)) * abs(refill_i) ** l3 * refill_time
             )
-            terminal += w.w2 * refill_qloss
+            terminal += w2 * refill_qloss
         temp_excess = tb - w.terminal_temp_ref
         if temp_excess > 0.0:
             # cooling-energy price of restoring the reference temperature
             terminal += (
-                w.w1
-                * w.terminal_thermal_gain
-                * self.cb
-                * temp_excess
-                / self.eta_cool
+                w1 * w.terminal_thermal_gain * self.cb * temp_excess / eta_cool
             )
             # aging price of driving on with a hot pack: extra Eq. 5 rate at
             # the horizon-end temperature vs the reference, over the assumed
             # future driving time - this is what makes pre-cooling rational
             # inside a horizon too short to see its own aging payoff
-            i_typ = w.terminal_typical_current_a**self.aging_l3
-            rate_hot = self.aging_l1 * math.exp(-self.aging_l2 / (gas * tb)) * i_typ
-            rate_ref = (
-                self.aging_l1
-                * math.exp(-self.aging_l2 / (gas * w.terminal_temp_ref))
-                * i_typ
-            )
-            terminal += w.w2 * (rate_hot - rate_ref) * w.terminal_future_s
+            i_typ = w.terminal_typical_current_a**l3
+            rate_hot = l1 * exp(neg_l2 / (gas * tb)) * i_typ
+            rate_ref = l1 * exp(neg_l2 / (gas * w.terminal_temp_ref)) * i_typ
+            terminal += w2 * (rate_hot - rate_ref) * w.terminal_future_s
 
         cost = objective + penalty + terminal
         if not detailed:
