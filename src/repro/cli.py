@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.figures import METHOD_LABELS
+from repro.analysis.figures import ALL_METHODOLOGIES, METHOD_LABELS
 from repro.analysis.report import render_table1
 from repro.analysis.tables import table1_data
 from repro.drivecycle.library import available_cycles, get_cycle
@@ -82,21 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-scenario wall-clock budget [s] (parallel mode)",
-    )
-    batch.add_argument(
-        "--engine-backend",
-        choices=("auto", "lockstep", "scalar"),
-        default="auto",
-        help=(
-            "simulation engine: 'auto' (default) runs cells that share a "
-            "lockstep group in one vectorized batch - baselines grouped by "
-            "architecture, OTEM cells with the vectorized rollout backend "
-            "grouped by solver shape (MPC ensembles replan in lockstep "
-            "waves) - and keeps scalar-backend-MPC/singleton cells on the "
-            "scalar engine; 'lockstep' forces every supported cell onto "
-            "the batched engine; 'scalar' forces the per-cell engine "
-            "everywhere"
-        ),
     )
     batch.add_argument(
         "--json",
@@ -167,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes for scalar cells (default: 0 = in-process)",
-    )
-    submit.add_argument(
-        "--engine-backend",
-        choices=("auto", "lockstep", "scalar"),
-        default="auto",
-        help="engine selection forwarded to run_batch (default: auto)",
     )
     submit.add_argument(
         "--job-timeout",
@@ -347,7 +326,7 @@ def cmd_run(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     results = {}
-    for m in METHODOLOGIES:
+    for m in ALL_METHODOLOGIES:
         results[m] = run_scenario(_scenario_from_args(args, methodology=m))
     base = results["parallel"].metrics.qloss_percent
     print(
@@ -428,7 +407,6 @@ def cmd_batch(args, out) -> int:
         workers=args.workers,
         store=store,
         timeout_s=args.timeout,
-        execution=args.engine_backend,
     )
 
     print(
@@ -523,7 +501,6 @@ def cmd_submit(args, out) -> int:
             axes=axes,
             seeds=args.seeds,
             workers=args.workers,
-            execution=args.engine_backend,
             timeout_s=args.job_timeout,
             tag=args.tag,
         )

@@ -327,7 +327,6 @@ class JobManager:
             scenarios,
             workers=spec.workers,
             store=self._store,
-            execution=spec.execution,
             on_cell_done=on_cell_done,
             cancel=should_stop,
         )

@@ -3,8 +3,10 @@
 A :class:`SweepSpec` is what ``POST /sweeps`` accepts: a base scenario
 (partial dict - unnamed fields keep their defaults), cross-product axes
 over scenario fields, an optional traffic-perturbation ensemble size, and
-execution knobs.  :meth:`SweepSpec.scenarios` compiles it with exactly the
-same semantics as the ``repro batch`` CLI: :func:`~repro.sim.batch.
+execution knobs (worker processes, a wall-clock budget).  The engine each
+cell runs on is not a knob: :func:`~repro.sim.batch.run_batch` routes it.
+:meth:`SweepSpec.scenarios` compiles the spec with exactly the same
+semantics as the ``repro batch`` CLI: :func:`~repro.sim.batch.
 scenario_grid` cross product (last axis fastest) plus a ``perturb_seed``
 axis ``0..seeds-1`` reusing :attr:`Scenario.perturb_seed`.
 
@@ -15,7 +17,7 @@ Example document::
       "axes": {"methodology": ["parallel", "dual"],
                "ucap_farads": [5000.0, 25000.0]},
       "seeds": 4,
-      "execution": "auto"
+      "workers": 2
     }
 """
 
@@ -26,7 +28,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.sim.batch import EXECUTION_MODES, scenario_grid
+from repro.sim.batch import scenario_grid
 from repro.sim.scenario import Scenario
 
 #: Fields of :class:`Scenario` that a spec may sweep over.
@@ -48,9 +50,7 @@ class SweepSpec:
         When > 0, appends a ``perturb_seed`` axis with members
         ``0..seeds-1`` (deterministic traffic-perturbation ensemble).
     workers:
-        Worker processes for scalar-assigned cells (0 = in-process).
-    execution:
-        Engine selection forwarded to :func:`~repro.sim.batch.run_batch`.
+        Worker processes for scalar-engine cells (0 = in-process).
     timeout_s:
         Optional whole-job wall-clock budget enforced by the job manager
         (cells still pending at the deadline are cancelled, the job is
@@ -63,7 +63,6 @@ class SweepSpec:
     axes: dict = field(default_factory=dict)
     seeds: int = 0
     workers: int = 0
-    execution: str = "auto"
     timeout_s: float | None = None
     tag: str = ""
 
@@ -72,11 +71,6 @@ class SweepSpec:
             raise ValueError("seeds must be >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {self.execution!r}; "
-                f"choose from {EXECUTION_MODES}"
-            )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
         unknown = sorted(set(self.axes) - set(SWEEPABLE_FIELDS))
@@ -120,7 +114,6 @@ class SweepSpec:
             "axes": {k: list(v) for k, v in self.axes.items()},
             "seeds": self.seeds,
             "workers": self.workers,
-            "execution": self.execution,
             "timeout_s": self.timeout_s,
             "tag": self.tag,
         }

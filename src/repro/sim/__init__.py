@@ -18,9 +18,12 @@ Public API
 ``run_batch`` / ``scenario_grid`` / ``BatchResult``
     Parallel execution of scenario grids, cached in a
     :class:`repro.store.ExperimentStore` when one is passed.
-``run_lockstep`` / ``lockstep_supported``
-    The vectorized lockstep engine: baseline ensembles advance as one
-    struct-of-arrays batch (``run_batch(execution="auto")`` uses it).
+``run_lockstep`` / ``lockstep_supported`` / ``lockstep_groups``
+    The vectorized lockstep engine: baseline and vectorized-OTEM ensembles
+    advance as one struct-of-arrays batch.  ``run_batch`` routes a cell to
+    it when the cell is supported and has a group-mate in the grid
+    (``lockstep_groups`` is that rule); every other cell runs on the
+    scalar engine.
 """
 
 from repro.sim.trace import Trace, TraceRecorder
@@ -35,6 +38,7 @@ from repro.sim.batch import (
     scenario_grid,
 )
 from repro.sim.engine_vec import (
+    lockstep_groups,
     lockstep_key,
     lockstep_supported,
     run_lockstep,
@@ -56,6 +60,7 @@ __all__ = [
     "run_batch",
     "scenario_fingerprint",
     "scenario_grid",
+    "lockstep_groups",
     "lockstep_key",
     "lockstep_supported",
     "run_lockstep",

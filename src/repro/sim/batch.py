@@ -26,9 +26,10 @@ SummaryMetrics` into a :class:`BatchResult`:
   OTEM cells running the vectorized rollout backend, whose replan waves
   are solved in lockstep by :class:`repro.core.mpc.MPCPlannerVec`;
   scalar-backend OTEM cells and singleton groups stay on the scalar
-  engine (``execution="auto"``).  A lockstep group that raises is rerun
-  cell by cell on the scalar engine, and every rerouted cell records the
-  exception in ``BatchCell.fallback``.
+  engine (the one routing rule is :func:`~repro.sim.engine_vec.
+  lockstep_groups`).  A lockstep group that raises is rerun cell by cell
+  on the scalar engine, and every rerouted cell records the exception in
+  ``BatchCell.fallback``.
 
 Serial execution (``workers=0``) goes through exactly the same cell
 runner, so parallel results are bitwise identical to serial ones (see
@@ -38,6 +39,7 @@ tests/sim/test_batch.py).
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.mpc import SolverStats
-from repro.sim.engine_vec import lockstep_key, lockstep_supported, run_lockstep
+from repro.sim.engine_vec import lockstep_groups, run_lockstep
 from repro.sim.metrics import SummaryMetrics
 from repro.sim.scenario import Scenario, run_scenario
 
@@ -59,9 +61,6 @@ from repro.sim.scenario import Scenario, run_scenario
 #: 4: OTEM cells may be lockstep-assigned (batched MPC); SolverStats
 #:    gained warm-start winner attribution (``wins_*``).
 CACHE_SCHEMA = 4
-
-#: Accepted ``run_batch(execution=...)`` modes.
-EXECUTION_MODES = ("auto", "lockstep", "scalar")
 
 #: Error string marking cells skipped by a :func:`run_batch` ``cancel``
 #: hook (the sweep service matches on the ``"cancelled"`` prefix).
@@ -153,20 +152,26 @@ class BatchCell:
 # the runner
 
 
-def _execute_cell(scenario: Scenario) -> CellPayload:
-    """Run one scenario and reduce it to a picklable payload.
-
-    Module-level so worker processes can import it under any start method.
-    """
-    start = time.perf_counter()
-    result = run_scenario(scenario)
+def _payload(result, wall_s: float, engine_backend: str) -> CellPayload:
+    """Reduce a :class:`~repro.sim.engine.SimulationResult` to its payload."""
     return CellPayload(
         controller_name=result.controller_name,
         cycle_name=result.cycle_name,
         metrics=result.metrics,
         solver=result.solver,
-        wall_s=time.perf_counter() - start,
+        wall_s=wall_s,
+        engine_backend=engine_backend,
     )
+
+
+def _execute_cell(scenario: Scenario) -> CellPayload:
+    """Run one scenario on the scalar engine and reduce it to a payload.
+
+    Module-level so worker processes can import it under any start method.
+    """
+    start = time.perf_counter()
+    result = run_scenario(scenario)
+    return _payload(result, time.perf_counter() - start, "scalar")
 
 
 def _guarded_cell(scenario: Scenario) -> tuple[CellPayload | None, str | None]:
@@ -292,31 +297,6 @@ def cell_row(cell: BatchCell) -> dict:
     return row
 
 
-def _lockstep_assignment(scenarios: list, execution: str) -> set:
-    """Indices of the cells the lockstep engine should compute.
-
-    ``"scalar"`` assigns none; ``"lockstep"`` assigns every supported cell;
-    ``"auto"`` assigns supported cells whose group (architecture, and for
-    OTEM the full solver shape - see :func:`~repro.sim.engine_vec.
-    lockstep_key`) has at least two members - a singleton group gains
-    nothing from vectorization, so it stays on the scalar engine.  OTEM
-    cells are supported when they run the vectorized rollout backend;
-    scalar-backend MPC cells always stay scalar (routing them would
-    silently switch solver backends).  The decision uses only the input
-    grid, never the store state, so the per-cell fingerprints are
-    deterministic.
-    """
-    if execution == "scalar":
-        return set()
-    supported = [i for i, s in enumerate(scenarios) if lockstep_supported(s)]
-    if execution == "lockstep":
-        return set(supported)
-    groups: dict = {}
-    for i in supported:
-        groups.setdefault(lockstep_key(scenarios[i]), []).append(i)
-    return {i for idx in groups.values() if len(idx) >= 2 for i in idx}
-
-
 def run_batch(
     scenarios: Iterable[Scenario] | Sequence[Scenario],
     workers: int = 0,
@@ -324,9 +304,20 @@ def run_batch(
     timeout_s: float | None = None,
     on_cell_done: Callable[[BatchCell], None] | None = None,
     cancel: Callable[[], bool] | None = None,
-    execution: str = "auto",
 ) -> BatchResult:
     """Run a grid of scenarios, optionally in parallel and cached.
+
+    Each cell's engine follows one rule, :func:`~repro.sim.engine_vec.
+    lockstep_groups`: a lockstep-supported cell with at least one group-mate
+    in the grid runs on the lockstep struct-of-arrays engine - the four
+    baselines grouped by architecture, and OTEM cells running the
+    vectorized rollout backend grouped by solver shape (MPC ensembles
+    replan in lockstep waves); every other cell runs on the scalar engine.
+    A lockstep group that raises re-routes its cells to the scalar engine
+    one by one, preserving crash isolation; each rerouted cell carries the
+    group's exception as ``fallback``.  To pick an engine explicitly, call
+    :func:`~repro.sim.scenario.run_scenario` or
+    :func:`~repro.sim.engine_vec.run_lockstep` directly.
 
     Parameters
     ----------
@@ -340,8 +331,8 @@ def run_batch(
         serial execution (pool spawn overhead cannot pay off there - see
         the sub-1.0 "parallel_speedup" it produced in BENCH_batch.json);
         the degradation is visible as ``BatchResult.methodology ==
-        "serial-fallback"``.  Workers only ever compute scalar-assigned
-        cells; lockstep groups run in-process (they are one NumPy loop).
+        "serial-fallback"``.  Workers only ever compute scalar cells;
+        lockstep groups run in-process (they are one NumPy loop).
     store:
         A :class:`repro.store.ExperimentStore`: cells whose fingerprint is
         already stored are served from it (across processes, sessions and
@@ -353,26 +344,14 @@ def run_batch(
         failed with a timeout error and abandoned.
     on_cell_done:
         Progress callback invoked with each finished :class:`BatchCell`
-        in completion order (serial mode: submission order; lockstep
-        groups report their cells when the group completes).
+        in completion order: store hits first, then each lockstep group
+        as it completes, then the scalar cells in grid order.
     cancel:
         Cooperative cancellation hook: a zero-argument callable polled
         before each pending cell (and each lockstep group) starts.  Once
         it returns True, every not-yet-computed cell is marked failed
         with a ``"cancelled: ..."`` error instead of being computed;
         already-finished cells and store hits are unaffected.
-    execution:
-        Engine selection: ``"auto"`` (default) routes supported cells
-        with at least one group-mate onto the lockstep struct-of-arrays
-        engine - the four baselines grouped by architecture, and OTEM
-        cells running the vectorized rollout backend grouped by solver
-        shape (MPC ensembles replan in lockstep waves) - and everything
-        else onto the scalar engine; ``"lockstep"`` forces every
-        supported cell onto the lockstep engine; ``"scalar"`` forces the
-        scalar engine for all cells (pre-lockstep behavior).  A lockstep
-        group that fails re-routes its cells to the scalar path
-        one-by-one, preserving crash isolation; each rerouted cell
-        carries the group's exception as ``fallback``.
 
     Returns
     -------
@@ -382,10 +361,6 @@ def run_batch(
     scenarios = list(scenarios)
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    if execution not in EXECUTION_MODES:
-        raise ValueError(
-            f"unknown execution mode {execution!r}; choose from {EXECUTION_MODES}"
-        )
     scalar_methodology = "serial"
     if workers >= 2:
         if (os.cpu_count() or 1) <= 1:
@@ -397,147 +372,125 @@ def run_batch(
     misses0 = store.misses if store is not None else 0
     cancelled = cancel if cancel is not None else (lambda: False)
 
-    lockstep_cells = _lockstep_assignment(scenarios, execution)
-
-    def backend_of(index: int) -> str:
-        return "lockstep" if index in lockstep_cells else "scalar"
+    groups = lockstep_groups(scenarios)
+    backends = ["scalar"] * len(scenarios)
+    for indices in groups:
+        for i in indices:
+            backends[i] = "lockstep"
 
     start = time.perf_counter()
     cells: list = [None] * len(scenarios)
+    keys: dict = {}
     #: index -> "<ExcType>: msg" of the lockstep group that rerouted it
     fallbacks: dict = {}
 
-    def finish(index: int, cell: BatchCell) -> None:
+    def complete(
+        index: int,
+        payload: CellPayload | None = None,
+        error: str | None = None,
+        cached: bool = False,
+    ) -> None:
+        """Record cell ``index`` (a payload or an error) and report it."""
+        if payload is not None and not cached and store is not None:
+            store.put(keys[index], payload)
+        # every CellPayload field is the BatchCell field of the same name
+        computed = (
+            {}
+            if payload is None
+            else {f.name: getattr(payload, f.name) for f in dataclasses.fields(payload)}
+        )
+        cell = BatchCell(
+            index=index,
+            scenario=scenarios[index],
+            cached=cached,
+            error=error,
+            fallback=fallbacks.get(index),
+            **computed,
+        )
         cells[index] = cell
         if on_cell_done is not None:
             on_cell_done(cell)
 
-    def from_payload(
-        index: int, payload: CellPayload, cached: bool
-    ) -> BatchCell:
-        return BatchCell(
-            index=index,
-            scenario=scenarios[index],
-            metrics=payload.metrics,
-            solver=payload.solver,
-            controller_name=payload.controller_name,
-            cycle_name=payload.cycle_name,
-            wall_s=payload.wall_s,
-            cached=cached,
-            engine_backend=payload.engine_backend,
-            fallback=fallbacks.get(index),
+    def served(index: int) -> bool:
+        """Serve cell ``index`` from the store under its engine's key."""
+        if store is None:
+            return False
+        keys[index] = scenario_fingerprint(
+            scenarios[index], engine_backend=backends[index]
         )
+        payload = store.get(keys[index])
+        if payload is not None:
+            complete(index, payload, cached=True)
+        return payload is not None
 
-    # serve store hits first; collect the cells that actually need compute
-    pending: list = []
-    keys: dict = {}
-    for i, scenario in enumerate(scenarios):
-        if store is not None:
-            keys[i] = scenario_fingerprint(scenario, engine_backend=backend_of(i))
-            payload = store.get(keys[i])
-            if payload is not None:
-                finish(i, from_payload(i, payload, cached=True))
-                continue
-        pending.append(i)
+    # serve store hits first; only the cells left unfinished need compute
+    for i in range(len(scenarios)):
+        served(i)
+    scalar_pending = [
+        i for i, cell in enumerate(cells) if cell is None and backends[i] == "scalar"
+    ]
+    lockstep_pending = [[i for i in indices if cells[i] is None] for indices in groups]
 
-    def complete(index: int, payload: CellPayload | None, error: str | None):
-        if payload is None:
-            finish(
-                index,
-                BatchCell(
-                    index=index,
-                    scenario=scenarios[index],
-                    error=error,
-                    fallback=fallbacks.get(index),
-                ),
-            )
-            return
-        if store is not None:
-            store.put(keys[index], payload)
-        finish(index, from_payload(index, payload, cached=False))
-
-    lock_pending = [i for i in pending if i in lockstep_cells]
-    scalar_pending = [i for i in pending if i not in lockstep_cells]
-
-    # lockstep groups first (in-process, one NumPy loop per group); a group
-    # that fails re-routes its cells to the scalar path below, where each
-    # cell is crash-isolated individually and records why it was rerouted
-    if lock_pending:
-        groups: dict = {}
-        for i in lock_pending:
-            groups.setdefault(lockstep_key(scenarios[i]), []).append(i)
-        for indices in groups.values():
-            if cancelled():
-                for i in indices:
-                    complete(i, None, _CANCELLED_ERROR)
-                continue
-            t0 = time.perf_counter()
-            try:
-                results = run_lockstep([scenarios[i] for i in indices])
-            except Exception as exc:  # noqa: BLE001 - fall back, isolate per cell
-                for i in indices:
-                    lockstep_cells.discard(i)
-                    fallbacks[i] = f"{type(exc).__name__}: {exc}"
-                    if store is not None:
-                        keys[i] = scenario_fingerprint(
-                            scenarios[i], engine_backend="scalar"
-                        )
-                        payload = store.get(keys[i])
-                        if payload is not None:
-                            finish(i, from_payload(i, payload, cached=True))
-                            continue
+    # lockstep groups first, by first pending cell (in-process, one NumPy
+    # loop per group); a group that fails re-routes its cells to the scalar
+    # loop below, where each cell is crash-isolated individually and
+    # records why it was rerouted
+    for indices in sorted(filter(None, lockstep_pending)):
+        if cancelled():
+            for i in indices:
+                complete(i, error=_CANCELLED_ERROR)
+            continue
+        t0 = time.perf_counter()
+        try:
+            results = run_lockstep([scenarios[i] for i in indices])
+        except Exception as exc:  # noqa: BLE001 - fall back, isolate per cell
+            for i in indices:
+                backends[i] = "scalar"
+                fallbacks[i] = f"{type(exc).__name__}: {exc}"
+                if not served(i):
                     scalar_pending.append(i)
-                continue
-            per_cell_s = (time.perf_counter() - t0) / len(indices)
-            for i, result in zip(indices, results):
-                complete(
-                    i,
-                    CellPayload(
-                        controller_name=result.controller_name,
-                        cycle_name=result.cycle_name,
-                        metrics=result.metrics,
-                        solver=result.solver,
-                        wall_s=per_cell_s,
-                        engine_backend="lockstep",
-                    ),
-                    None,
-                )
-        scalar_pending.sort()
+            continue
+        per_cell_s = (time.perf_counter() - t0) / len(indices)
+        for i, result in zip(indices, results):
+            complete(i, _payload(result, per_cell_s, "lockstep"))
+    scalar_pending.sort()
 
-    if workers <= 1:
-        for i in scalar_pending:
-            if cancelled():
-                complete(i, None, _CANCELLED_ERROR)
-                continue
-            payload, error = _guarded_cell(scenarios[i])
-            complete(i, payload, error)
-    elif scalar_pending:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # the scalar cells, in grid order, in-process or on the process pool
+    with contextlib.ExitStack() as stack:
+        futures: dict = {}
+        if workers >= 2 and scalar_pending:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            )
             futures = {
-                i: pool.submit(_guarded_cell, scenarios[i])
-                for i in scalar_pending
+                i: pool.submit(_guarded_cell, scenarios[i]) for i in scalar_pending
             }
-            for i in scalar_pending:
-                if cancelled():
-                    futures[i].cancel()
-                    complete(i, None, _CANCELLED_ERROR)
-                    continue
+        for i in scalar_pending:
+            future = futures.get(i)
+            if cancelled():
+                if future is not None:
+                    future.cancel()
+                complete(i, error=_CANCELLED_ERROR)
+                continue
+            if future is None:
+                payload, error = _guarded_cell(scenarios[i])
+            else:
                 try:
-                    payload, error = futures[i].result(timeout=timeout_s)
+                    payload, error = future.result(timeout=timeout_s)
                 except concurrent.futures.TimeoutError:
-                    futures[i].cancel()
+                    future.cancel()
                     payload, error = None, f"timeout: exceeded {timeout_s:g} s budget"
                 except concurrent.futures.process.BrokenProcessPool as exc:
                     payload, error = None, f"worker died: {exc}"
-                complete(i, payload, error)
+            complete(i, payload, error)
 
-    if lockstep_cells:
-        if len(lockstep_cells) == len(scenarios):
-            methodology = "lockstep"
-        else:
-            methodology = f"lockstep+{scalar_methodology}"
-    else:
+    n_lockstep = backends.count("lockstep")
+    if not n_lockstep:
         methodology = scalar_methodology
+    elif n_lockstep == len(scenarios):
+        methodology = "lockstep"
+    else:
+        methodology = f"lockstep+{scalar_methodology}"
 
     return BatchResult(
         cells=tuple(cells),
@@ -565,7 +518,8 @@ def scenario_grid(base: Scenario, **axes: Sequence) -> list:
     """
     grid = [base]
     for name, values in axes.items():
-        if not list(values):
+        values = list(values)  # once: an iterator axis would be spent by the check
+        if not values:
             raise ValueError(f"axis {name!r} has no values")
         grid = [
             dataclasses.replace(s, **{name: value})

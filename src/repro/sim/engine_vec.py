@@ -109,6 +109,24 @@ def lockstep_key(scenario: Scenario):
     return key
 
 
+def lockstep_groups(scenarios) -> list[list[int]]:
+    """The routing rule: which cells of a grid run on the lockstep engine.
+
+    Returns the index lists of the supported cells that share a
+    :func:`lockstep_key` with at least one other cell of ``scenarios``,
+    one list per key, ordered by first member.  Every other cell - a
+    singleton group gains nothing from vectorization, and scalar-backend
+    OTEM is unsupported - runs on the scalar engine.  The rule reads only
+    the grid, so it fixes each cell's engine (and fingerprint) before any
+    store lookup.
+    """
+    groups: dict = {}
+    for i, scenario in enumerate(scenarios):
+        if lockstep_supported(scenario):
+            groups.setdefault(lockstep_key(scenario), []).append(i)
+    return [indices for indices in groups.values() if len(indices) >= 2]
+
+
 def build_request(scenario: Scenario) -> PowerRequest:
     """The power-request trace ``scenario`` implies (as in ``run_scenario``)."""
     cycle = get_cycle(scenario.cycle, repeat=scenario.repeat)

@@ -65,8 +65,10 @@ class TestValidation:
             SweepSpec(timeout_s=0.0)
 
     def test_unknown_execution_mode_rejected(self):
-        with pytest.raises(ValueError, match="execution mode"):
-            SweepSpec(execution="ludicrous")
+        """The engine is routed by run_batch: a spec naming one is refused
+        like any other unknown field."""
+        with pytest.raises(ValueError, match="unknown sweep-spec field.*execution"):
+            SweepSpec.from_dict({"execution": "auto"})
 
     def test_sweepable_fields_cover_scenario(self):
         assert "methodology" in SWEEPABLE_FIELDS
@@ -80,7 +82,6 @@ class TestWireFormat:
             axes={"methodology": ["parallel", "dual"]},
             seeds=2,
             workers=1,
-            execution="lockstep",
             timeout_s=60.0,
             tag="smoke",
         )
@@ -95,7 +96,7 @@ class TestWireFormat:
         )
         assert spec.base.cycle == "nycc"
         assert spec.base.repeat == Scenario().repeat
-        assert spec.execution == "auto"
+        assert spec.workers == 0
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown sweep-spec field"):

@@ -15,11 +15,19 @@ from repro.sim.batch import (
 from repro.sim.scenario import Scenario
 from repro.store import ExperimentStore
 
-#: A small grid of fast (baseline-only) scenarios on the shortest cycle.
+#: A small grid of fast (baseline-only) scenarios on the shortest cycle:
+#: two lockstep groups of two (one per methodology).
 GRID = scenario_grid(
     Scenario(cycle="nycc"),
     methodology=("parallel", "dual"),
     ucap_farads=(5_000.0, 25_000.0),
+)
+
+#: Fast baseline cells with no group-mates: every cell runs on the scalar
+#: engine, so a process pool still gets work.
+SINGLETONS = scenario_grid(
+    Scenario(cycle="nycc"),
+    methodology=("parallel", "cooling", "dual", "heuristic"),
 )
 
 
@@ -36,6 +44,10 @@ class TestScenarioGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             scenario_grid(Scenario(), ucap_farads=())
+
+    def test_iterator_axis_is_enumerated(self):
+        grid = scenario_grid(Scenario(), methodology=iter(["parallel", "dual"]))
+        assert [s.methodology for s in grid] == ["parallel", "dual"]
 
 
 class TestFingerprint:
@@ -89,18 +101,21 @@ class TestSerialRun:
 
 class TestParallelRun:
     def test_parallel_equals_serial_bitwise(self):
-        serial = run_batch(GRID, workers=0, execution="scalar")
-        parallel = run_batch(GRID, workers=2, execution="scalar")
+        from repro.sim.scenario import run_scenario
+
+        serial = [run_scenario(s).metrics for s in SINGLETONS]
+        in_process = run_batch(SINGLETONS, workers=0)
+        parallel = run_batch(SINGLETONS, workers=2)
+        assert in_process.methodology == "serial"
         # a single-CPU host degrades the pool to serial (same cell runner)
         assert parallel.ok
         assert parallel.methodology in ("process-pool", "serial-fallback")
         if parallel.methodology == "process-pool":
             assert parallel.workers == 2
         # SummaryMetrics is a frozen dataclass of floats: == is bitwise
-        assert [c.metrics for c in parallel.cells] == [
-            c.metrics for c in serial.cells
-        ]
-        assert [c.index for c in parallel.cells] == [c.index for c in serial.cells]
+        assert [c.metrics for c in in_process.cells] == serial
+        assert [c.metrics for c in parallel.cells] == serial
+        assert [c.index for c in parallel.cells] == [0, 1, 2, 3]
 
     def test_worker_crash_isolated_to_its_cell(self):
         bad = dataclasses.replace(GRID[1], cycle="no-such-cycle")
@@ -172,7 +187,7 @@ class TestSerialFallback:
 
     def test_single_cpu_degrades(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        batch = run_batch(GRID[:2], workers=4, execution="scalar")
+        batch = run_batch(SINGLETONS[:2], workers=4)
         assert batch.ok
         assert batch.methodology == "serial-fallback"
         assert batch.workers == 1
@@ -195,9 +210,9 @@ class TestSerialFallback:
         assert batch.methodology == "serial"
 
     def test_fallback_matches_serial_bitwise(self, monkeypatch):
-        serial = run_batch(GRID[:2], workers=0)
+        serial = run_batch(SINGLETONS[:2], workers=0)
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        fallback = run_batch(GRID[:2], workers=4)
+        fallback = run_batch(SINGLETONS[:2], workers=4)
         assert [c.metrics for c in fallback.cells] == [
             c.metrics for c in serial.cells
         ]
@@ -281,7 +296,7 @@ class TestSolverStatsPlumbing:
 
 
 class TestLockstepRouting:
-    """Engine selection: auto grouping, forced modes, and the fallback."""
+    """Engine routing: group-mates go lockstep, and the fallback."""
 
     def test_auto_routes_architecture_groups_to_lockstep(self):
         batch = run_batch(GRID)  # parallel x2 + dual x2: two groups of two
@@ -302,8 +317,8 @@ class TestLockstepRouting:
 
     def test_scalar_backend_mpc_cells_stay_scalar(self):
         """Routing a scalar-backend OTEM cell through lockstep would
-        silently switch its solver backend, so even forced lockstep
-        leaves it on the scalar engine."""
+        silently switch its solver backend, so it stays on the scalar
+        engine even when it has group-mates."""
         otem = Scenario(
             methodology="otem",
             cycle="nycc",
@@ -311,37 +326,35 @@ class TestLockstepRouting:
             mpc_step_s=30.0,
             mpc_max_evals=10,
         )
-        batch = run_batch([GRID[0], GRID[1], otem], execution="lockstep")
+        grid = [GRID[0], GRID[1], otem, dataclasses.replace(otem, ucap_farads=5_000.0)]
+        batch = run_batch(grid)
         assert batch.ok
         assert batch.methodology == "lockstep+serial"
-        assert batch.cells[2].engine_backend == "scalar"
-        assert batch.cells[2].solver is not None
-
-    def test_forced_lockstep_takes_singletons_too(self):
-        batch = run_batch([GRID[0]], execution="lockstep")
-        assert batch.ok
-        assert batch.methodology == "lockstep"
-        assert batch.cells[0].engine_backend == "lockstep"
-
-    def test_forced_scalar_is_legacy_behavior(self):
-        batch = run_batch(GRID, execution="scalar")
-        assert batch.ok
-        assert batch.methodology == "serial"
-        assert [c.engine_backend for c in batch.cells] == ["scalar"] * 4
+        assert [c.engine_backend for c in batch.cells] == [
+            "lockstep",
+            "lockstep",
+            "scalar",
+            "scalar",
+        ]
+        assert all(c.solver is not None for c in batch.cells[2:])
 
     def test_unknown_execution_rejected(self):
-        with pytest.raises(ValueError, match="execution mode"):
-            run_batch(GRID[:1], execution="warp")
+        """The engine is routed, never chosen by the caller."""
+        with pytest.raises(TypeError, match="execution"):
+            run_batch(GRID[:1], execution="scalar")
 
     def test_lockstep_matches_scalar_within_ulp_tolerance(self):
         """Cross-engine agreement at the documented 1e-9 relative bound
         (see tests/sim/test_engine_vec.py for the exact/ulp split)."""
-        lockstep = run_batch(GRID, execution="lockstep")
-        scalar = run_batch(GRID, execution="scalar")
-        for a, b in zip(lockstep.cells, scalar.cells):
-            for field in dataclasses.fields(a.metrics):
-                x = getattr(a.metrics, field.name)
-                y = getattr(b.metrics, field.name)
+        from repro.sim.scenario import run_scenario
+
+        lockstep = run_batch(GRID)
+        assert lockstep.methodology == "lockstep"
+        for cell in lockstep.cells:
+            scalar = run_scenario(cell.scenario).metrics
+            for field in dataclasses.fields(cell.metrics):
+                x = getattr(cell.metrics, field.name)
+                y = getattr(scalar, field.name)
                 assert x == pytest.approx(y, rel=1e-9, abs=1e-12), field.name
 
     def test_group_failure_reroutes_cells_to_scalar(self):
@@ -399,7 +412,7 @@ class TestMPCLockstepRouting:
             OTEM_VEC,
             dataclasses.replace(OTEM_VEC, ucap_farads=5_000.0),
         ]
-        batch = run_batch(grid)  # execution="auto"
+        batch = run_batch(grid)
         assert batch.ok
         assert batch.methodology == "lockstep"
         assert [c.engine_backend for c in batch.cells] == ["lockstep"] * 2
@@ -497,7 +510,7 @@ class TestEngineBackendCache:
 
 class TestBenchPayload:
     def test_shape(self):
-        payload = run_batch(GRID[:2], workers=0, execution="scalar").bench_payload()
+        payload = run_batch(SINGLETONS[:2], workers=0).bench_payload()
         assert payload["cells"] == 2
         assert payload["failures"] == 0
         assert payload["methodology"] == "serial"
@@ -512,20 +525,21 @@ class TestBenchPayload:
 class TestProgressCallback:
     def test_on_cell_done_fires_per_cell_on_scalar_path(self):
         seen = []
-        run_batch(GRID, workers=0, execution="scalar", on_cell_done=seen.append)
+        run_batch(SINGLETONS, workers=0, on_cell_done=seen.append)
         assert [c.index for c in seen] == [0, 1, 2, 3]
         assert all(isinstance(c, BatchCell) and c.ok for c in seen)
+        assert all(c.engine_backend == "scalar" for c in seen)
 
     def test_on_cell_done_fires_per_cell_on_lockstep_path(self):
         seen = []
-        batch = run_batch(GRID, execution="lockstep", on_cell_done=seen.append)
+        batch = run_batch(GRID, on_cell_done=seen.append)
         assert batch.methodology == "lockstep"
         assert sorted(c.index for c in seen) == [0, 1, 2, 3]
         assert all(c.engine_backend == "lockstep" for c in seen)
 
     def test_on_cell_done_fires_on_pool_path(self):
         seen = []
-        batch = run_batch(GRID, workers=2, execution="scalar", on_cell_done=seen.append)
+        batch = run_batch(SINGLETONS, workers=2, on_cell_done=seen.append)
         assert batch.ok
         assert sorted(c.index for c in seen) == [0, 1, 2, 3]
 
@@ -537,28 +551,29 @@ class TestProgressCallback:
 
 
 class TestCancellation:
+    """One scalar loop serves in-process and pool execution, so cancelling
+    behaves the same on both."""
+
     def test_cancel_before_start_skips_every_cell(self):
-        batch = run_batch(GRID, execution="scalar", cancel=lambda: True)
-        assert not batch.ok
-        assert all("cancelled" in c.error for c in batch.cells)
-        assert all(c.metrics is None for c in batch.cells)
+        for workers in (0, 2):
+            batch = run_batch(SINGLETONS, workers=workers, cancel=lambda: True)
+            assert not batch.ok
+            assert all("cancelled" in c.error for c in batch.cells)
+            assert all(c.metrics is None for c in batch.cells)
 
     def test_cancel_mid_run_keeps_finished_cells_scalar(self):
-        done = []
-
-        def cancel_after_two():
-            return len(done) >= 2
-
-        batch = run_batch(
-            GRID,
-            workers=0,
-            execution="scalar",
-            on_cell_done=done.append,
-            cancel=cancel_after_two,
-        )
-        oks = [c.ok for c in batch.cells]
-        assert oks == [True, True, False, False]
-        assert all("cancelled" in c.error for c in batch.cells[2:])
+        for workers in (0, 2):
+            done = []
+            batch = run_batch(
+                SINGLETONS,
+                workers=workers,
+                on_cell_done=done.append,
+                cancel=lambda: len(done) >= 2,
+            )
+            oks = [c.ok for c in batch.cells]
+            assert oks == [True, True, False, False], workers
+            assert all(c.engine_backend == "scalar" for c in batch.cells)
+            assert all("cancelled" in c.error for c in batch.cells[2:])
 
     def test_cancel_mid_run_keeps_finished_groups_lockstep(self):
         # GRID forms two lockstep groups of two (one per methodology);
@@ -570,7 +585,6 @@ class TestCancellation:
 
         batch = run_batch(
             GRID,
-            execution="lockstep",
             on_cell_done=done.append,
             cancel=cancel_after_first_group,
         )
@@ -581,6 +595,6 @@ class TestCancellation:
 
     def test_cancelled_cells_are_not_cached(self, tmp_path):
         store = ExperimentStore(tmp_path)
-        run_batch(GRID, store=store, execution="scalar", cancel=lambda: True)
-        rerun = run_batch(GRID, store=store, execution="scalar")
+        run_batch(SINGLETONS, store=store, cancel=lambda: True)
+        rerun = run_batch(SINGLETONS, store=store)
         assert rerun.cache_hits == 0 and rerun.ok

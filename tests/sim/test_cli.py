@@ -61,6 +61,21 @@ class TestRun:
         assert "peak temp" in text
 
 
+class TestCompare:
+    def test_compare_prints_the_four_paper_methodologies(self):
+        from repro.analysis.figures import ALL_METHODOLOGIES, METHOD_LABELS
+
+        code, text = run_cli(
+            ["compare", "-c", "nycc", "--rollout-backend", "vectorized"]
+        )
+        assert code == 0
+        header, *rows = text.strip().splitlines()
+        assert "Qloss" in header
+        assert len(rows) == 4
+        for row, m in zip(rows, ALL_METHODOLOGIES):
+            assert row.lstrip().startswith(METHOD_LABELS[m])
+
+
 class TestBatch:
     def _argv(self, tmp_path):
         return [

@@ -161,17 +161,22 @@ class TestSchemaInvalidation:
         assert stale.cache_hits == 0 and stale.cache_misses == 1
 
     def test_backend_switch_never_serves_stale_rows(self, tmp_path):
-        """Same grid, different engine: a hit across backends would
+        """Same cell, different engine: a group-mate joining or leaving
+        switches the cell's engine, and a hit across backends would
         silently blur which engine produced a number."""
         store = ExperimentStore(tmp_path)
-        first = run_batch(GRID, store=store)  # auto: all lockstep
-        assert first.cache_misses == len(GRID)
-        rerun = run_batch(GRID, store=store)
-        assert rerun.cache_hits == len(GRID)
-        assert all(c.engine_backend == "lockstep" for c in rerun.cells)
-        forced = run_batch(GRID, store=store, execution="scalar")
-        assert forced.cache_hits == 0 and forced.cache_misses == len(GRID)
-        assert all(c.engine_backend == "scalar" for c in forced.cells)
+        alone = run_batch(GRID[:1], store=store)  # singleton: scalar
+        assert alone.cells[0].engine_backend == "scalar"
+        assert alone.cache_misses == 1
+        joined = run_batch(GRID[:2], store=store)  # a mate joins: lockstep
+        assert joined.cache_hits == 0 and joined.cache_misses == 2
+        assert all(c.engine_backend == "lockstep" for c in joined.cells)
+        rerun = run_batch(GRID[:2], store=store)
+        assert rerun.cache_hits == 2
+        left = run_batch(GRID[:1], store=store)  # the mate leaves: scalar
+        assert left.cache_hits == 1
+        assert left.cells[0].engine_backend == "scalar"
+        assert left.cells[0].metrics == alone.cells[0].metrics
 
 
 class TestEviction:
