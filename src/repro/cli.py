@@ -81,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-scenario wall-clock budget [s] (parallel mode)",
+        help=(
+            "per-scenario wall-clock budget [s] (parallel mode); a cell over "
+            "budget is marked failed, but the batch still waits for its worker"
+        ),
     )
     batch.add_argument(
         "--json",
@@ -451,9 +454,9 @@ def cmd_batch(args, out) -> int:
 
 
 def cmd_serve(args, out) -> int:
-    from repro.service import serve
+    from repro.service import SweepServer
 
-    server = serve(
+    server = SweepServer(
         args.store_dir,
         host=args.host,
         port=args.port,

@@ -133,12 +133,6 @@ class MPCPlanner:
         Control-window length N (steps).
     step_s:
         Horizon step duration [s] (the paper's sampling period, Eq. 17).
-    cap_power_bound_w:
-        Symmetric bound on the ultracap bus command [W]; defaults to the
-        bank/converter rating from the model.
-    inlet_span_k:
-        (min, max) commanded inlet temperature [K]; the rollout further
-        clamps by the dynamic C2/C3 limits.
     max_function_evals:
         Budget per solve (speed/quality knob, used by the ablation bench).
     method:
@@ -170,8 +164,6 @@ class MPCPlanner:
         model: PredictionModel,
         horizon: int = 12,
         step_s: float = 5.0,
-        cap_power_bound_w: float | None = None,
-        inlet_span_k: tuple = (288.15, 312.0),
         max_function_evals: int = 150,
         method: str = "penalty",
         rollout_backend: str = "scalar",
@@ -197,11 +189,11 @@ class MPCPlanner:
         )
         self._n = horizon
         self._dt = step_s
-        bound = cap_power_bound_w if cap_power_bound_w is not None else model.cap_pmax
-        self._cap_lo, self._cap_hi = -bound, bound
-        self._inlet_lo, self._inlet_hi = inlet_span_k
-        if self._inlet_lo >= self._inlet_hi:
-            raise ValueError("inlet_span_k must be increasing")
+        # decision bounds: the ultracap bus command within the bank/converter
+        # rating, the commanded inlet within a fixed span [K] (the rollout
+        # further clamps it by the dynamic C2/C3 limits)
+        self._cap_lo, self._cap_hi = -model.cap_pmax, model.cap_pmax
+        self._inlet_lo, self._inlet_hi = 288.15, 312.0
         # denormalization scale factors, hoisted out of the solve closures
         self._cap_scale = self._cap_hi - self._cap_lo
         self._inlet_scale = self._inlet_hi - self._inlet_lo
@@ -445,7 +437,7 @@ class MPCPlanner:
             solver_cost=cost,
         )
 
-    def plan(self, state: tuple, preview_w: np.ndarray, dt: float | None = None) -> MPCPlan:
+    def plan(self, state: tuple, preview_w: np.ndarray) -> MPCPlan:
         """Solve one horizon.
 
         Parameters
@@ -455,10 +447,8 @@ class MPCPlanner:
         preview_w:
             Predicted EV power per horizon step [W], length >= N (extra
             entries are ignored).
-        dt:
-            Optional override of the horizon step duration [s].
         """
-        step = self._dt if dt is None else dt
+        step = self._dt
         preview = _pad_previews(preview_w, self._n)[0]
         if self._method == "slsqp":
             solved = self._solve_slsqp(state, preview, step)
@@ -646,7 +636,7 @@ class MPCPlannerVec:
         All models must share every constant except the ultracapacitor
         bank energy ``ecap`` (within a lockstep MPC group only the bank
         size varies; anything else means the group was mis-keyed).
-    horizon / step_s / cap_power_bound_w / inlet_span_k / max_function_evals:
+    horizon / step_s / max_function_evals:
         Shared solver shape, as for :class:`MPCPlanner`.
     """
 
@@ -658,8 +648,6 @@ class MPCPlannerVec:
         models: Sequence[PredictionModel],
         horizon: int = 12,
         step_s: float = 5.0,
-        cap_power_bound_w: float | None = None,
-        inlet_span_k: tuple = (288.15, 312.0),
         max_function_evals: int = 150,
     ):
         if not models:
@@ -683,8 +671,6 @@ class MPCPlannerVec:
                 mdl,
                 horizon=horizon,
                 step_s=step_s,
-                cap_power_bound_w=cap_power_bound_w,
-                inlet_span_k=inlet_span_k,
                 max_function_evals=max_function_evals,
                 method="penalty",
                 rollout_backend="vectorized",
@@ -723,7 +709,6 @@ class MPCPlannerVec:
         self,
         states: np.ndarray,
         previews: np.ndarray,
-        dt: float | None = None,
         indices: np.ndarray | None = None,
     ) -> list:
         """Solve one horizon per (selected) scenario, all in lockstep.
@@ -736,8 +721,6 @@ class MPCPlannerVec:
             ``(S, >=N)`` predicted EV power per horizon step [W] (extra
             columns ignored, short rows zero-padded - same as
             :meth:`MPCPlanner.plan`).
-        dt:
-            Optional override of the horizon step duration [s].
         indices:
             Optional scenario indices to solve (default: all).  Rows of
             ``states``/``previews`` align with this selection.  Scenarios
@@ -760,4 +743,4 @@ class MPCPlannerVec:
         previews = _pad_previews(previews, self._n)
         if previews.shape[0] != m:
             raise ValueError(f"previews must have {m} rows, got {previews.shape[0]}")
-        return _race(planners, states, previews, self._dt if dt is None else dt)
+        return _race(planners, states, previews, self._dt)

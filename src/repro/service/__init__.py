@@ -19,7 +19,7 @@ Stdlib-only serving layer on top of :func:`repro.sim.batch.run_batch` and
 
 from repro.service.client import ServiceError, SweepClient
 from repro.service.jobs import JOB_STATES, JobManager
-from repro.service.server import SweepServer, serve
+from repro.service.server import SweepServer
 from repro.service.spec import SweepSpec
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "SweepClient",
     "SweepServer",
     "SweepSpec",
-    "serve",
 ]

@@ -254,7 +254,6 @@ class JobManager:
                 "misses": stats.misses,
                 "hit_rate": stats.hit_rate,
                 "quarantined": stats.quarantined,
-                "evicted": stats.evicted,
             },
         }
 

@@ -61,8 +61,6 @@ def render_metrics(metrics: dict) -> str:
         f"repro_store_hit_rate {store['hit_rate']:.6f}",
         "# TYPE repro_store_quarantined counter",
         f"repro_store_quarantined {store['quarantined']}",
-        "# TYPE repro_store_evicted counter",
-        f"repro_store_evicted {store['evicted']}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -197,9 +195,8 @@ class SweepServer:
         worker_threads: int = 2,
         default_timeout_s: float | None = None,
         quiet: bool = True,
-        store_max_bytes: int | None = None,
     ):
-        self.store = ExperimentStore(store_dir, max_bytes=store_max_bytes)
+        self.store = ExperimentStore(store_dir)
         self.manager = JobManager(
             self.store,
             worker_threads=worker_threads,
@@ -236,22 +233,3 @@ class SweepServer:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self.manager.shutdown()
-
-
-def serve(
-    store_dir,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    worker_threads: int = 2,
-    default_timeout_s: float | None = None,
-    quiet: bool = False,
-) -> SweepServer:
-    """Build a :class:`SweepServer` (the caller decides how to run it)."""
-    return SweepServer(
-        store_dir,
-        host=host,
-        port=port,
-        worker_threads=worker_threads,
-        default_timeout_s=default_timeout_s,
-        quiet=quiet,
-    )

@@ -12,7 +12,8 @@ SummaryMetrics` into a :class:`BatchResult`:
 * **crash isolation** - a diverging solve (or any exception) fails *that
   cell* (``cell.error``) instead of the sweep;
 * **per-scenario timeout** - a best-effort wall-clock budget per cell
-  (a cell that exceeds it is marked failed and abandoned);
+  (a cell that exceeds it is marked failed; its worker still runs to the
+  end, and the batch waits for it);
 * **content-addressed caching** - pass ``store=`` (a
   :class:`repro.store.ExperimentStore`) to key every cell by a fingerprint
   of the full scenario (controller, pack, vehicle, coolant, weights, MPC
@@ -341,7 +342,8 @@ def run_batch(
     timeout_s:
         Best-effort per-cell wall-clock budget (scalar pool mode only): a
         cell still pending that long after its turn comes up is marked
-        failed with a timeout error and abandoned.
+        failed with a timeout error.  Its worker is not stopped, so the
+        call returns only once that worker has finished the cell.
     on_cell_done:
         Progress callback invoked with each finished :class:`BatchCell`
         in completion order: store hits first, then each lockstep group

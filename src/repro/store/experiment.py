@@ -9,8 +9,8 @@ restart - is served from disk instead of recomputing.  Design points:
   ``CACHE_SCHEMA``-versioned :func:`~repro.sim.batch.scenario_fingerprint`,
   so any parameter / schema / engine-backend change yields a different key
   and stale entries are simply never looked up again;
-* **two-tier layout** - a SQLite index (metadata, LRU bookkeeping) next to
-  one compressed ``.npz`` blob per cell (metrics + solver stats as
+* **two-tier layout** - a SQLite index (cell metadata) next to one
+  compressed ``.npz`` blob per cell (metrics + solver stats as
   canonical JSON, optional full trace channels as arrays);
 * **atomic writes** - blobs and the index row are written tmp-then-rename
   so concurrent readers never observe a partial entry;
@@ -18,8 +18,6 @@ restart - is served from disk instead of recomputing.  Design points:
   garbage, missing keys) is moved to ``quarantine/`` and its index row
   dropped; the lookup reports a miss, so the caller recomputes instead of
   raising;
-* **LRU eviction** - an optional byte budget evicts least-recently-used
-  cells (reads refresh recency) after each write;
 * **sweep records** - the sweep service persists job records and tidy row
   sets here, which is what makes restarts resume instead of recompute.
 
@@ -79,8 +77,8 @@ CREATE TABLE IF NOT EXISTS sweeps (
 class StoreStats:
     """Point-in-time counters of one :class:`ExperimentStore` instance.
 
-    ``hits``/``misses``/``quarantined``/``evicted`` are per-instance
-    session counters; ``cells``/``total_bytes`` describe the on-disk
+    ``hits``/``misses``/``quarantined`` are per-instance session
+    counters; ``cells``/``total_bytes`` describe the on-disk
     population.
     """
 
@@ -89,7 +87,6 @@ class StoreStats:
     hits: int
     misses: int
     quarantined: int
-    evicted: int
 
     @property
     def hit_rate(self) -> float:
@@ -105,24 +102,13 @@ class ExperimentStore:
     ----------
     directory:
         Store root (created on first use).
-    max_bytes:
-        Optional blob-byte budget; exceeding it after a write evicts
-        least-recently-used cells until the budget is met again.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        max_bytes: int | None = None,
-    ):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
+    def __init__(self, directory: str | os.PathLike):
         self._dir = os.fspath(directory)
-        self._max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        self.evicted = 0
         os.makedirs(self._dir, exist_ok=True)
         with self._connect() as con:
             con.executescript(_SCHEMA_SQL)
@@ -134,11 +120,6 @@ class ExperimentStore:
     def directory(self) -> str:
         """Root directory of the store."""
         return self._dir
-
-    @property
-    def max_bytes(self) -> int | None:
-        """The eviction budget (``None`` = unbounded)."""
-        return self._max_bytes
 
     def _connect(self) -> sqlite3.Connection:
         # one short-lived connection per operation: SQLite's file locking
@@ -195,6 +176,8 @@ class ExperimentStore:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
 
+        # nothing reads last_used_s, but the cells table - here and in every
+        # existing store directory - declares it NOT NULL with no default
         now = time.time()
         with self._connect() as con:
             con.execute(
@@ -214,8 +197,6 @@ class ExperimentStore:
                     int(trace is not None),
                 ),
             )
-        if self._max_bytes is not None:
-            self.evict(self._max_bytes)
 
     def get(self, key: str):
         """Look a payload up; ``None`` (a miss) when absent or corrupt.
@@ -237,11 +218,6 @@ class ExperimentStore:
             self._quarantine(key)
             self.misses += 1
             return None
-        with self._connect() as con:
-            con.execute(
-                "UPDATE cells SET last_used_s = ? WHERE key = ?",
-                (time.time(), key),
-            )
         self.hits += 1
         return payload
 
@@ -264,7 +240,11 @@ class ExperimentStore:
         )
 
     def get_trace(self, key: str) -> Trace | None:
-        """The stored full trace of a cell, or ``None`` when absent."""
+        """The stored full trace of a cell, or ``None`` when absent.
+
+        An unknown key or a missing blob is a plain ``None``; only a blob
+        that exists but fails to decode is quarantined (as in :meth:`get`).
+        """
         try:
             with np.load(self._blob_path(key)) as blob:
                 names = [f"trace_{name}" for name in CHANNELS]
@@ -273,6 +253,8 @@ class ExperimentStore:
                 channels = {
                     name: blob[f"trace_{name}"].copy() for name in CHANNELS
                 }
+        except FileNotFoundError:
+            return None
         except Exception:  # noqa: BLE001 - same quarantine contract as get
             self._quarantine(key)
             return None
@@ -306,36 +288,6 @@ class ExperimentStore:
         with self._connect() as con:
             con.execute("DELETE FROM cells WHERE key = ?", (key,))
         self.quarantined += 1
-
-    # ------------------------------------------------------------------ #
-    # eviction
-
-    def evict(self, max_bytes: int) -> int:
-        """Drop least-recently-used cells until ``<= max_bytes`` remain.
-
-        Returns the number of cells evicted.  Reads refresh recency, so a
-        hot working set survives budget pressure.
-        """
-        dropped = 0
-        with self._connect() as con:
-            rows = con.execute(
-                "SELECT key, nbytes FROM cells ORDER BY last_used_s DESC"
-            ).fetchall()
-        total = sum(nbytes for _, nbytes in rows)
-        victims = []
-        for key, nbytes in reversed(rows):  # oldest first
-            if total <= max_bytes:
-                break
-            victims.append(key)
-            total -= nbytes
-        for key in victims:
-            with contextlib.suppress(OSError):
-                os.remove(self._blob_path(key))
-            with self._connect() as con:
-                con.execute("DELETE FROM cells WHERE key = ?", (key,))
-            dropped += 1
-        self.evicted += dropped
-        return dropped
 
     # ------------------------------------------------------------------ #
     # sweep records (the service's durable job state)
@@ -422,5 +374,4 @@ class ExperimentStore:
             hits=self.hits,
             misses=self.misses,
             quarantined=self.quarantined,
-            evicted=self.evicted,
         )

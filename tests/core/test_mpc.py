@@ -46,10 +46,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_planner(step_s=0.0)
 
-    def test_rejects_inverted_inlet_span(self):
-        with pytest.raises(ValueError):
-            make_planner(inlet_span_k=(310.0, 300.0))
-
 
 class TestPlanShape:
     def test_plan_lengths(self):

@@ -1,10 +1,13 @@
 """The batch runner: parallel == serial, caching, crash isolation."""
 
 import dataclasses
+import multiprocessing
 import pickle
+import time
 
 import pytest
 
+import repro.sim.batch as batch_mod
 from repro.sim.batch import (
     BatchCell,
     CellPayload,
@@ -132,6 +135,33 @@ class TestParallelRun:
         bad = dataclasses.replace(GRID[0], cycle="no-such-cycle")
         batch = run_batch([bad, GRID[3]], workers=0)
         assert [c.ok for c in batch.cells] == [False, True]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers only see the patched cell runner when forked",
+    )
+    def test_timeout_fails_only_the_slow_cell(self, monkeypatch):
+        # precomputed payloads keep the fast cells well inside the budget
+        payloads = {s.methodology: batch_mod._execute_cell(s) for s in SINGLETONS}
+
+        def slow_cooling_cell(scenario):
+            if scenario.methodology == "cooling":
+                time.sleep(2.0)
+            return payloads[scenario.methodology]
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(batch_mod, "_execute_cell", slow_cooling_cell)
+        batch = run_batch(SINGLETONS, workers=2, timeout_s=0.3)
+        assert batch.methodology == "process-pool"
+        slow = batch.cells[1]
+        assert slow.scenario.methodology == "cooling"
+        assert slow.error.startswith("timeout:"), slow.error
+        assert slow.metrics is None
+        others = [c for c in batch.cells if c.index != 1]
+        assert all(c.ok for c in others), [c.error for c in others]
+        assert [c.metrics for c in others] == [
+            payloads[c.scenario.methodology].metrics for c in others
+        ]
 
 
 class TestCache:
@@ -372,7 +402,6 @@ class TestLockstepRouting:
     def test_group_failure_is_recorded_on_every_cell(self, monkeypatch, tmp_path):
         """The rerouted cells carry the group's exception, whether they are
         computed or served from the store, so resubmitted rows match."""
-        import repro.sim.batch as batch_mod
         from repro.service.jobs import service_row
 
         def explode(scenarios):
@@ -446,8 +475,6 @@ class TestMPCLockstepRouting:
     def test_mpc_group_failure_reroutes_mixed_grid(self, monkeypatch):
         """A failing lockstep MPC group re-routes every member to the
         crash-isolated scalar path while baseline groups stay lockstep."""
-        import repro.sim.batch as batch_mod
-
         real = batch_mod.run_lockstep
 
         def explode_on_otem(scenarios):

@@ -1,9 +1,10 @@
-"""The experiment store: durability, corruption quarantine, eviction,
-and the run_batch(store=...) no-recompute guarantee."""
+"""The experiment store: durability, corruption quarantine, old-directory
+compatibility, and the run_batch(store=...) no-recompute guarantee."""
 
 import dataclasses
 import json
 import os
+import sqlite3
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.sim.batch import (
 )
 from repro.sim.scenario import Scenario, run_scenario
 from repro.store import ExperimentStore
-from repro.store.experiment import BLOB_DIR, QUARANTINE_DIR
+from repro.store.experiment import BLOB_DIR, INDEX_DB, QUARANTINE_DIR
 
 #: Fast baseline grid on the shortest cycle (two lockstep groups of two).
 GRID = scenario_grid(
@@ -81,6 +82,13 @@ class TestRoundTrip:
         store.put("no-trace", _payload())
         assert store.get_trace("no-trace") is None
 
+    def test_get_trace_none_for_unknown_key(self, tmp_path):
+        """An absent blob is a plain miss, not a corruption."""
+        store = ExperimentStore(tmp_path)
+        assert store.get_trace("0" * 64) is None
+        assert store.quarantined == 0
+        assert not os.path.exists(os.path.join(tmp_path, QUARANTINE_DIR))
+
     def test_atomic_write_leaves_no_tmp_files(self, tmp_path):
         store = ExperimentStore(tmp_path)
         store.put("k1", _payload())
@@ -95,6 +103,52 @@ class TestRoundTrip:
         assert not store.contains("k1") and len(store) == 0
         store.put("k1", _payload())
         assert store.contains("k1") and len(store) == 1
+
+
+class TestIndexWrites:
+    """A hit only reads the index; older store directories keep working."""
+
+    #: The ``cells`` DDL of store directories written by earlier versions,
+    #: verbatim: ``last_used_s`` is NOT NULL with no default.
+    LEGACY_CELLS_DDL = """
+CREATE TABLE IF NOT EXISTS cells (
+    key            TEXT PRIMARY KEY,
+    schema         INTEGER NOT NULL,
+    created_s      REAL    NOT NULL,
+    last_used_s    REAL    NOT NULL,
+    nbytes         INTEGER NOT NULL,
+    controller     TEXT    NOT NULL,
+    cycle          TEXT    NOT NULL,
+    engine_backend TEXT    NOT NULL,
+    has_trace      INTEGER NOT NULL DEFAULT 0
+);
+"""
+
+    def test_hit_runs_only_selects(self, tmp_path, monkeypatch):
+        store = ExperimentStore(tmp_path)
+        payload = _payload()
+        store.put("k1", payload)
+        statements = []
+        connect = store._connect
+
+        def traced_connect():
+            con = connect()
+            con.set_trace_callback(statements.append)
+            return con
+
+        monkeypatch.setattr(store, "_connect", traced_connect)
+        assert store.get("k1") == payload
+        assert statements
+        assert all(sql.startswith("SELECT") for sql in statements), statements
+
+    def test_directory_with_legacy_cells_table(self, tmp_path):
+        with sqlite3.connect(tmp_path / INDEX_DB) as con:
+            con.executescript(self.LEGACY_CELLS_DDL)
+        store = ExperimentStore(tmp_path)
+        payload = _payload()
+        store.put("k1", payload)
+        assert store.get("k1") == payload
+        assert store.hits == 1 and len(store) == 1
 
 
 class TestCorruption:
@@ -177,35 +231,6 @@ class TestSchemaInvalidation:
         assert left.cache_hits == 1
         assert left.cells[0].engine_backend == "scalar"
         assert left.cells[0].metrics == alone.cells[0].metrics
-
-
-class TestEviction:
-    def test_lru_eviction_drops_oldest(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        payload = _payload()
-        store.put("old", payload)
-        store.put("newer", payload)
-        store.get("old")  # refresh recency: "newer" is now the LRU victim
-        per_blob = store.total_bytes() // 2
-        dropped = store.evict(max_bytes=per_blob)
-        assert dropped == 1
-        assert store.contains("old") and not store.contains("newer")
-        assert store.evicted == 1
-
-    def test_byte_budget_auto_evicts_on_put(self, tmp_path):
-        probe = ExperimentStore(tmp_path / "probe")
-        probe.put("k", _payload())
-        blob_bytes = probe.total_bytes()
-        store = ExperimentStore(tmp_path / "real", max_bytes=2 * blob_bytes)
-        for i in range(4):
-            store.put(f"k{i}", _payload())
-        assert len(store) <= 2
-        assert store.contains("k3")  # the newest always survives
-        assert store.total_bytes() <= 2 * blob_bytes
-
-    def test_zero_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentStore(tmp_path, max_bytes=0)
 
 
 class TestRunBatchIntegration:
