@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.analysis.figures import ALL_METHODOLOGIES, METHOD_LABELS
 from repro.analysis.report import render_table1
@@ -491,11 +492,7 @@ def cmd_submit(args, out) -> int:
     from repro.service import ServiceError, SweepClient, SweepSpec
 
     if args.spec:
-        text = (
-            sys.stdin.read()
-            if args.spec == "-"
-            else open(args.spec).read()
-        )
+        text = sys.stdin.read() if args.spec == "-" else Path(args.spec).read_text()
         spec = SweepSpec.from_json(text)
     else:
         base, axes = _grid_from_args(args)

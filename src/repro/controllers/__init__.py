@@ -16,9 +16,10 @@ Public API
     Baseline [16]: dual architecture, temperature-threshold switching.
 ``NoisyObservations`` / ``CoolingFailure``
     Robustness / failure-injection wrappers around any policy.
-``build_batched_controller`` / ``BatchDecision``
-    Struct-of-arrays twins of the four baselines for the lockstep engine
-    (:mod:`repro.sim.engine_vec`).
+``BatchDecision``
+    The struct-of-arrays decision of the lockstep twins
+    (:mod:`repro.controllers.batched`), which the lockstep engine
+    (:mod:`repro.sim.engine_vec`) builds from the scalar policies above.
 """
 
 from repro.controllers.base import Architecture, Controller, Decision, Observation
@@ -27,12 +28,11 @@ from repro.controllers.cooling_only import CoolingOnlyController
 from repro.controllers.dual_threshold import DualThresholdController
 from repro.controllers.wrappers import CoolingFailure, NoisyObservations
 from repro.controllers.heuristic import HybridHeuristicController
-from repro.controllers.batched import BatchDecision, build_batched_controller
+from repro.controllers.batched import BatchDecision
 
 __all__ = [
     "HybridHeuristicController",
     "BatchDecision",
-    "build_batched_controller",
     "Architecture",
     "Controller",
     "Decision",

@@ -7,23 +7,33 @@ is re-expressed as a mask over columns.  Because each column's state update
 uses exactly the scalar expressions, a column of a lockstep run matches the
 corresponding scalar run bitwise.
 
-The four baselines (:data:`BATCHED_CONTROLLERS`) are closed-form per step.
-:class:`BatchedOTEM` is the MPC twin: it replans every column's horizon in
-one :class:`repro.core.mpc.MPCPlannerVec` wave, so OTEM ensembles ride the
-lockstep engine too - provided every scenario runs the vectorized rollout
-backend (a lockstep OTEM column is equivalent to the scalar engine with
-``rollout_backend="vectorized"``, not to the scalar-backend reference).
+Every twin is built from the scalar controller(s) it mirrors - the ones
+:func:`repro.sim.scenario.build_controller` returns - and reads its
+parameters, ``name`` and ``architecture`` from them; the twins declare no
+thresholds or solver settings of their own.
+
+The four baselines (:data:`BATCHED_CONTROLLERS`) are closed-form per step,
+and each takes the group's one policy.  :class:`BatchedOTEM` is the MPC
+twin: it takes every column's :class:`repro.core.otem.OTEMController` and
+replans all their horizons in one :class:`repro.core.mpc.MPCPlannerVec`
+wave, so OTEM ensembles ride the lockstep engine too - provided every
+controller runs the vectorized rollout backend (a lockstep OTEM column is
+equivalent to the scalar engine with ``rollout_backend="vectorized"``, not
+to the scalar-backend reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.controllers.base import Architecture
-from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
 from repro.hees.dual import DualHEESVec
+
+if TYPE_CHECKING:
+    from repro.core.mpc import MPCPlannerVec
+    from repro.core.otem import OTEMController
 
 
 @dataclass(frozen=True)
@@ -67,15 +77,33 @@ def _zeros_decision(m: int, **overrides) -> BatchDecision:
     return BatchDecision(**base)
 
 
-class BatchedParallelPassive:
+def _hysteresis(
+    was_on: np.ndarray, temp_k: np.ndarray, on_k: float, off_k: float
+) -> np.ndarray:
+    """Per-column thermostat latch: engage at ``on_k``, release at ``off_k``."""
+    return (was_on & ~(temp_k <= off_k)) | (~was_on & (temp_k >= on_k))
+
+
+class _BaselineTwin:
+    """Shared shell of the baseline twins.
+
+    A twin is built from the scalar policy it mirrors and reads every
+    threshold, its ``name`` and its ``architecture`` from that policy, so
+    the scalar class (and its validation) is the one definition of each
+    methodology.  A lockstep group needs one policy: the grouping key
+    fixes the methodology and the coolant, and nothing else configures a
+    baseline.  The twin adds only per-column state, sized by :meth:`reset`.
+    """
+
+    def __init__(self, policy):
+        self._policy = policy
+        self.name = policy.name
+        self.architecture = policy.architecture
+        self.reset(0)
+
+
+class BatchedParallelPassive(_BaselineTwin):
     """Lockstep twin of :class:`ParallelPassiveController` (no-op)."""
-
-    name = "Parallel [15]"
-    architecture = Architecture.PARALLEL
-    uses_cooling = False
-
-    def __init__(self):
-        self._m = 0
 
     def reset(self, m: int) -> None:
         """Size the (stateless) policy for ``m`` columns."""
@@ -91,25 +119,8 @@ class BatchedParallelPassive:
         return _zeros_decision(self._m)
 
 
-class BatchedCoolingOnly:
+class BatchedCoolingOnly(_BaselineTwin):
     """Lockstep twin of :class:`CoolingOnlyController`."""
-
-    name = "Cooling [25]"
-    architecture = Architecture.BATTERY_ONLY
-    uses_cooling = True
-
-    def __init__(
-        self,
-        temp_on_k: float = 299.15,
-        temp_off_k: float = 296.15,
-        coolant: CoolantParams = DEFAULT_COOLANT,
-    ):
-        if temp_off_k >= temp_on_k:
-            raise ValueError("temp_off_k must be below temp_on_k (hysteresis)")
-        self._on = temp_on_k
-        self._off = temp_off_k
-        self._coolant = coolant
-        self._cooling = np.zeros(0, dtype=bool)
 
     def reset(self, m: int) -> None:
         """Disengage every column's thermostat."""
@@ -122,44 +133,17 @@ class BatchedCoolingOnly:
         cap_soe_percent: np.ndarray,
     ) -> BatchDecision:
         """Per-column hysteresis thermostat on battery temperature."""
-        was_on = self._cooling
-        turn_off = was_on & (battery_temp_k <= self._off)
-        turn_on = ~was_on & (battery_temp_k >= self._on)
-        self._cooling = (was_on & ~turn_off) | turn_on
+        p = self._policy
+        self._cooling = _hysteresis(self._cooling, battery_temp_k, p._on, p._off)
         return _zeros_decision(
-            len(was_on),
+            len(self._cooling),
             cooling_active=self._cooling.copy(),
-            inlet_temp_k=self._coolant.min_inlet_temp_k,
+            inlet_temp_k=p._coolant.min_inlet_temp_k,
         )
 
 
-class BatchedDualThreshold:
+class BatchedDualThreshold(_BaselineTwin):
     """Lockstep twin of :class:`DualThresholdController`."""
-
-    name = "Dual [16]"
-    architecture = Architecture.DUAL
-    uses_cooling = False
-
-    def __init__(
-        self,
-        temp_switch_k: float = 307.15,
-        temp_resume_k: float = 303.15,
-        soe_floor_percent: float = 22.0,
-        soe_target_percent: float = 95.0,
-        recharge_power_w: float = 3_000.0,
-        recharge_temp_max_k: float = 306.15,
-    ):
-        if temp_resume_k >= temp_switch_k:
-            raise ValueError("temp_resume_k must be below temp_switch_k")
-        if not 0.0 <= soe_floor_percent < soe_target_percent <= 100.0:
-            raise ValueError("need 0 <= soe_floor < soe_target <= 100")
-        self._t_switch = temp_switch_k
-        self._t_resume = temp_resume_k
-        self._soe_floor = soe_floor_percent
-        self._soe_target = soe_target_percent
-        self._recharge_w = recharge_power_w
-        self._recharge_t_max = recharge_temp_max_k
-        self._on_cap = np.zeros(0, dtype=bool)
 
     def reset(self, m: int) -> None:
         """Return every column's switch to the battery position."""
@@ -172,22 +156,22 @@ class BatchedDualThreshold:
         cap_soe_percent: np.ndarray,
     ) -> BatchDecision:
         """Per-column threshold switching with SoE guard and recharge."""
+        p = self._policy
         was_on = self._on_cap
         leave = was_on & (
-            (battery_temp_k <= self._t_resume)
-            | (cap_soe_percent <= self._soe_floor)
+            (battery_temp_k <= p._t_resume) | (cap_soe_percent <= p._soe_floor)
         )
         enter = (
             ~was_on
-            & (battery_temp_k >= self._t_switch)
-            & (cap_soe_percent > self._soe_floor)
+            & (battery_temp_k >= p._t_switch)
+            & (cap_soe_percent > p._soe_floor)
         )
         self._on_cap = (was_on & ~leave) | enter
 
         recharging = (
             ~self._on_cap
-            & (cap_soe_percent < self._soe_target)
-            & (battery_temp_k < self._recharge_t_max)
+            & (cap_soe_percent < p._soe_target)
+            & (battery_temp_k < p._recharge_t_max)
         )
         mode = np.where(
             self._on_cap,
@@ -196,42 +180,18 @@ class BatchedDualThreshold:
                 recharging, DualHEESVec.MODE_RECHARGE, DualHEESVec.MODE_BATTERY
             ),
         )
-        recharge = np.where(recharging, self._recharge_w, 0.0)
+        recharge = np.where(recharging, p._recharge_w, 0.0)
         return _zeros_decision(
             len(was_on), dual_mode=mode, recharge_power_w=recharge
         )
 
 
-class BatchedHybridHeuristic:
+class BatchedHybridHeuristic(_BaselineTwin):
     """Lockstep twin of :class:`HybridHeuristicController`."""
-
-    name = "Heuristic hybrid"
-    architecture = Architecture.HYBRID
-    uses_cooling = True
-
-    def __init__(
-        self,
-        smoothing: float = 0.05,
-        recharge_power_w: float = 6_000.0,
-        soe_target_percent: float = 90.0,
-        temp_on_k: float = 302.15,
-        temp_off_k: float = 299.15,
-        coolant: CoolantParams = DEFAULT_COOLANT,
-    ):
-        if temp_off_k >= temp_on_k:
-            raise ValueError("temp_off_k must be below temp_on_k (hysteresis)")
-        self._alpha = smoothing
-        self._recharge_w = recharge_power_w
-        self._soe_target = soe_target_percent
-        self._t_on = temp_on_k
-        self._t_off = temp_off_k
-        self._coolant = coolant
-        self._ema_w: np.ndarray | None = None
-        self._cooling = np.zeros(0, dtype=bool)
 
     def reset(self, m: int) -> None:
         """Clear every column's EMA and disengage the thermostats."""
-        self._ema_w = None
+        self._ema_w: np.ndarray | None = None
         self._cooling = np.zeros(m, dtype=bool)
 
     def control(
@@ -245,31 +205,25 @@ class BatchedHybridHeuristic:
         All columns start the route together, so the scalar policy's
         first-call EMA seeding happens batch-wide on step 0.
         """
+        p = self._policy
         if self._ema_w is None:
             self._ema_w = np.maximum(request_w, 0.0).astype(float)
         else:
-            self._ema_w = self._ema_w + self._alpha * (request_w - self._ema_w)
+            self._ema_w = self._ema_w + p._alpha * (request_w - self._ema_w)
 
         surplus = request_w - self._ema_w
-        recharge_bus = -np.minimum(
-            self._recharge_w, np.maximum(0.0, -surplus)
-        )
+        recharge_bus = -np.minimum(p._recharge_w, np.maximum(0.0, -surplus))
         cap_bus = np.where(
             surplus > 0,
             surplus,
-            np.where(cap_soe_percent < self._soe_target, recharge_bus, 0.0),
+            np.where(cap_soe_percent < p._soe_target, recharge_bus, 0.0),
         )
-
-        was_on = self._cooling
-        turn_off = was_on & (battery_temp_k <= self._t_off)
-        turn_on = ~was_on & (battery_temp_k >= self._t_on)
-        self._cooling = (was_on & ~turn_off) | turn_on
-
+        self._cooling = _hysteresis(self._cooling, battery_temp_k, p._t_on, p._t_off)
         return _zeros_decision(
-            len(was_on),
+            len(self._cooling),
             cap_bus_w=cap_bus,
             cooling_active=self._cooling.copy(),
-            inlet_temp_k=self._coolant.min_inlet_temp_k,
+            inlet_temp_k=p._coolant.min_inlet_temp_k,
         )
 
 
@@ -292,47 +246,34 @@ class BatchedOTEM:
     power matrix, then :meth:`control_mpc` once per step.
     """
 
-    name = "OTEM"
-    architecture = Architecture.HYBRID
-    uses_cooling = True
     #: engine marker: this twin takes the full state via control_mpc()
     is_mpc = True
 
-    @classmethod
-    def from_scenarios(cls, scenarios) -> "BatchedOTEM":
-        """Build the twin for a lockstep group of OTEM scenarios.
+    def __init__(self, controllers: Sequence[OTEMController]):
+        """Build the twin from the group's scalar controllers.
 
-        Every scenario contributes its own prediction model (its bank
-        energy); the solver shape (horizon, step, budget, weights) is
-        shared - the lockstep grouping key guarantees it.
+        Each controller contributes its planner (its bank energy); the
+        solver shape is shared, and :class:`repro.core.mpc.MPCPlannerVec`
+        refuses planners that do not share it.
         """
         # imported here: repro.core pulls in repro.sim, which circles back
         # to this module through the lockstep engine
         from repro.core.mpc import MPCPlannerVec
-        from repro.core.otem import prediction_model
 
-        first = scenarios[0]
-        models = [
-            prediction_model(s.pack, s.cap_params(), s.coolant, s.weights)
-            for s in scenarios
-        ]
-        planner = MPCPlannerVec(
-            models,
-            horizon=first.mpc_horizon,
-            step_s=first.mpc_step_s,
-            max_function_evals=first.mpc_max_evals,
-        )
-        return cls(planner)
-
-    def __init__(self, planner: MPCPlannerVec):
-        self._planner = planner
-        self._m = planner.scenarios
+        self._planner = MPCPlannerVec([c.planner for c in controllers])
+        if any(c._preview_mode != "perfect" for c in controllers):
+            raise ValueError(
+                "lockstep OTEM previews the route; persistence-preview "
+                "controllers run on the scalar engine"
+            )
+        self._policy = controllers[0]
+        self.name = self._policy.name
+        self.architecture = self._policy.architecture
+        self._m = self._planner.scenarios
         self._power_ext: np.ndarray | None = None
-        self._dt = 0.0
         self._per_bin = 1
         self._needed = 0
         self._preview_steps = 0
-        self._steps_per_replan = 1
         self._plan_k = -1
         self._cap0: np.ndarray | None = None
         self._inlet0: np.ndarray | None = None
@@ -392,13 +333,10 @@ class BatchedOTEM:
                 raise ValueError(
                     f"lengths must be ({self._m},), got {self._lengths.shape}"
                 )
-        n = self._planner.horizon
-        step_s = self._planner.step_s
-        self._dt = dt
-        self._per_bin = max(1, int(round(step_s / dt)))
-        self._needed = self._per_bin * n
-        self._preview_steps = int(np.ceil(n * step_s / dt))
-        self._steps_per_replan = max(1, int(round(step_s / dt)))
+        # one horizon bin is one replan period, as in OTEMController
+        self._per_bin = max(1, int(round(self._planner.step_s / dt)))
+        self._needed = self._per_bin * self._planner.horizon
+        self._preview_steps = self._policy.required_preview_steps(dt)
         # zero-extend so a preview slice near the route end never runs
         # short (mirrors PowerRequest.window + _aggregate_preview padding)
         ext = np.zeros((t_max + self._preview_steps, self._m))
@@ -429,7 +367,7 @@ class BatchedOTEM:
         n = self._planner.horizon
         due = (
             self._cap0 is None
-            or (step_index - self._plan_k) >= self._steps_per_replan
+            or (step_index - self._plan_k) >= self._per_bin
         )
         # ragged groups: a column past its own route end keeps its stale
         # plan (those trace rows are truncated) so its solve sequence
@@ -469,22 +407,10 @@ class BatchedOTEM:
         )
 
 
-#: methodology name -> batched policy factory (baselines only)
+#: methodology name -> lockstep twin of its scalar baseline policy
 BATCHED_CONTROLLERS = {
-    "parallel": lambda coolant: BatchedParallelPassive(),
-    "cooling": lambda coolant: BatchedCoolingOnly(coolant=coolant),
-    "dual": lambda coolant: BatchedDualThreshold(),
-    "heuristic": lambda coolant: BatchedHybridHeuristic(coolant=coolant),
+    "parallel": BatchedParallelPassive,
+    "cooling": BatchedCoolingOnly,
+    "dual": BatchedDualThreshold,
+    "heuristic": BatchedHybridHeuristic,
 }
-
-
-def build_batched_controller(methodology: str, coolant: CoolantParams):
-    """Instantiate the batched policy for a baseline methodology."""
-    try:
-        factory = BATCHED_CONTROLLERS[methodology]
-    except KeyError:
-        raise ValueError(
-            f"no batched policy for methodology {methodology!r}; "
-            f"lockstep supports {sorted(BATCHED_CONTROLLERS)}"
-        ) from None
-    return factory(coolant)

@@ -24,8 +24,9 @@ Two rollout backends drive the penalty solver:
 
 One function, :func:`_race`, runs that race for any number of planners.
 A vectorized :class:`MPCPlanner` is its one-planner case;
-:class:`MPCPlannerVec` runs S independent planners in lockstep, every
-pending scenario's stencil stacked into one kernel call per round.  Each
+:class:`MPCPlannerVec` takes S independent vectorized planners (the
+lockstep OTEM columns' own) and runs them in lockstep, every pending
+scenario's stencil stacked into one kernel call per round.  Each
 scenario's iterate sequence is exactly what its own
 ``MPCPlanner(rollout_backend="vectorized")`` would produce (same starts,
 same budgets, same solver protocol) - the batching changes when
@@ -621,74 +622,61 @@ class MPCPlannerVec:
     *single* kernel call per round via
     :meth:`repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`.
 
-    Equivalence contract: scenario ``j``'s plans are identical to what a
-    private ``MPCPlanner(models[j], ..., rollout_backend="vectorized")``
-    would produce for the same replan sequence - same starts, same
-    warm/cold budgets, same L-BFGS-B iterate trajectory (the driver is
-    probe-verified bitwise against ``optimize.minimize``), same winner
-    race.  ``tests/core/test_mpc.py::TestBatchedPlanner`` asserts exact
-    equality of plan actions, cost, iteration counts and solver stats.
+    Equivalence contract: scenario ``j``'s plans are identical to what
+    ``planners[j]`` would produce through :meth:`MPCPlanner.plan` for the
+    same replan sequence - same starts, same warm/cold budgets, same
+    L-BFGS-B iterate trajectory (the driver is probe-verified bitwise
+    against ``optimize.minimize``), same winner race.
+    ``tests/core/test_mpc.py::TestBatchedPlanner`` asserts exact equality
+    of plan actions, cost, iteration counts and solver stats.
 
     Parameters
     ----------
-    models:
-        One :class:`~repro.core.rollout.PredictionModel` per scenario.
-        All models must share every constant except the ultracapacitor
-        bank energy ``ecap`` (within a lockstep MPC group only the bank
-        size varies; anything else means the group was mis-keyed).
-    horizon / step_s / max_function_evals:
-        Shared solver shape, as for :class:`MPCPlanner`.
+    planners:
+        One vectorized-backend penalty :class:`MPCPlanner` per scenario
+        (an OTEM controller's :attr:`~repro.core.otem.OTEMController.planner`).
+        Each keeps its own warm start, counters and win attribution; this
+        twin races them jointly and each books its own solve.  They must
+        share one solver shape (horizon, step, budget) and their models
+        every constant except the ultracapacitor bank energy ``ecap``
+        (within a lockstep MPC group only the bank size varies; anything
+        else means the group was mis-keyed).
     """
 
     #: Model constants allowed to vary across the group.
     VARYING_CONSTANTS = frozenset({"ecap"})
 
-    def __init__(
-        self,
-        models: Sequence[PredictionModel],
-        horizon: int = 12,
-        step_s: float = 5.0,
-        max_function_evals: int = 150,
-    ):
-        if not models:
-            raise ValueError("MPCPlannerVec needs at least one model")
-        ref = models[0].__dict__
-        for j, mdl in enumerate(models[1:], start=1):
-            for key, val in mdl.__dict__.items():
-                if key in self.VARYING_CONSTANTS:
-                    continue
-                if not np.all(ref[key] == val):
+    def __init__(self, planners: Sequence[MPCPlanner]):
+        if not planners:
+            raise ValueError("MPCPlannerVec needs at least one planner")
+        p0 = planners[0]
+        shape = (p0._n, p0._dt, p0._maxfun, "penalty", "vectorized")
+        ref = p0._model.__dict__
+        for j, p in enumerate(planners):
+            own = (p._n, p._dt, p._maxfun, p._method, p._backend)
+            if own != shape:
+                raise ValueError(
+                    f"planner {j} has solver shape (horizon, step, budget, "
+                    f"method, backend) {own}; a lockstep MPC group needs {shape}"
+                )
+            for key, val in p._model.__dict__.items():
+                if key not in self.VARYING_CONSTANTS and not np.all(ref[key] == val):
                     raise ValueError(
                         f"model {j} differs from model 0 in {key!r}; a "
                         "lockstep MPC group may only vary "
                         f"{sorted(self.VARYING_CONSTANTS)}"
                     )
-        # one vectorized planner per scenario carries that scenario's warm
-        # start, counters, and win attribution; plan_batch() races them
-        # jointly and each planner books its own solve
-        self._planners = [
-            MPCPlanner(
-                mdl,
-                horizon=horizon,
-                step_s=step_s,
-                max_function_evals=max_function_evals,
-                method="penalty",
-                rollout_backend="vectorized",
-            )
-            for mdl in models
-        ]
-        self._n = horizon
-        self._dt = step_s
+        self._planners = list(planners)
 
     @property
     def horizon(self) -> int:
         """Control-window length N (shared by the group)."""
-        return self._n
+        return self._planners[0].horizon
 
     @property
     def step_s(self) -> float:
         """Horizon step duration [s] (shared by the group)."""
-        return self._dt
+        return self._planners[0].step_s
 
     @property
     def scenarios(self) -> int:
@@ -740,7 +728,7 @@ class MPCPlannerVec:
         states = np.asarray(states, dtype=float)
         if states.shape != (m, 4):
             raise ValueError(f"states must be {(m, 4)}, got {states.shape}")
-        previews = _pad_previews(previews, self._n)
+        previews = _pad_previews(previews, self.horizon)
         if previews.shape[0] != m:
             raise ValueError(f"previews must have {m} rows, got {previews.shape[0]}")
-        return _race(planners, states, previews, self._dt)
+        return _race(planners, states, previews, self.step_s)

@@ -32,9 +32,9 @@ def prediction_model(
 
     The converters come from probes of the plant's own pack and bank, so
     they are identical to the plant's defaults and the predictions match
-    the simulated HEES.  Both :class:`OTEMController` and the lockstep
-    twin (:class:`repro.controllers.batched.BatchedOTEM`) build their
-    models here.
+    the simulated HEES.  :class:`OTEMController` builds its model here;
+    the lockstep twin (:class:`repro.controllers.batched.BatchedOTEM`)
+    races the controllers' own planners, so it shares these models.
     """
     return PredictionModel(
         pack_config,

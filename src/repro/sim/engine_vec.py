@@ -13,7 +13,10 @@ Equivalence contract
 Every model twin (``BatteryPackVec``, ``UltracapBankVec``, the plant and
 cooling twins, the batched policies) mirrors its scalar counterpart
 expression-for-expression, with branches re-expressed as ``np.where`` masks
-that never round-trip untouched state.  A column of a lockstep run is
+that never round-trip untouched state.  Each batched policy is built from
+the scalar controller :func:`repro.sim.scenario.build_controller` returns
+and reads its thresholds and solver settings from it, so the two cannot
+disagree on a parameter.  A column of a lockstep run is
 therefore bitwise-identical to the scalar run of that scenario - verified
 channel-by-channel in ``tests/sim/test_engine_vec.py`` - except for two
 bookkeeping-only channels (``loss_increment_percent``, ``converter_loss_j``)
@@ -37,7 +40,9 @@ freely within a group as long as the architecture-defining fields match
 (:func:`lockstep_key` - which for OTEM also pins the solver shape);
 cycle lengths may be ragged - columns are zero-padded to the longest
 route and truncated on output, which is exact because no operation
-couples columns.
+couples columns.  :func:`run_lockstep_group` builds a baseline group's
+one scalar policy (the key fixes everything that configures it) and an
+OTEM group's per-column controllers, then makes the twin from them.
 """
 
 from __future__ import annotations
@@ -46,11 +51,7 @@ import numpy as np
 
 from repro.battery.pack import BatteryPackVec
 from repro.controllers.base import Architecture
-from repro.controllers.batched import (
-    BATCHED_CONTROLLERS,
-    BatchedOTEM,
-    build_batched_controller,
-)
+from repro.controllers.batched import BATCHED_CONTROLLERS, BatchedOTEM
 from repro.cooling.loop import CoolingLoop
 from repro.drivecycle.library import get_cycle
 from repro.hees.dual import DualHEESVec
@@ -62,7 +63,7 @@ from repro.hees.hybrid import (
 from repro.hees.parallel import ParallelHEESVec
 from repro.sim.engine import SimulationResult
 from repro.sim.metrics import compute_metrics
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, build_controller
 from repro.sim.trace import CHANNELS, Trace
 from repro.ultracap.bank import UltracapBank, UltracapBankVec
 from repro.vehicle.powertrain import Powertrain, PowerRequest
@@ -195,10 +196,13 @@ def run_lockstep_group(
     for j, r in enumerate(requests):
         power[: len(r), j] = r.power_w
 
+    # the twin is built from the scalar controllers build_controller
+    # returns, so each policy is defined once (see repro.controllers.batched)
     if first.methodology == "otem":
-        controller = BatchedOTEM.from_scenarios(scenarios)
+        controller = BatchedOTEM([build_controller(s) for s in scenarios])
     else:
-        controller = build_batched_controller(first.methodology, first.coolant)
+        twin = BATCHED_CONTROLLERS[first.methodology]
+        controller = twin(build_controller(first))
     controller.reset(m)
     is_mpc = getattr(controller, "is_mpc", False)
     arch = controller.architecture

@@ -1,0 +1,148 @@
+"""Lockstep twins follow the scalar policy they are built from.
+
+Each twin reads its thresholds from the scalar controller it mirrors, so
+a policy built with non-default thresholds must drive every twin column
+to the scalar decision at every step - not to a copy of the defaults.
+The sequences below cross every threshold of the custom policies (and
+sit where the default thresholds would decide differently).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.controllers.base import Observation
+from repro.controllers.batched import (
+    BatchedCoolingOnly,
+    BatchedDualThreshold,
+    BatchedHybridHeuristic,
+    BatchedOTEM,
+)
+from repro.controllers.cooling_only import CoolingOnlyController
+from repro.controllers.dual_threshold import DualThresholdController
+from repro.controllers.heuristic import HybridHeuristicController
+from repro.cooling.coolant import DEFAULT_COOLANT
+from repro.core.otem import OTEMController
+from repro.hees.dual import DualHEESVec
+
+#: A coolant whose full-cold inlet differs from the default's.
+COOLANT = dataclasses.replace(DEFAULT_COOLANT, min_inlet_temp_k=285.0)
+
+# fmt: off
+#: Battery temperatures [K]: rise through 309-311 K, fall back to 299 K,
+#: rise again.  Column 1 runs the sequence reversed.
+TEMPS = np.array(
+    [297.0, 299.5, 301.0, 303.0, 305.0, 308.0, 309.5, 311.0, 310.0, 309.5,
+     306.0, 304.0, 302.0, 300.5, 299.0, 301.5, 303.5, 306.5, 310.5, 305.5]
+)
+#: Bank SoE [%]: drains below 40 % mid-route, then recovers past 80 %.
+SOES = np.array(
+    [95.0, 85.0, 78.0, 72.0, 65.0, 55.0, 48.0, 42.0, 38.0, 35.0,
+     45.0, 55.0, 62.0, 68.0, 75.0, 82.0, 88.0, 60.0, 50.0, 41.0]
+)
+#: Bus requests [W]: peaks, lulls and regen around the moving average.
+REQUESTS = np.array(
+    [20e3, 35e3, 5e3, -8e3, 40e3, 10e3, 0.0, 25e3, -15e3, 30e3,
+     2e3, 50e3, 12e3, -4e3, 18e3, 60e3, 1e3, 22e3, -20e3, 8e3]
+)
+# fmt: on
+
+POLICIES = {
+    "cooling": (
+        BatchedCoolingOnly,
+        lambda: CoolingOnlyController(
+            temp_on_k=305.0, temp_off_k=301.0, coolant=COOLANT
+        ),
+    ),
+    "dual": (
+        BatchedDualThreshold,
+        lambda: DualThresholdController(
+            temp_switch_k=309.0,
+            temp_resume_k=304.0,
+            soe_floor_percent=40.0,
+            soe_target_percent=80.0,
+            recharge_power_w=5_000.0,
+            recharge_temp_max_k=306.0,
+        ),
+    ),
+    "heuristic": (
+        BatchedHybridHeuristic,
+        lambda: HybridHeuristicController(
+            smoothing=0.3,
+            recharge_power_w=2_500.0,
+            soe_target_percent=70.0,
+            temp_on_k=306.0,
+            temp_off_k=302.0,
+            coolant=COOLANT,
+        ),
+    ),
+}
+
+
+def _obs(k, request, temp, soe):
+    return Observation(
+        step_index=k,
+        time_s=float(k),
+        dt=1.0,
+        power_request_w=float(request),
+        preview_w=np.full(10, float(request)),
+        battery_soc_percent=90.0,
+        battery_temp_k=float(temp),
+        coolant_temp_k=float(temp),
+        cap_soe_percent=float(soe),
+    )
+
+
+@pytest.mark.parametrize("methodology", sorted(POLICIES))
+def test_each_column_follows_its_scalar_policy(methodology):
+    twin_cls, make = POLICIES[methodology]
+    twin = twin_cls(make())
+    twin.reset(2)
+    refs = [make(), make()]
+    assert (twin.name, twin.architecture) == (refs[0].name, refs[0].architecture)
+    requests = np.stack([REQUESTS, REQUESTS[::-1]])
+    temps = np.stack([TEMPS, TEMPS[::-1]])
+    soes = np.stack([SOES, SOES[::-1]])
+    seen = set()
+    for k in range(len(TEMPS)):
+        batch = twin.control(requests[:, k], temps[:, k], soes[:, k])
+        inlet = np.broadcast_to(batch.inlet_temp_k, (2,))
+        for j, ref in enumerate(refs):
+            d = ref.control(_obs(k, requests[j, k], temps[j, k], soes[j, k]))
+            got = (
+                batch.cap_bus_w[j],
+                batch.dual_mode[j],
+                batch.recharge_power_w[j],
+                batch.cooling_active[j],
+                inlet[j],
+            )
+            want = (
+                d.cap_bus_w,
+                DualHEESVec.MODE_CODES[d.dual_mode],
+                d.recharge_power_w,
+                d.cooling_active,
+                d.inlet_temp_k,
+            )
+            assert got == want, (k, j)
+            seen.add((d.dual_mode, d.cooling_active, np.sign(d.cap_bus_w)))
+    # the sequence must exercise every branch of the policy under test
+    if methodology == "dual":
+        assert {mode for mode, _, _ in seen} == set(DualHEESVec.MODE_CODES)
+    else:
+        assert {cool for _, cool, _ in seen} == {False, True}
+    if methodology == "heuristic":
+        assert {sign for _, _, sign in seen} == {-1.0, 0.0, 1.0}
+
+
+def test_otem_twin_refuses_persistence_preview():
+    """The lockstep MPC previews the route; a persistence-preview
+    controller would silently get the perfect preview instead."""
+    knobs = dict(horizon=3, mpc_step_s=30.0, rollout_backend="vectorized")
+    with pytest.raises(ValueError, match="persistence"):
+        BatchedOTEM(
+            [
+                OTEMController(**knobs),
+                OTEMController(**knobs, preview_mode="persistence"),
+            ]
+        )

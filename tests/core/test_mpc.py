@@ -221,25 +221,18 @@ class TestBatchedPlanner:
     def _models(self):
         return [make_model(), make_model(capacitance_f=5_000.0), make_model()]
 
-    def _planner_pair(self):
-        models = self._models()
-        vec = MPCPlannerVec(
-            models,
+    def _planners(self, models=None, **overrides):
+        knobs = dict(
             horizon=self.HORIZON,
             step_s=self.STEP,
             max_function_evals=self.EVALS,
+            rollout_backend="vectorized",
         )
-        refs = [
-            MPCPlanner(
-                mdl,
-                horizon=self.HORIZON,
-                step_s=self.STEP,
-                max_function_evals=self.EVALS,
-                rollout_backend="vectorized",
-            )
-            for mdl in models
-        ]
-        return vec, refs
+        knobs.update(overrides)
+        return [MPCPlanner(mdl, **knobs) for mdl in models or self._models()]
+
+    def _planner_pair(self):
+        return MPCPlannerVec(self._planners()), self._planners()
 
     @staticmethod
     def _assert_plans_equal(plan, ref_plan):
@@ -357,7 +350,24 @@ class TestBatchedPlanner:
         group was mis-keyed upstream."""
         models = [make_model(), make_model(weights=CostWeights(w1=123.0))]
         with pytest.raises(ValueError, match="lockstep MPC group"):
-            MPCPlannerVec(models)
+            MPCPlannerVec(self._planners(models))
+
+    @pytest.mark.parametrize(
+        "change",
+        (
+            {"horizon": HORIZON + 1},
+            {"max_function_evals": EVALS + 10},
+            {"rollout_backend": "scalar"},
+        ),
+        ids=("horizon", "budget", "backend"),
+    )
+    def test_rejects_planners_with_another_solver_shape(self, change):
+        """The group races one driver: horizon, budget and backend must
+        match, or the joint solve would not replay each planner's own."""
+        planners = self._planners()
+        planners[1] = self._planners(**change)[1]
+        with pytest.raises(ValueError, match="solver shape"):
+            MPCPlannerVec(planners)
 
     def test_rejects_wrong_state_shape(self):
         vec, _ = self._planner_pair()

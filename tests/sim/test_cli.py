@@ -165,6 +165,8 @@ class TestServiceCommands:
         assert code == 0
         assert "dual" in text and "parallel" not in text
 
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_submit_from_spec_file(self, server, tmp_path):
         from repro.service import SweepSpec
         from repro.sim.scenario import Scenario
