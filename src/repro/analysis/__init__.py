@@ -2,9 +2,12 @@
 
 Each ``fig*_data`` / ``table1_data`` function runs the required scenarios
 and returns a plain data structure with exactly the series/rows the paper
-plots or tabulates; ``repro.analysis.report`` renders them as text.  The
-``benchmarks/`` directory wraps these in pytest-benchmark entries, and
-EXPERIMENTS.md records paper-vs-measured values.
+plots or tabulates; ``repro.analysis.report`` renders them as text.  Every
+summary artefact (Table I, Fig. 8/9, the sensitivity check) runs its grid
+through :func:`repro.sim.batch.run_batch`; Fig. 8 and Fig. 9 share one
+sweep, ``fig8_data``.  The trace figures (1, 6, 7) run each cell on its
+own.  The ``benchmarks/`` directory wraps these in pytest-benchmark
+entries, and EXPERIMENTS.md records paper-vs-measured values.
 
 Scale note: the paper drives US06 five times for the temperature analyses;
 the generators take a ``repeat`` argument so tests/benches can use shorter
@@ -20,7 +23,6 @@ from repro.analysis.figures import (
     fig6_data,
     fig7_data,
     fig8_data,
-    fig9_data,
 )
 from repro.analysis.tables import Table1Data, Table1Row, table1_data
 from repro.analysis.report import (
@@ -51,7 +53,6 @@ __all__ = [
     "fig6_data",
     "fig7_data",
     "fig8_data",
-    "fig9_data",
     "Table1Data",
     "Table1Row",
     "table1_data",

@@ -3,7 +3,9 @@
 Every generator returns the exact series the corresponding figure plots;
 nothing here draws - rendering (text tables) lives in
 :mod:`repro.analysis.report`, and plotting is left to downstream users (the
-arrays are plain numpy).
+arrays are plain numpy).  Fig. 1, 6 and 7 plot traces, so they run each
+cell on its own; Fig. 8 and 9 plot per-cell summaries, so their one sweep
+runs through :func:`~repro.sim.batch.run_batch`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.core.teb import teb_preparation_score, teb_trace, upcoming_demand_w
+from repro.sim.batch import run_batch, scenario_grid
 from repro.sim.metrics import SAFE_TEMP_MAX_K
 from repro.sim.scenario import Scenario, run_scenario
 
@@ -237,41 +240,20 @@ class MethodologyComparison:
         return 100.0 * (1.0 - float(np.mean(ratios)))
 
 
-def _comparison(
-    cycles: Sequence[str],
-    methodologies: Sequence[str],
-    repeat: int,
-    ucap_farads: float,
-) -> MethodologyComparison:
-    qloss: Dict[str, Dict[str, float]] = {}
-    power: Dict[str, Dict[str, float]] = {}
-    ratio: Dict[str, Dict[str, float]] = {}
-    for cycle in cycles:
-        qloss[cycle] = {}
-        power[cycle] = {}
-        for m in methodologies:
-            result = run_scenario(
-                Scenario(
-                    methodology=m,
-                    cycle=cycle,
-                    repeat=repeat,
-                    ucap_farads=ucap_farads,
-                )
-            )
-            qloss[cycle][m] = result.metrics.qloss_percent
-            power[cycle][m] = result.metrics.average_power_w
-        base = qloss[cycle].get("parallel")
-        ratio[cycle] = {
-            m: (qloss[cycle][m] / base if base else float("nan"))
-            for m in methodologies
-        }
-    return MethodologyComparison(
-        cycles=tuple(cycles),
-        methodologies=tuple(methodologies),
-        qloss_percent=qloss,
-        avg_power_w=power,
-        qloss_ratio_vs_parallel=ratio,
-    )
+def _pivot(cells, row_field: str, metric: str) -> Dict:
+    """``{row: {methodology: value}}`` of one metric over batch cells.
+
+    ``row_field`` names the :class:`Scenario` field that keys the rows
+    (``cycle`` for Fig. 8/9, ``ucap_farads`` for Table I); rows and
+    methodologies keep the cells' order.
+    """
+    table: Dict = {}
+    for cell in cells:
+        s = cell.scenario
+        table.setdefault(getattr(s, row_field), {})[s.methodology] = getattr(
+            cell.metrics, metric
+        )
+    return table
 
 
 def fig8_data(
@@ -280,19 +262,30 @@ def fig8_data(
     repeat: int = 2,
     ucap_farads: float = 25_000.0,
 ) -> MethodologyComparison:
-    """Reproduce Fig. 8: battery-lifetime (capacity-loss) comparison."""
-    return _comparison(cycles, methodologies, repeat, ucap_farads)
+    """Reproduce Fig. 8 and Fig. 9: capacity loss and average power.
 
-
-def fig9_data(
-    cycles: Sequence[str] = ALL_CYCLES,
-    methodologies: Sequence[str] = ALL_METHODOLOGIES,
-    repeat: int = 2,
-    ucap_farads: float = 25_000.0,
-) -> MethodologyComparison:
-    """Reproduce Fig. 9: average power-consumption comparison.
-
-    Identical sweep to Fig. 8 (the paper derives both figures from the same
-    runs); provided separately so each figure has a dedicated bench target.
+    The paper draws both figures from the same runs, so this one
+    (cycle x methodology) sweep backs ``render_fig8`` and ``render_fig9``.
+    It runs through :func:`repro.sim.batch.run_batch`, which groups each
+    baseline's cells across the cycles into one lockstep group.
     """
-    return _comparison(cycles, methodologies, repeat, ucap_farads)
+    grid = scenario_grid(
+        Scenario(repeat=repeat, ucap_farads=ucap_farads),
+        cycle=cycles,
+        methodology=methodologies,
+    )
+    cells = run_batch(grid).raise_on_failure().cells
+    qloss = _pivot(cells, "cycle", "qloss_percent")
+    ratio = {}
+    for cycle, row in qloss.items():
+        base = row.get("parallel")
+        ratio[cycle] = {
+            m: (value / base if base else float("nan")) for m, value in row.items()
+        }
+    return MethodologyComparison(
+        cycles=tuple(cycles),
+        methodologies=tuple(methodologies),
+        qloss_percent=qloss,
+        avg_power_w=_pivot(cells, "cycle", "average_power_w"),
+        qloss_ratio_vs_parallel=ratio,
+    )

@@ -70,8 +70,12 @@ def render_fig9(data: MethodologyComparison) -> str:
 
 
 def render_table1(data: Table1Data) -> str:
-    """Table I in the paper's layout."""
-    methods = ("parallel", "dual", "otem")
+    """Table I in the paper's layout, over the methods its rows hold.
+
+    Columns follow the rows' order, which :func:`~repro.analysis.tables.
+    table1_data` takes from its ``methods`` (``TABLE1_METHODS`` by default).
+    """
+    methods = tuple(data.rows[0].avg_power_w) if data.rows else ()
     lines = [
         f"Table I - Ultracapacitor size analysis ({data.cycle.upper()} x{data.repeat})",
         f"{'size [F]':>10} | "

@@ -3,8 +3,8 @@
 DESIGN.md section 6 records the parameters chosen to place the system in
 the paper's operating regime.  This module checks how robust the paper's
 *orderings* are to those choices: perturb one calibration knob at a time,
-re-run the (fast) baseline methodologies, and report whether each headline
-ordering still holds.
+re-run the (fast) baseline methodologies as one batch grid, and report
+whether each headline ordering still holds.
 
 Used by ``benchmarks/bench_sensitivity.py`` and directly as a library
 facility for anyone re-calibrating the models.
@@ -17,7 +17,8 @@ from typing import Callable, Dict
 
 from repro.battery.pack import DEFAULT_PACK, PackConfig
 from repro.cooling.coolant import DEFAULT_COOLANT
-from repro.sim.scenario import Scenario, run_scenario
+from repro.sim.batch import run_batch
+from repro.sim.scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -152,26 +153,33 @@ def check_orderings(
     cycle: str = "us06",
     repeat: int = 3,
     methodologies=("parallel", "cooling", "dual"),
-    runner: Callable = run_scenario,
 ) -> list:
     """Run the baseline set under each perturbation; return ordering checks.
 
-    OTEM is excluded by default (it re-optimizes per configuration, so its
-    win is even more robust than the baselines' - and it is 100x slower to
-    sweep; include it explicitly if wanted).
+    Every (case x methodology) cell runs as one grid through
+    :func:`repro.sim.batch.run_batch`.  OTEM is excluded by default (it
+    re-optimizes per configuration, so its win is even more robust than the
+    baselines' - and it is 100x slower to sweep; include it explicitly if
+    wanted).
     """
     cases = default_cases() if cases is None else cases
     base = Scenario(methodology="parallel", cycle=cycle, repeat=repeat)
+    grid = [
+        case.scenario_patch(replace(base, methodology=m))
+        for case in cases
+        for m in methodologies
+    ]
+    cells = run_batch(grid).raise_on_failure().cells
+    n = len(methodologies)
     out = []
-    for case in cases:
-        qloss = {}
-        power = {}
-        for m in methodologies:
-            scenario = case.scenario_patch(replace(base, methodology=m))
-            result = runner(scenario)
-            qloss[m] = result.metrics.qloss_percent
-            power[m] = result.metrics.average_power_w
+    for i, case in enumerate(cases):
+        row = cells[i * n : (i + 1) * n]
+        metrics = {c.scenario.methodology: c.metrics for c in row}
         out.append(
-            OrderingCheck(case=case.name, qloss_percent=qloss, avg_power_w=power)
+            OrderingCheck(
+                case=case.name,
+                qloss_percent={m: x.qloss_percent for m, x in metrics.items()},
+                avg_power_w={m: x.average_power_w for m, x in metrics.items()},
+            )
         )
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+from repro.analysis.figures import _pivot
 from repro.sim.batch import run_batch
 from repro.sim.scenario import Scenario
 
@@ -89,12 +90,8 @@ def table1_data(
     ]
     batch = run_batch(scenarios, workers=workers).raise_on_failure()
 
-    raw_qloss: Dict[float, Dict[str, float]] = {s: {} for s in sizes_f}
-    raw_power: Dict[float, Dict[str, float]] = {s: {} for s in sizes_f}
-    for cell in batch.cells:
-        s = cell.scenario
-        raw_qloss[s.ucap_farads][s.methodology] = cell.metrics.qloss_percent
-        raw_power[s.ucap_farads][s.methodology] = cell.metrics.average_power_w
+    raw_qloss = _pivot(batch.cells, "ucap_farads", "qloss_percent")
+    raw_power = _pivot(batch.cells, "ucap_farads", "average_power_w")
 
     reference = raw_qloss[max(sizes_f)].get("parallel")
     rows = []

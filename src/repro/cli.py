@@ -23,6 +23,7 @@ from repro.analysis.figures import ALL_METHODOLOGIES, METHOD_LABELS
 from repro.analysis.report import render_table1
 from repro.analysis.tables import table1_data
 from repro.drivecycle.library import available_cycles, get_cycle
+from repro.sim.batch import run_batch
 from repro.sim.engine import SimulationResult
 from repro.sim.scenario import METHODOLOGIES, Scenario, run_scenario
 from repro.utils.units import kelvin_to_celsius
@@ -329,17 +330,16 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
-    results = {}
-    for m in ALL_METHODOLOGIES:
-        results[m] = run_scenario(_scenario_from_args(args, methodology=m))
-    base = results["parallel"].metrics.qloss_percent
+    grid = [_scenario_from_args(args, methodology=m) for m in ALL_METHODOLOGIES]
+    cells = run_batch(grid).raise_on_failure().cells
+    results = {cell.scenario.methodology: cell.metrics for cell in cells}
+    base = results["parallel"].qloss_percent
     print(
         f"{'methodology':>14} {'Qloss [%]':>10} {'vs par':>8} "
         f"{'avg P [kW]':>11} {'peak T [C]':>11}",
         file=out,
     )
-    for m, result in results.items():
-        metrics = result.metrics
+    for m, metrics in results.items():
         print(
             f"{METHOD_LABELS[m]:>14} {metrics.qloss_percent:>10.4f} "
             f"{100 * metrics.qloss_percent / base:>7.1f}% "
@@ -381,9 +381,10 @@ def cmd_export(args, out) -> int:
     return 0
 
 
-def _grid_from_args(args) -> tuple:
-    """(base scenario, axes) from the shared grid flags (batch + submit)."""
-    base = Scenario(repeat=args.repeat)
+def _spec_from_args(args, **execution):
+    """The sweep spec of the shared grid flags (batch + submit)."""
+    from repro.service import SweepSpec
+
     axes = {
         "methodology": args.methodology or ["otem"],
         "cycle": args.cycle or ["us06"],
@@ -391,53 +392,53 @@ def _grid_from_args(args) -> tuple:
         "initial_temp_k": [t + 273.15 for t in (args.initial_temp_c or [24.85])],
         "rollout_backend": args.rollout_backend or ["scalar"],
     }
-    return base, axes
+    return SweepSpec(
+        base=Scenario(repeat=args.repeat), axes=axes, seeds=args.seeds, **execution
+    )
+
+
+def _print_rows(rows, out):
+    """The sweep-row table ``repro batch`` and ``repro query --rows`` print."""
+    print(
+        f"{'methodology':>12} {'cycle':>10} {'size [F]':>9} {'T0 [C]':>7} "
+        f"{'Qloss [%]':>10} {'avg P [kW]':>11} {'peak T [C]':>11} "
+        f"{'wall [s]':>9} {'engine':>9} {'':>6}",
+        file=out,
+    )
+    for row in rows:
+        cycle = row["cycle"]
+        if row["perturb_seed"] is not None:
+            cycle = f"{cycle}~{row['perturb_seed']}"
+        knobs = (
+            f"{row['methodology']:>12} {cycle:>10} {row['ucap_farads']:>9.0f} "
+            f"{row['initial_temp_k'] - 273.15:>7.1f}"
+        )
+        if row["error"]:
+            print(f"{knobs} FAILED: {row['error']}", file=out)
+            continue
+        tag = "cached" if row.get("cached") else ""
+        print(
+            f"{knobs} {row['qloss_percent']:>10.4f} "
+            f"{row['average_power_w'] / 1000:>11.2f} "
+            f"{kelvin_to_celsius(row['peak_temp_k']):>11.1f} "
+            f"{row['wall_s']:>9.2f} {row['engine_backend']:>9} {tag:>6}",
+            file=out,
+        )
 
 
 def cmd_batch(args, out) -> int:
     import json
 
-    from repro.sim.batch import run_batch, scenario_grid
     from repro.store import ExperimentStore
-
-    base, axes = _grid_from_args(args)
-    if args.seeds:
-        axes["perturb_seed"] = list(range(args.seeds))
-    scenarios = scenario_grid(base, **axes)
 
     store = None if args.no_cache else ExperimentStore(args.store_dir)
     result = run_batch(
-        scenarios,
+        _spec_from_args(args).scenarios(),
         workers=args.workers,
         store=store,
         timeout_s=args.timeout,
     )
-
-    print(
-        f"{'methodology':>12} {'cycle':>10} {'size [F]':>9} {'T0 [C]':>7} "
-        f"{'Qloss [%]':>10} {'avg P [kW]':>11} {'peak T [C]':>11} "
-        f"{'wall [s]':>9} {'':>6}",
-        file=out,
-    )
-    for cell in result.cells:
-        s = cell.scenario
-        cycle_label = s.cycle if s.perturb_seed is None else f"{s.cycle}~{s.perturb_seed}"
-        if not cell.ok:
-            print(
-                f"{s.methodology:>12} {cycle_label:>10} {s.ucap_farads:>9.0f} "
-                f"{s.initial_temp_k - 273.15:>7.1f} FAILED: {cell.error}",
-                file=out,
-            )
-            continue
-        m = cell.metrics
-        tag = "cached" if cell.cached else ""
-        print(
-            f"{s.methodology:>12} {cycle_label:>10} {s.ucap_farads:>9.0f} "
-            f"{s.initial_temp_k - 273.15:>7.1f} {m.qloss_percent:>10.4f} "
-            f"{m.average_power_w / 1000:>11.2f} "
-            f"{kelvin_to_celsius(m.peak_temp_k):>11.1f} {cell.wall_s:>9.2f} {tag:>6}",
-            file=out,
-        )
+    _print_rows(result.rows(), out)
     print(
         f"{len(result)} cells in {result.wall_s:.2f} s "
         f"({result.workers or 1} worker(s), "
@@ -495,14 +496,8 @@ def cmd_submit(args, out) -> int:
         text = sys.stdin.read() if args.spec == "-" else Path(args.spec).read_text()
         spec = SweepSpec.from_json(text)
     else:
-        base, axes = _grid_from_args(args)
-        spec = SweepSpec(
-            base=base,
-            axes=axes,
-            seeds=args.seeds,
-            workers=args.workers,
-            timeout_s=args.job_timeout,
-            tag=args.tag,
+        spec = _spec_from_args(
+            args, workers=args.workers, timeout_s=args.job_timeout, tag=args.tag
         )
 
     client = SweepClient(args.url)
@@ -579,26 +574,7 @@ def cmd_query(args, out) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
     rows = payload["rows"]
-    print(
-        f"{'methodology':>12} {'cycle':>10} {'size [F]':>9} "
-        f"{'Qloss [%]':>10} {'peak T [C]':>11} {'engine':>9}",
-        file=out,
-    )
-    for row in rows:
-        if row.get("error"):
-            print(
-                f"{row['methodology']:>12} {row['cycle']:>10} "
-                f"{row['ucap_farads']:>9.0f} FAILED: {row['error']}",
-                file=out,
-            )
-            continue
-        print(
-            f"{row['methodology']:>12} {row['cycle']:>10} "
-            f"{row['ucap_farads']:>9.0f} {row['qloss_percent']:>10.4f} "
-            f"{kelvin_to_celsius(row['peak_temp_k']):>11.1f} "
-            f"{row['engine_backend']:>9}",
-            file=out,
-        )
+    _print_rows(rows, out)
     print(
         f"{len(rows)} row(s), status {payload['status']}"
         + ("" if payload["complete"] else " (incomplete)"),

@@ -12,6 +12,7 @@ from repro.analysis.figures import (
     fig7_data,
     fig8_data,
 )
+from repro.sim.scenario import Scenario, run_scenario
 
 
 class TestFig1:
@@ -93,6 +94,25 @@ class TestFig8:
     def test_reduction_helper(self, data):
         r = data.mean_qloss_reduction_vs_parallel("dual")
         assert np.isfinite(r)
+
+
+class TestFig8MatchesScalarRuns:
+    """The batch sweep (lockstep pairs here) reproduces per-cell scalar runs."""
+
+    def test_cells_match_run_scenario(self):
+        cycles, methods = ("nycc", "hwfet"), ("parallel", "dual")
+        data = fig8_data(cycles=cycles, methodologies=methods, repeat=1)
+        for cycle in cycles:
+            for m in methods:
+                metrics = run_scenario(
+                    Scenario(methodology=m, cycle=cycle, repeat=1)
+                ).metrics
+                assert data.qloss_percent[cycle][m] == pytest.approx(
+                    metrics.qloss_percent, rel=1e-12, abs=0.0
+                )
+                assert data.avg_power_w[cycle][m] == pytest.approx(
+                    metrics.average_power_w, rel=1e-12, abs=0.0
+                )
 
 
 class TestConstants:

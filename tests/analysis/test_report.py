@@ -87,3 +87,13 @@ class TestRenderTable1:
         text = render_table1(table1)
         for m in ("parallel", "dual", "otem"):
             assert m in text
+
+    def test_renders_a_subset_of_methods(self):
+        row = Table1Row(
+            size_f=25_000.0,
+            avg_power_w={"parallel": 18_000.0, "dual": 20_000.0},
+            capacity_loss_pct={"parallel": 100.0, "dual": 85.0},
+        )
+        text = render_table1(Table1Data(cycle="us06", repeat=2, rows=(row,)))
+        assert "P(dual)" in text and "85.00" in text
+        assert "otem" not in text

@@ -1,7 +1,10 @@
 """Calibration-sensitivity tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.analysis import sensitivity
 from repro.analysis.sensitivity import (
     OrderingCheck,
     SensitivityCase,
@@ -67,30 +70,32 @@ class TestOrderingCheck:
 
 
 class TestCheckOrderings:
-    def test_fake_runner_wiring(self):
-        """The sweep passes each methodology through the patched scenario."""
-        seen = []
+    def test_batch_grid_wiring(self, monkeypatch):
+        """One run_batch grid holds every case x methodology cell, patched."""
+        grids = []
+        metrics = SimpleNamespace(qloss_percent=0.1, average_power_w=1_000.0)
 
-        class FakeMetrics:
-            qloss_percent = 0.1
-            average_power_w = 1_000.0
+        def fake_run_batch(grid):
+            grids.append(grid)
+            batch = SimpleNamespace(
+                cells=tuple(SimpleNamespace(scenario=s, metrics=metrics) for s in grid)
+            )
+            return SimpleNamespace(raise_on_failure=lambda: batch)
 
-        class FakeResult:
-            metrics = FakeMetrics()
-
-        def runner(scenario):
-            seen.append((scenario.methodology, scenario.pack.cell.res_base))
-            return FakeResult()
-
+        monkeypatch.setattr(sensitivity, "run_batch", fake_run_batch)
         cases = [
             SensitivityCase("nominal", lambda s: s),
             default_cases()[1],  # res_base +25%
         ]
-        out = check_orderings(cases=cases, runner=runner)
-        assert len(out) == 2
-        assert len(seen) == 6  # 2 cases x 3 methodologies
-        nominal_r = seen[0][1]
-        assert seen[3][1] == pytest.approx(nominal_r * 1.25)
+        out = check_orderings(cases=cases)
+        assert [c.case for c in out] == ["nominal", "res_base +25%"]
+        assert len(grids) == 1
+        (grid,) = grids
+        assert len(grid) == 6  # 2 cases x 3 methodologies
+        assert [s.methodology for s in grid] == ["parallel", "cooling", "dual"] * 2
+        nominal_r = grid[0].pack.cell.res_base
+        for s in grid[3:]:
+            assert s.pack.cell.res_base == pytest.approx(nominal_r * 1.25)
 
     def test_real_nominal_orderings_hold(self):
         """The headline check at reduced scale: orderings survive nominal."""
