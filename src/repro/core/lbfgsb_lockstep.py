@@ -21,35 +21,42 @@ keeps every scenario's trajectory exactly what a scalar solve would
 produce while still paying only ~max(rounds) stacked kernel calls
 instead of sum(rounds) scalar ones.
 
-``setulb`` is a private scipy interface.  The driver therefore probes it
-once (first use) against ``scipy.optimize.minimize`` on a reference
-problem; any discrepancy or signature change flips a permanent fallback
-to per-problem ``optimize.minimize`` calls that reuse the same stacked
-callback with batch size 1 — slower, never wrong.
+Every problem lives in the unit box ``[0, 1]^nvar`` (the MPC's
+normalized decision space) and runs under the MPC's fixed settings
+(:data:`MAXITER`, :data:`FTOL`, :data:`GTOL`); only the per-problem
+evaluation budget varies.
+
+``setulb`` is a private scipy interface whose 17-argument form (ending
+``maxls, ln_task``) arrived with scipy's C port of L-BFGS-B in 1.15.  The
+driver therefore probes it once (first use) against
+``scipy.optimize.minimize`` on a reference problem; a mismatch raises
+``RuntimeError`` naming the installed scipy, and any error the probe hits
+propagates.  There is no second path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 from scipy import optimize
-
-try:  # pragma: no cover - import always succeeds on supported scipy
-    from scipy.optimize import _lbfgsb as _lbfgsb_mod
-except ImportError:  # pragma: no cover
-    _lbfgsb_mod = None
+from scipy.optimize import _lbfgsb as _lbfgsb_mod
 
 #: Maximum L-BFGS-B corrections (scipy's ``maxcor`` default).
 MAXCOR = 10
 #: Maximum line-search steps per iteration (scipy's ``maxls`` default).
 MAXLS = 20
-
-# Lazily-probed compatibility flag: None = not probed yet, True = the
-# setulb driver reproduces optimize.minimize bitwise, False = fall back
-# to serial per-problem optimize.minimize permanently.
-_driver_ok: bool | None = None
+#: Iteration cap of every MPC penalty solve.
+MAXITER = 60
+#: Relative objective-decrease tolerance of every MPC penalty solve.
+FTOL = 1e-12
+#: Projected-gradient tolerance of every MPC penalty solve (scipy's default).
+GTOL = 1e-5
+# setulb takes the ftol as a multiple of machine epsilon
+_FACTR = FTOL / np.finfo(float).eps
 
 # evaluate(X: (B, nvar), idx: (B,)) -> (f: (B,), G: (B, nvar))
 BatchEvaluate = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -75,28 +82,16 @@ class _Problem:
     evaluations including the eager one at x0.
     """
 
-    def __init__(
-        self,
-        index: int,
-        x0: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        maxfun: int,
-        maxiter: int,
-        factr: float,
-        pgtol: float,
-    ) -> None:
+    def __init__(self, index: int, x0: np.ndarray, maxfun: int) -> None:
         n = x0.shape[0]
         m = MAXCOR
         self.index = index
-        self.x = np.clip(x0, lower, upper).astype(np.float64)
+        self.lower = np.zeros(n)
+        self.upper = np.ones(n)
+        self.x = np.clip(x0, 0.0, 1.0).astype(np.float64)
         self.f: np.ndarray | float = np.array(0.0, dtype=np.float64)
         self.g = np.zeros(n, dtype=np.float64)
-        self.lower = lower
-        self.upper = upper
         self.nbd = np.full(n, 2, dtype=np.int32)  # both bounds finite
-        self.factr = factr
-        self.pgtol = pgtol
         self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m, np.float64)
         self.iwa = np.zeros(3 * n, np.int32)
         self.task = np.zeros(2, np.int32)
@@ -105,7 +100,6 @@ class _Problem:
         self.isave = np.zeros(44, np.int32)
         self.dsave = np.zeros(29, np.float64)
         self.maxfun = maxfun
-        self.maxiter = maxiter
         self.n_iterations = 0
         self.nfev = 0
         self.done = False
@@ -139,8 +133,8 @@ class _Problem:
                 self.nbd,
                 self.f,
                 np.asarray(self.g, dtype=np.float64),
-                self.factr,
-                self.pgtol,
+                _FACTR,
+                GTOL,
                 self.wa,
                 self.iwa,
                 self.task,
@@ -158,7 +152,7 @@ class _Problem:
                 return self.x.copy()
             if self.task[0] == 1:
                 self.n_iterations += 1
-                if self.n_iterations >= self.maxiter:
+                if self.n_iterations >= MAXITER:
                     self.task[0] = 5
                     self.task[1] = 504
                 elif self.nfev > self.maxfun:
@@ -179,67 +173,11 @@ class _Problem:
         )
 
 
-def _minimize_serial(
-    evaluate: BatchEvaluate,
-    x0s: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    maxfuns: Sequence[int],
-    maxiter: int,
-    ftol: float,
-    pgtol: float,
+def _run(
+    evaluate: BatchEvaluate, x0s: np.ndarray, maxfuns: Sequence[int]
 ) -> list[DriverResult]:
-    """Fallback: per-problem optimize.minimize over the same callback."""
-    bounds = list(zip(lower.tolist(), upper.tolist()))
-    results: list[DriverResult] = []
-    for j in range(x0s.shape[0]):
-        idx = np.array([j])
-
-        def fun_and_grad(z: np.ndarray, _idx: np.ndarray = idx) -> tuple[float, np.ndarray]:
-            f, g = evaluate(z[None, :], _idx)
-            return float(f[0]), g[0]
-
-        res = optimize.minimize(
-            fun_and_grad,
-            x0s[j],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxfun": int(maxfuns[j]),
-                "maxiter": maxiter,
-                "ftol": ftol,
-                "gtol": pgtol,
-            },
-        )
-        results.append(
-            DriverResult(
-                x=np.asarray(res.x, dtype=np.float64),
-                fun=float(res.fun),
-                nit=int(res.nit),
-                nfev=int(res.nfev),
-                converged=bool(res.success),
-            )
-        )
-    return results
-
-
-def _minimize_lockstep_raw(
-    evaluate: BatchEvaluate,
-    x0s: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    maxfuns: Sequence[int],
-    maxiter: int,
-    ftol: float,
-    pgtol: float,
-) -> list[DriverResult]:
-    """The actual lockstep loop (assumes setulb is usable)."""
-    factr = ftol / np.finfo(float).eps
-    problems = [
-        _Problem(j, x0s[j], lower, upper, int(maxfuns[j]), maxiter, factr, pgtol)
-        for j in range(x0s.shape[0])
-    ]
+    """The lockstep loop: :func:`minimize_lockstep` without its checks."""
+    problems = [_Problem(j, x0, b) for j, (x0, b) in enumerate(zip(x0s, maxfuns))]
     # Round 0: ScalarFunction evaluates eagerly at x0 (one nfev each)
     # before the first setulb call; the first task==3 request is then
     # served from this cache.
@@ -266,70 +204,58 @@ def _minimize_lockstep_raw(
     return [p.result() for p in problems]
 
 
-def _probe_driver() -> bool:
+def _probe_driver() -> None:
     """Check the setulb protocol against optimize.minimize, bitwise.
 
     Runs a small convex-but-not-quadratic reference problem through both
     paths with an identical function and compares the full result tuple.
-    Any exception or mismatch disables the lockstep driver permanently
-    for this process.
+    Raises ``RuntimeError`` on a mismatch; errors either path hits (a
+    changed ``setulb`` signature, say) propagate unchanged.
     """
-    if _lbfgsb_mod is None or not hasattr(_lbfgsb_mod, "setulb"):
-        return False
     center = np.array([0.3, 0.85, 0.1, 0.6])
     x0 = np.array([0.9, 0.1, 0.7, 0.2])
-    lower = np.zeros(4)
-    upper = np.ones(4)
 
-    def evaluate(batch: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = batch - center
-        f = np.sum(d**4 + 0.5 * d**2, axis=1)
-        g = 4.0 * d**3 + d
-        return f, g
+    def fun_and_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = z - center
+        return np.sum(d**4 + 0.5 * d**2, axis=-1), 4.0 * d**3 + d
 
-    try:
-        driven = _minimize_lockstep_raw(
-            evaluate, x0[None, :], lower, upper, [40], 60, 1e-12, 1e-5
-        )[0]
-        ref = optimize.minimize(
-            lambda z: (float(np.sum((z - center) ** 4 + 0.5 * (z - center) ** 2)),
-                       4.0 * (z - center) ** 3 + (z - center)),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * 4,
-            options={"maxfun": 40, "maxiter": 60, "ftol": 1e-12, "gtol": 1e-5},
-        )
-    except Exception:  # pragma: no cover - signature drift path
-        return False
-    return bool(
+    def scalar(z: np.ndarray) -> tuple[float, np.ndarray]:
+        f, g = fun_and_grad(z)
+        return float(f), g
+
+    (driven,) = _run(lambda batch, idx: fun_and_grad(batch), x0[None, :], [40])
+    ref = optimize.minimize(
+        scalar,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, 1.0)] * 4,
+        options={"maxfun": 40, "maxiter": MAXITER, "ftol": FTOL, "gtol": GTOL},
+    )
+    if not (
         np.array_equal(driven.x, np.asarray(ref.x))
         and driven.fun == float(ref.fun)
         and driven.nit == int(ref.nit)
         and driven.nfev == int(ref.nfev)
-    )
+    ):
+        raise RuntimeError(
+            f"the lockstep L-BFGS-B driver does not reproduce "
+            f"scipy.optimize.minimize on scipy {scipy.__version__}; "
+            "it needs the setulb protocol of scipy >= 1.15"
+        )
 
 
+@functools.cache
 def lockstep_available() -> bool:
-    """Whether the batched setulb driver is in use (probes on first call)."""
-    global _driver_ok
-    if _driver_ok is None:
-        _driver_ok = _probe_driver()
-    return _driver_ok
+    """Probe the setulb driver once: ``True``, or the probe's error."""
+    _probe_driver()
+    return True
 
 
 def minimize_lockstep(
-    evaluate: BatchEvaluate,
-    x0s: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    *,
-    maxfun: int | Sequence[int],
-    maxiter: int = 60,
-    ftol: float = 1e-12,
-    pgtol: float = 1e-5,
+    evaluate: BatchEvaluate, x0s: np.ndarray, maxfuns: Sequence[int]
 ) -> list[DriverResult]:
-    """Minimize S independent bound-constrained problems in lockstep.
+    """Minimize S independent problems over the unit box in lockstep.
 
     Parameters
     ----------
@@ -338,28 +264,14 @@ def minimize_lockstep(
         ``(B, nvar)``, ``idx`` maps each row to its problem index, and
         the return is ``(B,)`` values with ``(B, nvar)`` gradients.
     x0s
-        ``(S, nvar)`` initial points (clipped to bounds, as scipy does).
-    lower, upper
-        ``(nvar,)`` bounds shared by all problems.
-    maxfun
-        Function-evaluation budget — scalar, or one per problem.
+        ``(S, nvar)`` initial points (clipped to ``[0, 1]``, as scipy does).
+    maxfuns
+        Function-evaluation budget, one per problem.
     """
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim != 2:
         raise ValueError("x0s must be (S, nvar)")
-    n_problems = x0s.shape[0]
-    if np.isscalar(maxfun):
-        maxfuns: Sequence[int] = [int(maxfun)] * n_problems
-    else:
-        maxfuns = [int(b) for b in maxfun]
-        if len(maxfuns) != n_problems:
-            raise ValueError("len(maxfun) must match the number of problems")
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if not lockstep_available():
-        return _minimize_serial(
-            evaluate, x0s, lower, upper, maxfuns, maxiter, ftol, pgtol
-        )
-    return _minimize_lockstep_raw(
-        evaluate, x0s, lower, upper, maxfuns, maxiter, ftol, pgtol
-    )
+    if len(maxfuns) != x0s.shape[0]:
+        raise ValueError("len(maxfuns) must match the number of problems")
+    lockstep_available()
+    return _run(evaluate, x0s, maxfuns)

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from repro.core.lbfgsb_lockstep import lockstep_available, minimize_lockstep
+from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER, minimize_lockstep
 from repro.core.rollout import PredictionModel, RolloutResult
 from repro.core.rollout_vec import BatchPredictionModel
 
@@ -61,10 +61,7 @@ class SolverStats:
         Objective value achieved by the most recent solve (NaN before the
         first solve; serialize via :attr:`last_cost_or_none`).
     backend:
-        Rollout backend the planner used (``"scalar"`` or ``"vectorized"``);
-        ``"vectorized+serial"`` when the lockstep L-BFGS-B driver failed
-        its probe and every race ran as serial ``optimize.minimize``
-        calls instead (:func:`repro.core.lbfgsb_lockstep.lockstep_available`).
+        Rollout backend the planner used (``"scalar"`` or ``"vectorized"``).
     wins_warm / wins_neutral / wins_full_cool:
         How many solves each multi-start candidate won: the shifted
         previous plan (``warm``), the do-nothing plan (``neutral``), or
@@ -80,11 +77,6 @@ class SolverStats:
     wins_warm: int = 0
     wins_neutral: int = 0
     wins_full_cool: int = 0
-
-    @property
-    def mean_iterations(self) -> float:
-        """Average iterations per solve (0 when nothing was solved)."""
-        return self.total_iterations / self.solves if self.solves else 0.0
 
     @property
     def last_cost_or_none(self) -> float | None:
@@ -223,18 +215,11 @@ class MPCPlanner:
     @property
     def stats(self) -> SolverStats:
         """Optimizer effort accumulated since the last :meth:`reset`."""
-        backend = self._backend
-        if (
-            backend == "vectorized"
-            and self._method == "penalty"
-            and not lockstep_available()
-        ):
-            backend += "+serial"
         return SolverStats(
             solves=self._solves,
             total_iterations=self._total_iterations,
             last_cost=self._last_cost,
-            backend=backend,
+            backend=self._backend,
             wins_warm=self._wins["warm"],
             wins_neutral=self._wins["neutral"],
             wins_full_cool=self._wins["full_cool"],
@@ -265,9 +250,8 @@ class MPCPlanner:
         z[n:] = 0.0
         return z
 
-    def _warm_start(self, coolant_temp_k: float) -> np.ndarray:
-        if self._last_z is None:
-            return self._initial_guess(coolant_temp_k)
+    def _warm_start(self) -> np.ndarray:
+        """The previous plan shifted one step left (needs a previous plan)."""
         n = self._n
         z = self._last_z.copy()
         # shift both input blocks one step left, repeating the tail
@@ -284,45 +268,31 @@ class MPCPlanner:
         self._wins = {"warm": 0, "neutral": 0, "full_cool": 0}
 
     def _starts(self, coolant_temp_k: float) -> list:
-        """Multi-start candidate plans for the penalty solver.
+        """The solve's seeds, as ``[(label, z0, budget), ...]``.
 
         The clamp/hinge kinks can stall a single L-BFGS-B run, so every
         solve races two structured plans (see
         tests/core/test_mpc.py::test_multistart_escapes_stall).  A cold
-        solve races the neutral plan against the full-cool plan; a warm
-        solve races the shifted previous plan against the neutral plan -
-        the previous plan already carries the cooling schedule the
-        full-cool seed exists to provide.  Warm solves used to race all
-        three at full budget, which made them ~1.4x *slower* than cold
-        ones (the warm/cold anomaly BENCH_mpc.json once recorded).
+        solve races the neutral plan against the full-cool plan, both at
+        the full evaluation budget.  A warm solve races the shifted
+        previous plan (full budget) against the neutral plan at half
+        budget: the previous plan already carries the cooling schedule
+        the full-cool seed exists to provide, and the diversifier only
+        has to beat the warm start's basin, not polish within its own
+        (racing all three seeds at full budget made warm solves ~1.4x
+        *slower* than cold ones).  SLSQP, a single-start solver, takes
+        the first seed.
         """
+        neutral = self._initial_guess(coolant_temp_k)
         if self._last_z is None:
-            return [self._initial_guess(coolant_temp_k), self._full_cool_guess()]
+            return [
+                ("neutral", neutral, self._maxfun),
+                ("full_cool", self._full_cool_guess(), self._maxfun),
+            ]
         return [
-            self._warm_start(coolant_temp_k),
-            self._initial_guess(coolant_temp_k),
+            ("warm", self._warm_start(), self._maxfun),
+            ("neutral", neutral, self._maxfun // 2),
         ]
-
-    def _start_labels(self) -> tuple:
-        """Attribution labels for the current :meth:`_starts` candidates."""
-        if self._last_z is None:
-            return ("neutral", "full_cool")
-        return ("warm", "neutral")
-
-    def _budgets(self, n_starts: int) -> list:
-        """Per-start function-evaluation budgets (scalar-path parity).
-
-        Cold solves give both structured seeds the full budget; on warm
-        solves the diversifier seed (the neutral plan) races at half
-        budget - it only has to beat the warm start's basin, not polish
-        within its own.  Together with the two-candidate warm race in
-        _starts this removes the warm/cold anomaly BENCH_mpc.json used
-        to record (warm solves 1.4x slower than cold ones).
-        """
-        budgets = [self._maxfun] * n_starts
-        if self._last_z is not None:
-            budgets[1:] = [self._maxfun // 2] * (n_starts - 1)
-        return budgets
 
     # ------------------------------------------------------------------ #
     # solver backends
@@ -340,13 +310,9 @@ class MPCPlanner:
             cap, inlet = self._denormalize(z)
             return model.rollout_cost(state, cap, inlet, preview, step)
 
-        starts = self._starts(state[1])
-        labels = self._start_labels()
-        budgets = self._budgets(len(starts))
-        best = None
-        best_label = labels[0]
+        best = best_label = None
         iterations = 0
-        for z0, budget, label in zip(starts, budgets, labels):
+        for label, z0, budget in self._starts(state[1]):
             result = optimize.minimize(
                 objective,
                 z0,
@@ -354,9 +320,10 @@ class MPCPlanner:
                 bounds=[(0.0, 1.0)] * (2 * self._n),
                 options={
                     "maxfun": budget,
-                    "maxiter": 60,
-                    "eps": 3e-3,
-                    "ftol": 1e-12,
+                    "maxiter": MAXITER,
+                    "eps": self.FD_EPS,
+                    "ftol": FTOL,
+                    "gtol": GTOL,
                 },
             )
             iterations += int(result.nit)
@@ -404,16 +371,16 @@ class MPCPlanner:
                 ]
             )
 
+        # single-start solver: the race's first seed (warm if there is one)
+        label, z0, _ = self._starts(state[1])[0]
         result = optimize.minimize(
             objective,
-            self._warm_start(state[1]),
+            z0,
             method="SLSQP",
             bounds=[(0.0, 1.0)] * (2 * n),
             constraints=[{"type": "ineq", "fun": constraints}],
             options={"maxiter": max(20, self._maxfun // 10), "ftol": 1e-9},
         )
-        # single-start solver: the (possibly warm) seed wins by default
-        label = "warm" if self._last_z is not None else "neutral"
         return result.x, int(result.nit), float(result.fun), label
 
     def _commit(self, state, preview, step, z, nit, cost, label) -> MPCPlan:
@@ -510,9 +477,9 @@ def _race(planners, states, previews, step) -> list:
     all_labels = []
     rounds = []
     for j, p in enumerate(planners):
-        starts = p._starts(states[j, 1])
+        labels, starts, budgets = zip(*p._starts(states[j, 1]))
         all_starts.append(starts)
-        all_labels.append(p._start_labels())
+        all_labels.append(labels)
         s = len(starts)
         # budget parity with the scalar path: there one scipy fun
         # evaluation is one rollout and a gradient burns 2N+1 of the
@@ -523,9 +490,7 @@ def _race(planners, states, previews, step) -> list:
         # seeds at full budget) gets maxfun/(2N+1) rounds; a warm solve
         # (the diversifier at half budget) gets ~3/4 of that - warm
         # replans are cheaper than cold ones, as on the scalar backend.
-        rounds.append(
-            max(4, int(math.ceil(sum(p._budgets(s)) / (s * (dim + 1)))))
-        )
+        rounds.append(max(4, int(math.ceil(sum(budgets) / (s * (dim + 1))))))
     s = len(all_starts[0])  # always 2 (warm or cold race)
     rows = 2 * dim + 1  # base + forward + backward stencil per block
     offsets = np.zeros((rows, dim))
@@ -571,15 +536,7 @@ def _race(planners, states, previews, step) -> list:
             grads[r] = grad.reshape(s * dim)
         return f, grads
 
-    results = minimize_lockstep(
-        evaluate,
-        x0s,
-        np.zeros(s * dim),
-        np.ones(s * dim),
-        maxfun=rounds,
-        maxiter=60,
-        ftol=1e-12,
-    )
+    results = minimize_lockstep(evaluate, x0s, rounds)
 
     plans = []
     for j, (p, res) in enumerate(zip(planners, results)):
@@ -638,7 +595,7 @@ class MPCPlannerVec:
         Each keeps its own warm start, counters and win attribution; this
         twin races them jointly and each books its own solve.  They must
         share one solver shape (horizon, step, budget) and their models
-        every constant except the ultracapacitor bank energy ``ecap``
+        every constant but the ultracapacitor bank energy ``ecap``
         (within a lockstep MPC group only the bank size varies; anything
         else means the group was mis-keyed).
     """

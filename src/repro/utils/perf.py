@@ -37,11 +37,22 @@ def bench_path(name: str, directory: str | os.PathLike | None = None) -> Path:
 
 
 def _load(path: Path) -> dict:
+    """The JSON object in ``path``; ``{}`` when the file does not exist.
+
+    A file that exists but holds no JSON object raises ``ValueError``:
+    merging into ``{}`` would overwrite it with the new keys alone.
+    """
     try:
-        data = json.loads(path.read_text())
-        return data if isinstance(data, dict) else {}
-    except (OSError, json.JSONDecodeError):
+        text = path.read_text()
+    except FileNotFoundError:
         return {}
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def git_commit(start: str | os.PathLike | None = None) -> str | None:

@@ -8,6 +8,8 @@ the orderings.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -85,3 +87,20 @@ def assert_energy_close(a: float, b: float, rel: float = 1e-6, abs_tol: float = 
 def constant_request():
     """A flat 20 kW request for 60 s (analytic expectations)."""
     return PowerRequest(cycle_name="flat", dt=1.0, power_w=np.full(61, 20_000.0))
+
+
+@pytest.fixture()
+def replace_setulb(monkeypatch):
+    """Install a stand-in for scipy's ``setulb`` in the lockstep driver.
+
+    Returns ``install(setulb)``; the driver re-probes on its next use,
+    during the test and again after it, when the real ``setulb`` is back.
+    """
+    import repro.core.lbfgsb_lockstep as driver
+
+    def install(setulb):
+        monkeypatch.setattr(driver, "_lbfgsb_mod", types.SimpleNamespace(setulb=setulb))
+        driver.lockstep_available.cache_clear()
+
+    yield install
+    driver.lockstep_available.cache_clear()

@@ -8,9 +8,13 @@ produces for that problem alone.  Anything less would make the batched
 MPC planner a different solver rather than a faster one.
 """
 
+import re
+
 import numpy as np
 import pytest
+import scipy
 from scipy import optimize
+from scipy.optimize import _lbfgsb
 
 from repro.core.lbfgsb_lockstep import (
     DriverResult,
@@ -57,20 +61,14 @@ def _reference(j, x0, maxfun):
 class TestBitwiseParity:
     def test_driver_is_available(self):
         """The probe must accept this scipy's setulb signature - otherwise
-        every "lockstep" solve silently runs serial."""
+        every vectorized OTEM solve raises."""
         assert lockstep_available()
 
     def test_heterogeneous_problems_match_scipy(self):
         """7 problems, different objectives and starts, one shared loop."""
         rng = np.random.default_rng(7)
         x0s = rng.uniform(0.0, 1.0, size=(7, NVAR))
-        results = minimize_lockstep(
-            _batch_evaluate,
-            x0s,
-            np.zeros(NVAR),
-            np.ones(NVAR),
-            maxfun=120,
-        )
+        results = minimize_lockstep(_batch_evaluate, x0s, [120] * 7)
         assert len(results) == 7
         for j, res in enumerate(results):
             ref = _reference(j, x0s[j], 120)
@@ -88,13 +86,7 @@ class TestBitwiseParity:
         rng = np.random.default_rng(3)
         x0s = rng.uniform(0.0, 1.0, size=(4, NVAR))
         budgets = [3, 10, 60, 120]
-        results = minimize_lockstep(
-            _batch_evaluate,
-            x0s,
-            np.zeros(NVAR),
-            np.ones(NVAR),
-            maxfun=budgets,
-        )
+        results = minimize_lockstep(_batch_evaluate, x0s, budgets)
         for j, (res, budget) in enumerate(zip(results, budgets)):
             ref = _reference(j, x0s[j], budget)
             np.testing.assert_array_equal(res.x, np.asarray(ref.x))
@@ -105,56 +97,41 @@ class TestBitwiseParity:
 
     def test_out_of_bounds_start_clipped_like_scipy(self):
         x0 = np.array([[-0.5, 1.5, 0.3, 0.3, 0.3, 0.3]])
-        (res,) = minimize_lockstep(
-            _batch_evaluate,
-            x0,
-            np.zeros(NVAR),
-            np.ones(NVAR),
-            maxfun=80,
-        )
+        (res,) = minimize_lockstep(_batch_evaluate, x0, [80])
         ref = _reference(0, x0[0], 80)
         np.testing.assert_array_equal(res.x, np.asarray(ref.x))
         assert res.fun == float(ref.fun)
 
     def test_budget_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="maxfun"):
-            minimize_lockstep(
-                _batch_evaluate,
-                np.full((2, NVAR), 0.5),
-                np.zeros(NVAR),
-                np.ones(NVAR),
-                maxfun=[10],
-            )
+        with pytest.raises(ValueError, match="maxfuns"):
+            minimize_lockstep(_batch_evaluate, np.full((2, NVAR), 0.5), [10])
 
     def test_1d_x0_rejected(self):
         with pytest.raises(ValueError, match="x0s"):
-            minimize_lockstep(
-                _batch_evaluate,
-                np.full(NVAR, 0.5),
-                np.zeros(NVAR),
-                np.ones(NVAR),
-                maxfun=10,
-            )
+            minimize_lockstep(_batch_evaluate, np.full(NVAR, 0.5), [10])
 
 
-class TestSerialFallback:
-    def test_broken_driver_falls_back_and_still_matches(self, monkeypatch):
-        """A setulb signature drift must degrade to per-problem scipy calls,
-        not crash or change answers."""
-        import repro.core.lbfgsb_lockstep as mod
+class TestProbe:
+    """The driver has one path: a setulb it cannot drive is an error."""
 
-        monkeypatch.setattr(mod, "_driver_ok", False)
-        rng = np.random.default_rng(11)
-        x0s = rng.uniform(0.0, 1.0, size=(3, NVAR))
-        results = mod.minimize_lockstep(
-            _batch_evaluate,
-            x0s,
-            np.zeros(NVAR),
-            np.ones(NVAR),
-            maxfun=100,
-        )
-        for j, res in enumerate(results):
-            ref = _reference(j, x0s[j], 100)
-            np.testing.assert_array_equal(res.x, np.asarray(ref.x))
-            assert res.fun == float(ref.fun)
-            assert res.nfev == int(ref.nfev)
+    X0S = np.full((2, NVAR), 0.5)
+
+    def test_setulb_signature_drift_raises(self, replace_setulb):
+        def old_setulb(*args):
+            raise TypeError(f"setulb() takes 18 arguments ({len(args)} given)")
+
+        replace_setulb(old_setulb)
+        with pytest.raises(TypeError, match="takes 18 arguments"):
+            minimize_lockstep(_batch_evaluate, self.X0S, [40, 40])
+
+    def test_setulb_protocol_drift_raises(self, replace_setulb):
+        """A setulb that runs but steps elsewhere than scipy's own loop
+        fails the bitwise probe, naming the installed scipy."""
+
+        def drifting_setulb(m, x, *args):
+            _lbfgsb.setulb(m, x, *args)
+            x *= 1.0 - 1e-9
+
+        replace_setulb(drifting_setulb)
+        with pytest.raises(RuntimeError, match=re.escape(scipy.__version__)):
+            minimize_lockstep(_batch_evaluate, self.X0S, [40, 40])

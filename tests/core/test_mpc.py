@@ -1,7 +1,5 @@
 """MPC planner tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -265,26 +263,54 @@ class TestBatchedPlanner:
         assert vec_stats == ref_stats
 
     def test_lockstep_race_matches_scipy_fallback(self, monkeypatch):
-        """The scipy reference for the race: with the setulb driver
-        forced off, every problem goes through ``optimize.minimize``, and
-        both vectorized planners must still give the lockstep driver's
-        actions, costs and iteration counts bit for bit.  SolverStats
-        name the driver that ran."""
+        """The scipy reference for the race: with every lockstep problem
+        solved by its own ``optimize.minimize`` call instead, both
+        vectorized planners must still give the lockstep driver's
+        actions, costs, iteration counts and SolverStats bit for bit."""
         import scipy.optimize
 
-        import repro.core.lbfgsb_lockstep as driver
+        import repro.core.mpc as mpc
+        from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER, DriverResult
 
         lockstep, lock_vec_stats, lock_ref_stats = self._three_waves()
 
         calls = []
-        minimize = scipy.optimize.minimize
 
-        def counted_minimize(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+        def minimize_serial(evaluate, x0s, maxfuns):
+            results = []
+            for j, (x0, maxfun) in enumerate(zip(x0s, maxfuns)):
+                idx = np.array([j])
 
-        monkeypatch.setattr(driver, "_driver_ok", False)
-        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+                def fun_and_grad(z, _idx=idx):
+                    f, g = evaluate(z[None, :], _idx)
+                    return float(f[0]), g[0]
+
+                calls.append(1)
+                res = scipy.optimize.minimize(
+                    fun_and_grad,
+                    x0,
+                    jac=True,
+                    method="L-BFGS-B",
+                    bounds=[(0.0, 1.0)] * x0.size,
+                    options={
+                        "maxfun": maxfun,
+                        "maxiter": MAXITER,
+                        "ftol": FTOL,
+                        "gtol": GTOL,
+                    },
+                )
+                results.append(
+                    DriverResult(
+                        x=res.x,
+                        fun=float(res.fun),
+                        nit=int(res.nit),
+                        nfev=int(res.nfev),
+                        converged=bool(res.success),
+                    )
+                )
+            return results
+
+        monkeypatch.setattr(mpc, "minimize_lockstep", minimize_serial)
         serial, serial_vec_stats, serial_ref_stats = self._three_waves()
 
         # 3 waves x (3 batched + 3 single-planner) problems, all scipy
@@ -296,12 +322,8 @@ class TestBatchedPlanner:
                 for plan, ref_plan in zip(plans, lock_batched):
                     self._assert_plans_equal(plan, ref_plan)
         lockstep_stats = lock_vec_stats + lock_ref_stats
-        serial_stats = serial_vec_stats + serial_ref_stats
         assert {s.backend for s in lockstep_stats} == {"vectorized"}
-        assert {s.backend for s in serial_stats} == {"vectorized+serial"}
-        assert [dataclasses.replace(s, backend="") for s in serial_stats] == [
-            dataclasses.replace(s, backend="") for s in lockstep_stats
-        ]
+        assert serial_vec_stats + serial_ref_stats == lockstep_stats
 
     def test_stats_carry_winner_attribution(self):
         vec, _ = self._planner_pair()

@@ -282,24 +282,6 @@ class TestSolverStatsPlumbing:
         assert row["solver_backend"] == "vectorized"
         assert row["rollout_backend"] == "vectorized"
 
-    def test_serial_driver_fallback_is_labelled(self, monkeypatch):
-        """When the lockstep L-BFGS-B driver is unavailable the race runs
-        on serial scipy solves, and the row says so."""
-        import repro.core.lbfgsb_lockstep as driver
-
-        monkeypatch.setattr(driver, "_driver_ok", False)
-        scenario = Scenario(
-            methodology="otem",
-            cycle="nycc",
-            mpc_horizon=4,
-            mpc_step_s=30.0,
-            mpc_max_evals=10,
-            rollout_backend="vectorized",
-        )
-        batch = run_batch([scenario])
-        assert batch.cells[0].ok
-        assert batch.rows()[0]["solver_backend"] == "vectorized+serial"
-
     def test_baseline_cell_has_no_solver_stats(self):
         batch = run_batch(GRID[:1])
         assert batch.cells[0].solver is None
@@ -509,6 +491,22 @@ class TestMPCLockstepRouting:
             None,
             "RuntimeError: solver wave diverged",
         ]
+
+    def test_driver_probe_failure_fails_cells(self, replace_setulb):
+        """On a scipy whose setulb the lockstep driver cannot drive, the
+        vectorized OTEM group records the error as its fallback, and the
+        scalar-engine rerun fails each cell with that same error."""
+
+        def old_setulb(*args):
+            raise TypeError("setulb() takes 18 arguments")
+
+        replace_setulb(old_setulb)
+        grid = [OTEM_VEC, dataclasses.replace(OTEM_VEC, ucap_farads=5_000.0)]
+        batch = run_batch(grid)
+        expected = "TypeError: setulb() takes 18 arguments"
+        assert not batch.ok
+        assert [c.fallback for c in batch.cells] == [expected] * 2
+        assert [c.error for c in batch.cells] == [expected] * 2
 
 
 class TestEngineBackendCache:

@@ -6,6 +6,7 @@ import platform
 from datetime import datetime
 
 import numpy as np
+import pytest
 import scipy
 
 from repro.utils.perf import git_commit, record_bench, record_timing
@@ -100,3 +101,18 @@ class TestRecordBench:
         data = json.loads(path.read_text())
         assert data["timings_s"] == {"first": 1.5, "second": 2.5}
         assert data["provenance"]["cpu_count"] == os.cpu_count()
+
+    @pytest.mark.parametrize("content", ["{\"a\": 1", "[1, 2]"])
+    def test_unreadable_file_is_left_untouched(self, tmp_path, content):
+        """A corrupt or non-object BENCH file raises instead of being
+        overwritten with the new keys alone."""
+        path = tmp_path / "BENCH_demo.json"
+        path.write_text(content)
+        for record in (
+            lambda: record_bench("demo", {"b": 2}, directory=tmp_path),
+            lambda: record_timing("demo", "first", 1.5, directory=tmp_path),
+        ):
+            with pytest.raises(ValueError, match="BENCH_demo.json"):
+                record()
+        assert path.read_text() == content
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]
