@@ -8,7 +8,7 @@ than the cold pass.  The measured wall-clocks and the speedup land in the
 perf-trajectory artifact ``BENCH_store.json``.
 
 The 10x floor is intentionally far below reality - a warm pass is pure
-SQLite + npz reads (milliseconds) against seconds of simulation - so the
+SQLite reads (milliseconds) against seconds of simulation - so the
 assertion stays robust on loaded CI runners while still catching a store
 that silently stops serving hits.
 """
@@ -88,5 +88,5 @@ def test_store_warm_pass_is_free_and_byte_identical(benchmark, tmp_path):
     print(
         f"store sweep ({len(SWEEP)} cells): cold {cold.wall_s:.2f} s, "
         f"warm {warm.wall_s:.3f} s (x{speedup:.0f}, "
-        f"{stats.total_bytes / 1024:.0f} KiB on disk) -> {path}"
+        f"{stats.total_bytes / 1024:.1f} KiB of payload JSON) -> {path}"
     )

@@ -11,7 +11,10 @@ Endpoints (all JSON unless noted):
 * ``DELETE /sweeps/<id>`` - cancel a queued/running sweep.
 * ``GET /healthz`` - liveness.
 * ``GET /metrics`` - Prometheus-style text exposition: job states, cell
-  counts, store hit rate, engine backend mix.
+  counts, store hit rate, engine backend mix.  ``repro_store_bytes`` is
+  the stored cells' payload JSON length, not a file size;
+  ``repro_store_quarantined`` counts corrupt cells and sweep records
+  that failed to decode.
 """
 
 from __future__ import annotations

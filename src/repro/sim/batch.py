@@ -370,8 +370,6 @@ def run_batch(
             scalar_methodology = "serial-fallback"
         else:
             scalar_methodology = "process-pool"
-    hits0 = store.hits if store is not None else 0
-    misses0 = store.misses if store is not None else 0
     cancelled = cancel if cancel is not None else (lambda: False)
 
     groups = lockstep_groups(scenarios)
@@ -385,6 +383,9 @@ def run_batch(
     keys: dict = {}
     #: index -> "<ExcType>: msg" of the lockstep group that rerouted it
     fallbacks: dict = {}
+    #: this batch's own store lookups (the store's counters are shared by
+    #: every caller holding the same store object)
+    lookups = {"hits": 0, "misses": 0}
 
     def complete(
         index: int,
@@ -421,6 +422,7 @@ def run_batch(
             scenarios[index], engine_backend=backends[index]
         )
         payload = store.get(keys[index])
+        lookups["misses" if payload is None else "hits"] += 1
         if payload is not None:
             complete(index, payload, cached=True)
         return payload is not None
@@ -498,8 +500,8 @@ def run_batch(
         cells=tuple(cells),
         wall_s=time.perf_counter() - start,
         workers=workers,
-        cache_hits=(store.hits - hits0) if store is not None else 0,
-        cache_misses=(store.misses - misses0) if store is not None else 0,
+        cache_hits=lookups["hits"],
+        cache_misses=lookups["misses"],
         methodology=methodology,
     )
 

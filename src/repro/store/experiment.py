@@ -1,4 +1,4 @@
-"""Content-addressed on-disk experiment store (SQLite index + npz blobs).
+"""Content-addressed on-disk experiment store (one SQLite file).
 
 The store is the durability layer the ROADMAP's serving goal needs: batch
 sweeps land their per-cell results here once and every later consumer -
@@ -9,17 +9,21 @@ restart - is served from disk instead of recomputing.  Design points:
   ``CACHE_SCHEMA``-versioned :func:`~repro.sim.batch.scenario_fingerprint`,
   so any parameter / schema / engine-backend change yields a different key
   and stale entries are simply never looked up again;
-* **two-tier layout** - a SQLite index (cell metadata) next to one
-  compressed ``.npz`` blob per cell (metrics + solver stats as
-  canonical JSON, optional full trace channels as arrays);
-* **atomic writes** - blobs and the index row are written tmp-then-rename
-  so concurrent readers never observe a partial entry;
-* **corruption quarantine** - a blob that fails to load (truncated,
-  garbage, missing keys) is moved to ``quarantine/`` and its index row
-  dropped; the lookup reports a miss, so the caller recomputes instead of
-  raising;
+* **one tier** - everything lives in ``index.sqlite3``: the ``results``
+  table holds one row per cell, its payload (metrics + solver stats) as
+  canonical JSON.  A write is one transaction, so readers never observe
+  a partial entry, and a hit is one ``SELECT``;
+* **corruption quarantine** - a row whose JSON or fields fail to decode
+  is copied (key + raw text) into the ``quarantine`` table and deleted;
+  the lookup reports a miss, so the caller recomputes instead of raising;
 * **sweep records** - the sweep service persists job records and tidy row
-  sets here, which is what makes restarts resume instead of recompute.
+  sets in the ``sweeps`` table, which is what makes restarts resume
+  instead of recompute.  A record that fails to decode reads as absent.
+
+Directories written by earlier versions (an index ``cells`` table beside
+``blobs/`` and ``quarantine/``) open unchanged: their cells are misses,
+recomputed once into ``results``, and their sweep records are served as
+before.  Nothing reads or deletes the old table and directories.
 
 It is the one result cache of the package: ``run_batch(store=...)``, the
 ``repro batch`` CLI and the sweep service all read and write cells here.
@@ -27,7 +31,6 @@ It is the one result cache of the package: ``run_batch(store=...)``, the
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -35,32 +38,20 @@ import sqlite3
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.mpc import SolverStats
 from repro.sim.metrics import SummaryMetrics
-from repro.sim.trace import CHANNELS, Trace
 
 #: Index database file name under the store directory.
 INDEX_DB = "index.sqlite3"
 
-#: Subdirectory holding the content-addressed blobs.
-BLOB_DIR = "blobs"
-
-#: Subdirectory corrupt blobs are moved to (kept for post-mortems).
-QUARANTINE_DIR = "quarantine"
-
 _SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS cells (
-    key            TEXT PRIMARY KEY,
-    schema         INTEGER NOT NULL,
-    created_s      REAL    NOT NULL,
-    last_used_s    REAL    NOT NULL,
-    nbytes         INTEGER NOT NULL,
-    controller     TEXT    NOT NULL,
-    cycle          TEXT    NOT NULL,
-    engine_backend TEXT    NOT NULL,
-    has_trace      INTEGER NOT NULL DEFAULT 0
+CREATE TABLE IF NOT EXISTS results (
+    key          TEXT PRIMARY KEY,
+    payload_json TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS quarantine (
+    key          TEXT NOT NULL,
+    payload_json TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS sweeps (
     sweep_id    TEXT PRIMARY KEY,
@@ -78,8 +69,10 @@ class StoreStats:
     """Point-in-time counters of one :class:`ExperimentStore` instance.
 
     ``hits``/``misses``/``quarantined`` are per-instance session
-    counters; ``cells``/``total_bytes`` describe the on-disk
-    population.
+    counters (``quarantined`` counts corrupt cells and sweep-record decode
+    failures); ``cells``/``total_bytes`` describe the stored population,
+    ``total_bytes`` being the length of the cells' payload JSON, not a
+    file size.
     """
 
     cells: int
@@ -130,17 +123,11 @@ class ExperimentStore:
         con.execute("PRAGMA busy_timeout = 30000")
         return con
 
-    def _blob_path(self, key: str) -> str:
-        return os.path.join(self._dir, BLOB_DIR, key[:2], f"{key}.npz")
-
-    def _quarantine_path(self, key: str) -> str:
-        return os.path.join(self._dir, QUARANTINE_DIR, f"{key}.npz")
-
     # ------------------------------------------------------------------ #
     # cell payloads
 
-    def put(self, key: str, payload, trace: Trace | None = None) -> None:
-        """Store one cell payload (atomically), optionally with its trace.
+    def put(self, key: str, payload) -> None:
+        """Store (upsert) one cell payload in a single transaction.
 
         ``payload`` is a :class:`repro.sim.batch.CellPayload`; the import
         is deferred to keep ``repro.store`` importable on its own.
@@ -160,133 +147,61 @@ class ExperimentStore:
                 else None
             ),
         }
-        arrays: dict = {"payload_json": np.array(json.dumps(doc, sort_keys=True))}
-        if trace is not None:
-            for name in CHANNELS:
-                arrays[f"trace_{name}"] = np.asarray(getattr(trace, name))
-
-        path = self._blob_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-            os.replace(tmp, path)
-        finally:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-
-        # nothing reads last_used_s, but the cells table - here and in every
-        # existing store directory - declares it NOT NULL with no default
-        now = time.time()
+        text = json.dumps(doc, sort_keys=True)
         with self._connect() as con:
             con.execute(
-                "INSERT OR REPLACE INTO cells "
-                "(key, schema, created_s, last_used_s, nbytes, controller, "
-                " cycle, engine_backend, has_trace) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key,
-                    doc["schema"],
-                    now,
-                    now,
-                    os.path.getsize(path),
-                    payload.controller_name,
-                    payload.cycle_name,
-                    payload.engine_backend,
-                    int(trace is not None),
-                ),
+                "INSERT OR REPLACE INTO results (key, payload_json) VALUES (?, ?)",
+                (key, text),
             )
 
     def get(self, key: str):
         """Look a payload up; ``None`` (a miss) when absent or corrupt.
 
-        A blob that exists but cannot be decoded is *quarantined* (moved
-        aside, index row dropped) so the caller transparently recomputes
-        the cell - corruption never propagates as an exception.
+        A row that exists but cannot be decoded is *quarantined* (copied to
+        the ``quarantine`` table, then deleted) so the caller transparently
+        recomputes the cell - corruption never propagates as an exception.
         """
         with self._connect() as con:
             row = con.execute(
-                "SELECT key FROM cells WHERE key = ?", (key,)
+                "SELECT payload_json FROM results WHERE key = ?", (key,)
             ).fetchone()
         if row is None:
             self.misses += 1
             return None
         try:
-            payload = self._load_payload(key)
+            payload = _decode_payload(row[0])
         except Exception:  # noqa: BLE001 - any decode failure is corruption
-            self._quarantine(key)
+            self._quarantine(key, row[0])
             self.misses += 1
             return None
         self.hits += 1
         return payload
 
-    def _load_payload(self, key: str):
-        from repro.sim.batch import CellPayload
-
-        with np.load(self._blob_path(key)) as blob:
-            doc = json.loads(str(blob["payload_json"]))
-        metrics = SummaryMetrics(**doc["metrics"])
-        solver = (
-            SolverStats(**doc["solver"]) if doc["solver"] is not None else None
-        )
-        return CellPayload(
-            controller_name=doc["controller_name"],
-            cycle_name=doc["cycle_name"],
-            metrics=metrics,
-            solver=solver,
-            wall_s=doc["wall_s"],
-            engine_backend=doc["engine_backend"],
-        )
-
-    def get_trace(self, key: str) -> Trace | None:
-        """The stored full trace of a cell, or ``None`` when absent.
-
-        An unknown key or a missing blob is a plain ``None``; only a blob
-        that exists but fails to decode is quarantined (as in :meth:`get`).
-        """
-        try:
-            with np.load(self._blob_path(key)) as blob:
-                names = [f"trace_{name}" for name in CHANNELS]
-                if any(name not in blob for name in names):
-                    return None
-                channels = {
-                    name: blob[f"trace_{name}"].copy() for name in CHANNELS
-                }
-        except FileNotFoundError:
-            return None
-        except Exception:  # noqa: BLE001 - same quarantine contract as get
-            self._quarantine(key)
-            return None
-        return Trace(**channels)
-
-    def contains(self, key: str) -> bool:
-        """Whether the index knows ``key`` (no blob validation)."""
-        with self._connect() as con:
-            row = con.execute(
-                "SELECT 1 FROM cells WHERE key = ?", (key,)
-            ).fetchone()
-        return row is not None
-
     def __len__(self) -> int:
         with self._connect() as con:
-            (n,) = con.execute("SELECT COUNT(*) FROM cells").fetchone()
+            (n,) = con.execute("SELECT COUNT(*) FROM results").fetchone()
         return int(n)
 
     def total_bytes(self) -> int:
-        """Sum of indexed blob sizes [bytes]."""
+        """Total length of the stored payload JSON [bytes]."""
         with self._connect() as con:
             (n,) = con.execute(
-                "SELECT COALESCE(SUM(nbytes), 0) FROM cells"
+                "SELECT COALESCE(SUM(LENGTH(payload_json)), 0) FROM results"
             ).fetchone()
         return int(n)
 
-    def _quarantine(self, key: str) -> None:
-        os.makedirs(os.path.join(self._dir, QUARANTINE_DIR), exist_ok=True)
-        with contextlib.suppress(OSError):
-            os.replace(self._blob_path(key), self._quarantine_path(key))
+    def _quarantine(self, key: str, text: str) -> None:
         with self._connect() as con:
-            con.execute("DELETE FROM cells WHERE key = ?", (key,))
+            con.execute(
+                "INSERT INTO quarantine (key, payload_json) VALUES (?, ?)",
+                (key, text),
+            )
+            # only the row that failed: a concurrent recompute may have
+            # replaced it with a good one meanwhile
+            con.execute(
+                "DELETE FROM results WHERE key = ? AND payload_json = ?",
+                (key, text),
+            )
         self.quarantined += 1
 
     # ------------------------------------------------------------------ #
@@ -319,12 +234,7 @@ class ExperimentStore:
                 "SELECT record_json FROM sweeps WHERE sweep_id = ?",
                 (sweep_id,),
             ).fetchone()
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])
-        except json.JSONDecodeError:
-            return None
+        return None if row is None else self._load_sweep_json(row[0])
 
     def list_sweeps(self) -> list:
         """All sweep records, oldest first."""
@@ -332,11 +242,8 @@ class ExperimentStore:
             rows = con.execute(
                 "SELECT record_json FROM sweeps ORDER BY created_s"
             ).fetchall()
-        out = []
-        for (blob,) in rows:
-            with contextlib.suppress(json.JSONDecodeError):
-                out.append(json.loads(blob))
-        return out
+        records = (self._load_sweep_json(text) for (text,) in rows)
+        return [record for record in records if record is not None]
 
     def put_rows(self, sweep_id: str, rows: list) -> None:
         """Attach the tidy row set of a finished sweep to its record."""
@@ -358,9 +265,16 @@ class ExperimentStore:
             ).fetchone()
         if row is None or row[0] is None:
             return None
+        return self._load_sweep_json(row[0])
+
+    def _load_sweep_json(self, text: str):
+        """Decode a ``record_json``/``rows_json`` value; ``None`` when it
+        fails to decode.  Each failure counts in ``quarantined``; the row
+        stays in place for post-mortems, so every read of it counts."""
         try:
-            return json.loads(row[0])
+            return json.loads(text)
         except json.JSONDecodeError:
+            self.quarantined += 1
             return None
 
     # ------------------------------------------------------------------ #
@@ -375,3 +289,19 @@ class ExperimentStore:
             misses=self.misses,
             quarantined=self.quarantined,
         )
+
+
+def _decode_payload(text: str):
+    """The :class:`~repro.sim.batch.CellPayload` of one ``payload_json``."""
+    from repro.sim.batch import CellPayload
+
+    doc = json.loads(text)
+    solver = doc["solver"]
+    return CellPayload(
+        controller_name=doc["controller_name"],
+        cycle_name=doc["cycle_name"],
+        metrics=SummaryMetrics(**doc["metrics"]),
+        solver=SolverStats(**solver) if solver is not None else None,
+        wall_s=doc["wall_s"],
+        engine_backend=doc["engine_backend"],
+    )

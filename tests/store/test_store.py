@@ -18,7 +18,7 @@ from repro.sim.batch import (
 )
 from repro.sim.scenario import Scenario, run_scenario
 from repro.store import ExperimentStore
-from repro.store.experiment import BLOB_DIR, INDEX_DB, QUARANTINE_DIR
+from repro.store.experiment import INDEX_DB
 
 #: Fast baseline grid on the shortest cycle (two lockstep groups of two).
 GRID = scenario_grid(
@@ -68,41 +68,21 @@ class TestRoundTrip:
         store.put("otem", payload)
         assert store.get("otem").solver == payload.solver
 
-    def test_trace_roundtrip(self, tmp_path):
+    def test_atomic_write_stores_nothing_on_failure(self, tmp_path):
         store = ExperimentStore(tmp_path)
-        result = run_scenario(GRID[0])
-        payload = _payload()
-        store.put("with-trace", payload, trace=result.trace)
-        trace = store.get_trace("with-trace")
-        assert np.array_equal(trace.battery_temp_k, result.trace.battery_temp_k)
-        assert np.array_equal(trace.time_s, result.trace.time_s)
-
-    def test_get_trace_none_when_stored_without(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        store.put("no-trace", _payload())
-        assert store.get_trace("no-trace") is None
-
-    def test_get_trace_none_for_unknown_key(self, tmp_path):
-        """An absent blob is a plain miss, not a corruption."""
-        store = ExperimentStore(tmp_path)
-        assert store.get_trace("0" * 64) is None
-        assert store.quarantined == 0
-        assert not os.path.exists(os.path.join(tmp_path, QUARANTINE_DIR))
-
-    def test_atomic_write_leaves_no_tmp_files(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        store.put("k1", _payload())
-        blob_root = tmp_path / BLOB_DIR
-        leftovers = [
-            p for p in blob_root.rglob("*") if ".tmp" in p.name
-        ]
-        assert leftovers == []
+        unserializable = dataclasses.replace(_payload(), wall_s=object())
+        with pytest.raises(TypeError):
+            store.put("k1", unserializable)
+        assert len(store) == 0
+        assert store.get("k1") is None
 
     def test_contains_and_len(self, tmp_path):
         store = ExperimentStore(tmp_path)
-        assert not store.contains("k1") and len(store) == 0
+        assert len(store) == 0
         store.put("k1", _payload())
-        assert store.contains("k1") and len(store) == 1
+        assert len(store) == 1
+        store.put("k1", _payload())  # an upsert, not a second cell
+        assert len(store) == 1
 
 
 class TestIndexWrites:
@@ -121,6 +101,18 @@ CREATE TABLE IF NOT EXISTS cells (
     cycle          TEXT    NOT NULL,
     engine_backend TEXT    NOT NULL,
     has_trace      INTEGER NOT NULL DEFAULT 0
+);
+"""
+
+    #: The ``sweeps`` DDL of the same directories (unchanged since).
+    LEGACY_SWEEPS_DDL = """
+CREATE TABLE IF NOT EXISTS sweeps (
+    sweep_id    TEXT PRIMARY KEY,
+    created_s   REAL NOT NULL,
+    updated_s   REAL NOT NULL,
+    status      TEXT NOT NULL,
+    record_json TEXT NOT NULL,
+    rows_json   TEXT
 );
 """
 
@@ -150,57 +142,130 @@ CREATE TABLE IF NOT EXISTS cells (
         assert store.get("k1") == payload
         assert store.hits == 1 and len(store) == 1
 
+    def test_directory_written_by_the_npz_store(self, tmp_path):
+        """A directory of the earlier two-tier layout (index ``cells`` row
+        + ``.npz`` blob per cell) opens; its cells are plain misses and its
+        sweep records are served as before."""
+        key = "ab" + "0" * 62
+        payload = _payload()
+        doc = {
+            "schema": batch_mod.CACHE_SCHEMA,
+            "controller_name": payload.controller_name,
+            "cycle_name": payload.cycle_name,
+            "wall_s": payload.wall_s,
+            "engine_backend": payload.engine_backend,
+            "metrics": dataclasses.asdict(payload.metrics),
+            "solver": None,
+        }
+        blob = tmp_path / "blobs" / key[:2] / f"{key}.npz"
+        blob.parent.mkdir(parents=True)
+        np.savez_compressed(blob, payload_json=np.array(json.dumps(doc)))
+        record = {"sweep_id": "old", "status": "done", "total": 1}
+        with sqlite3.connect(tmp_path / INDEX_DB) as con:
+            con.executescript(self.LEGACY_CELLS_DDL + self.LEGACY_SWEEPS_DDL)
+            con.execute(
+                "INSERT INTO cells VALUES (?, 4, 0.0, 0.0, ?, ?, ?, ?, 0)",
+                (
+                    key,
+                    blob.stat().st_size,
+                    payload.controller_name,
+                    payload.cycle_name,
+                    payload.engine_backend,
+                ),
+            )
+            con.execute(
+                "INSERT INTO sweeps VALUES ('old', 0.0, 0.0, 'done', ?, '[]')",
+                (json.dumps(record),),
+            )
+
+        store = ExperimentStore(tmp_path)
+        assert store.get(key) is None
+        assert store.misses == 1 and store.quarantined == 0
+        assert len(store) == 0
+        store.put(key, payload)
+        assert store.get(key) == payload
+        assert store.get_sweep("old") == record
+        assert store.get_rows("old") == []
+        assert [r["sweep_id"] for r in store.list_sweeps()] == ["old"]
+        assert blob.exists()  # old files are left for removal by hand
+
+
+def _damage(store, key, text) -> None:
+    """Overwrite the stored ``payload_json`` of ``key`` with ``text``."""
+    with sqlite3.connect(os.path.join(store.directory, INDEX_DB)) as con:
+        con.execute("UPDATE results SET payload_json = ? WHERE key = ?", (text, key))
+
+
+def _quarantined_copies(store) -> list:
+    with sqlite3.connect(os.path.join(store.directory, INDEX_DB)) as con:
+        return con.execute("SELECT key, payload_json FROM quarantine").fetchall()
+
 
 class TestCorruption:
-    """Truncated/garbage blobs are quarantined and recomputed, never raised."""
+    """Truncated/garbage payloads are quarantined and recomputed, never
+    raised; a corrupt sweep record reads as absent and is counted."""
 
     def test_truncated_blob_quarantined(self, tmp_path):
         store = ExperimentStore(tmp_path)
         store.put("k1", _payload())
-        blob = store._blob_path("k1")
-        with open(blob, "r+b") as fh:
-            fh.truncate(16)
+        with sqlite3.connect(tmp_path / INDEX_DB) as con:
+            (text,) = con.execute("SELECT payload_json FROM results").fetchone()
+        truncated = text[: len(text) // 2]
+        _damage(store, "k1", truncated)
         assert store.get("k1") is None
         assert store.quarantined == 1 and store.misses == 1
-        assert not os.path.exists(blob)
-        assert os.path.exists(
-            os.path.join(tmp_path, QUARANTINE_DIR, "k1.npz")
-        )
-        assert not store.contains("k1")
+        # the raw text is kept for post-mortems, the row is gone
+        assert _quarantined_copies(store) == [("k1", truncated)]
+        assert len(store) == 0
+        assert store.get("k1") is None and store.quarantined == 1
 
     def test_garbage_blob_quarantined(self, tmp_path):
+        """Valid JSON whose fields are not a payload is corrupt too."""
         store = ExperimentStore(tmp_path)
         store.put("k1", _payload())
-        with open(store._blob_path("k1"), "wb") as fh:
-            fh.write(b"not an npz archive")
+        _damage(store, "k1", '{"not": "a payload"}')
         assert store.get("k1") is None
         assert store.quarantined == 1
-
-    def test_missing_blob_behind_index_row_quarantined(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        store.put("k1", _payload())
-        os.remove(store._blob_path("k1"))
-        assert store.get("k1") is None
-        assert not store.contains("k1")
+        assert _quarantined_copies(store) == [("k1", '{"not": "a payload"}')]
 
     def test_corrupt_cell_is_recomputed_by_run_batch(self, tmp_path):
-        """The acceptance path: truncate a blob on disk, assert the cell is
-        quarantined and recomputed rather than raising."""
+        """The acceptance path: truncate a stored payload, assert the cell
+        is quarantined and recomputed rather than raising."""
         store = ExperimentStore(tmp_path)
         first = run_batch(GRID, store=store)
         assert first.ok and first.cache_misses == len(GRID)
         key = scenario_fingerprint(GRID[1], engine_backend="lockstep")
-        with open(store._blob_path(key), "r+b") as fh:
-            fh.truncate(10)
+        _damage(store, key, "{")
         rerun = run_batch(GRID, store=store)
         assert rerun.ok
         assert rerun.cache_hits == len(GRID) - 1
         assert rerun.cache_misses == 1
         assert store.quarantined == 1
+        assert _quarantined_copies(store) == [(key, "{")]
         # the recompute landed back in the store
         final = run_batch(GRID, store=store)
         assert final.cache_hits == len(GRID)
         assert [c.metrics for c in final.cells] == [c.metrics for c in first.cells]
+
+    def test_corrupt_sweep_record_is_counted(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        store.put_sweep("abc", {"sweep_id": "abc", "status": "done"})
+        with sqlite3.connect(tmp_path / INDEX_DB) as con:
+            con.execute("UPDATE sweeps SET record_json = '{'")
+        assert store.get_sweep("abc") is None
+        assert store.quarantined == 1
+        assert store.list_sweeps() == []
+        assert store.quarantined == 2
+
+    def test_corrupt_sweep_rows_are_counted(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        store.put_sweep("abc", {"sweep_id": "abc", "status": "done"})
+        store.put_rows("abc", [{"index": 0}])
+        with sqlite3.connect(tmp_path / INDEX_DB) as con:
+            con.execute("UPDATE sweeps SET rows_json = '[{'")
+        assert store.get_rows("abc") is None
+        assert store.quarantined == 1
+        assert store.get_sweep("abc")["status"] == "done"
 
 
 class TestSchemaInvalidation:
@@ -287,6 +352,19 @@ class TestRunBatchIntegration:
         run_batch(GRID[:2], store=store)
         second = run_batch(GRID, store=store)
         assert second.cache_hits == 2 and second.cache_misses == 2
+
+    def test_counts_ignore_other_lookups_on_the_same_store(self, tmp_path):
+        """Only the batch's own lookups count: another user of the same
+        store object (e.g. the service's second job thread) looking keys
+        up meanwhile is not booked to this batch."""
+        store = ExperimentStore(tmp_path)
+        run_batch(GRID, store=store)
+        warm = run_batch(
+            GRID, store=store, on_cell_done=lambda cell: store.get("0" * 64)
+        )
+        assert all(cell.cached for cell in warm.cells)
+        assert warm.cache_hits == len(GRID) and warm.cache_misses == 0
+        assert store.misses == 2 * len(GRID)
 
 
 class TestSweepRecords:
