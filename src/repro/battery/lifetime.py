@@ -11,13 +11,14 @@ accelerate further fading.
 the route at a handful of degradation stages (0%, 5%, ... of capacity
 lost) with the cell parameters derated via
 :meth:`repro.battery.params.CellParams.aged`, measures the per-route loss
-at each stage, and integrates stage-by-stage to end-of-life.
+at each stage (one independent simulation per stage, run as one batch
+grid), and integrates stage-by-stage to end-of-life.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.battery.aging import END_OF_LIFE_LOSS_PERCENT
 from repro.battery.pack import PackConfig
@@ -66,9 +67,12 @@ def project_lifetime(
     scenario: "Scenario",
     stages: int = 4,
     eol_percent: float = END_OF_LIFE_LOSS_PERCENT,
-    runner: Callable | None = None,
 ) -> LifetimeProjection:
     """Project routes-to-end-of-life for a scenario, with aging feedback.
+
+    The stages are independent simulations, so they run as one
+    :func:`repro.sim.batch.run_batch` grid (each stage has its own pack,
+    so each runs on the scalar engine); a failed stage raises.
 
     Parameters
     ----------
@@ -80,30 +84,28 @@ def project_lifetime(
         smoother integration, one full simulation each).
     eol_percent:
         End-of-life capacity-loss threshold [%] (paper: 20).
-    runner:
-        Scenario runner (defaults to :func:`repro.sim.scenario.run_scenario`;
-        injectable for tests).
     """
-    if runner is None:
-        from repro.sim.scenario import run_scenario
+    from repro.sim.batch import run_batch
 
-        runner = run_scenario
     if stages < 2:
         raise ValueError("stages must be >= 2")
     if eol_percent <= 0:
         raise ValueError("eol_percent must be positive")
 
     stage_edges = [eol_percent * k / stages for k in range(stages)]
-    rates = []
-    for stage_loss in stage_edges:
-        aged_cell = scenario.pack.cell.aged(stage_loss)
-        aged_pack = PackConfig(
-            series=scenario.pack.series,
-            parallel=scenario.pack.parallel,
-            cell=aged_cell,
+    grid = [
+        replace(
+            scenario,
+            pack=PackConfig(
+                series=scenario.pack.series,
+                parallel=scenario.pack.parallel,
+                cell=scenario.pack.cell.aged(stage_loss),
+            ),
         )
-        result = runner(replace(scenario, pack=aged_pack))
-        rates.append(max(result.metrics.qloss_percent, 1e-12))
+        for stage_loss in stage_edges
+    ]
+    cells = run_batch(grid).raise_on_failure().cells
+    rates = [max(cell.metrics.qloss_percent, 1e-12) for cell in cells]
 
     # integrate: each stage spans eol/stages percent of loss at its
     # measured rate

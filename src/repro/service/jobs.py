@@ -302,12 +302,14 @@ class JobManager:
             if spec.timeout_s is not None
             else self._default_timeout_s
         )
-        deadline = (job.started_s + timeout_s) if timeout_s else None
+        # started_s is wall time for the record; the budget runs on the
+        # monotonic clock, which a wall-clock step cannot move
+        deadline = (time.monotonic() + timeout_s) if timeout_s else None
 
         def should_stop() -> bool:
             if job.cancel_event.is_set():
                 return True
-            if deadline is not None and time.time() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 job.timed_out = True
                 return True
             return False

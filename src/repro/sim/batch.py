@@ -351,9 +351,10 @@ def run_batch(
     cancel:
         Cooperative cancellation hook: a zero-argument callable polled
         before each pending cell (and each lockstep group) starts.  Once
-        it returns True, every not-yet-computed cell is marked failed
-        with a ``"cancelled: ..."`` error instead of being computed;
-        already-finished cells and store hits are unaffected.
+        it returns True, every cell that has not started is marked failed
+        with a ``"cancelled: ..."`` error instead of being computed.
+        Finished cells, store hits and pool cells a worker has already
+        taken are unaffected: those run to the end and are collected.
 
     Returns
     -------
@@ -462,7 +463,7 @@ def run_batch(
     # the scalar cells, in grid order, in-process or on the process pool
     with contextlib.ExitStack() as stack:
         futures: dict = {}
-        if workers >= 2 and scalar_pending:
+        if workers >= 2 and scalar_pending and not cancelled():
             pool = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             )
@@ -471,9 +472,8 @@ def run_batch(
             }
         for i in scalar_pending:
             future = futures.get(i)
-            if cancelled():
-                if future is not None:
-                    future.cancel()
+            # a cell a worker already took cannot be cancelled: collect it
+            if cancelled() and (future is None or future.cancel()):
                 complete(i, error=_CANCELLED_ERROR)
                 continue
             if future is None:

@@ -6,9 +6,12 @@ Per step:
 2. ask the controller for a :class:`Decision`,
 3. price the cooling command (Eq. 16) and add it to the bus request - the
    cooler and pump draw their power from the HEES,
-4. step the HEES plant (the architecture the controller declares),
+4. step the HEES plant (the architecture the controller declares; a
+   battery-only policy drives the dual plant with its default battery
+   mode and zero recharge),
 5. advance the coupled battery/coolant temperatures (Eq. 14-15 via Eq. 17),
-6. record everything.
+6. record the step's channels (:func:`step_channels`, shared with the
+   lockstep engine).
 
 ``Q_loss`` and ``Energy`` accumulate exactly as Algorithm 1 lines 17-18.
 """
@@ -22,7 +25,7 @@ from repro.controllers.base import Architecture, Controller, Observation
 from repro.core.mpc import SolverStats
 from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
 from repro.cooling.loop import CoolingLoop
-from repro.hees.dual import DualHEES, DualMode
+from repro.hees.dual import DualHEES
 from repro.hees.hybrid import HybridHEES
 from repro.hees.parallel import ParallelHEES
 from repro.sim.metrics import SummaryMetrics, compute_metrics
@@ -62,6 +65,37 @@ class SimulationResult:
         return self.metrics.hees_energy_j
 
 
+def step_channels(time_s, request_w, step, thermal, pack, bank, coolant_temp_k) -> dict:
+    """Map one step's results to the trace's :data:`~repro.sim.trace.CHANNELS`.
+
+    ``step`` and ``thermal`` are the plant and cooling-loop results; the
+    pack, bank and coolant temperature are read after the step (a trace
+    records end-of-step states).  Both engines record through this map:
+    :class:`Simulator` with floats, :func:`repro.sim.engine_vec.
+    run_lockstep_group` with one array per channel across its columns.
+    """
+    return {
+        "time_s": time_s,
+        "request_w": request_w,
+        "delivered_w": step.delivered_power_w,
+        "battery_power_w": step.battery_power_w,
+        "cap_power_w": step.ultracap_power_w,
+        "cooling_power_w": thermal.cooler_power_w + thermal.pump_power_w,
+        "battery_soc_percent": pack.soc_percent,
+        "cap_soe_percent": bank.soe_percent,
+        "battery_temp_k": pack.temp_k,
+        "coolant_temp_k": coolant_temp_k,
+        "inlet_temp_k": thermal.inlet_temp_k,
+        "heat_w": step.battery_heat_w,
+        "cell_current_a": step.battery_cell_current_a,
+        "chem_energy_j": step.chem_energy_j,
+        "cap_energy_j": step.cap_energy_j,
+        "converter_loss_j": step.converter_loss_j,
+        "loss_increment_percent": step.loss_increment_percent,
+        "unmet_w": step.unmet_power_w,
+    }
+
+
 class Simulator:
     """Drives one controller over one power-request trace.
 
@@ -82,6 +116,9 @@ class Simulator:
     preview_steps:
         Length of the power preview handed to the controller (the MPC's
         control window N).
+
+    :meth:`run` records into a :class:`~repro.sim.trace.TraceRecorder`
+    sized to the route, one :func:`step_channels` record per step.
     """
 
     def __init__(
@@ -137,7 +174,7 @@ class Simulator:
 
         dt = request.dt
         coolant_temp = self._temp0
-        recorder = TraceRecorder()
+        recorder = TraceRecorder(len(request))
 
         for k in range(len(request)):
             p_e = float(request.power_w[k])
@@ -172,14 +209,12 @@ class Simulator:
             arch = controller.architecture
             if arch is Architecture.PARALLEL:
                 step = plant.step(total_request, dt)
-            elif arch is Architecture.DUAL:
+            elif arch is Architecture.HYBRID:
+                step = plant.step(total_request, decision.cap_bus_w, dt)
+            else:  # the dual plant; a battery-only policy keeps its defaults
                 step = plant.step(
                     total_request, decision.dual_mode, decision.recharge_power_w, dt
                 )
-            elif arch is Architecture.BATTERY_ONLY:
-                step = plant.step(total_request, DualMode.BATTERY, 0.0, dt)
-            else:  # HYBRID
-                step = plant.step(total_request, decision.cap_bus_w, dt)
 
             # architectures without an installed cooling system have
             # air-exposed packs; the actively-cooled pack is sealed
@@ -197,24 +232,7 @@ class Simulator:
             coolant_temp = thermal.coolant_temp_k
 
             recorder.record(
-                time_s=k * dt,
-                request_w=p_e,
-                delivered_w=step.delivered_power_w,
-                battery_power_w=step.battery_power_w,
-                cap_power_w=step.ultracap_power_w,
-                cooling_power_w=thermal.cooler_power_w + thermal.pump_power_w,
-                battery_soc_percent=pack.soc_percent,
-                cap_soe_percent=bank.soe_percent,
-                battery_temp_k=pack.temp_k,
-                coolant_temp_k=coolant_temp,
-                inlet_temp_k=thermal.inlet_temp_k,
-                heat_w=step.battery_heat_w,
-                cell_current_a=step.battery_cell_current_a,
-                chem_energy_j=step.chem_energy_j,
-                cap_energy_j=step.cap_energy_j,
-                converter_loss_j=step.converter_loss_j,
-                loss_increment_percent=step.loss_increment_percent,
-                unmet_w=step.unmet_power_w,
+                **step_channels(k * dt, p_e, step, thermal, pack, bank, coolant_temp)
             )
 
         trace = recorder.freeze()

@@ -61,7 +61,7 @@ from repro.hees.hybrid import (
     default_cap_converter,
 )
 from repro.hees.parallel import ParallelHEESVec
-from repro.sim.engine import SimulationResult
+from repro.sim.engine import SimulationResult, step_channels
 from repro.sim.metrics import compute_metrics
 from repro.sim.scenario import Scenario, build_controller
 from repro.sim.trace import CHANNELS, Trace
@@ -173,7 +173,12 @@ def run_lockstep_group(
 
     All scenarios must share :func:`lockstep_key` and their requests must
     share ``dt`` (use :func:`run_lockstep` to group arbitrary sets).
-    Returns one :class:`SimulationResult` per scenario, index-aligned.
+    Each step runs the scalar engine's sequence on whole columns and
+    records through the same :func:`repro.sim.engine.step_channels` map
+    into ``(t_max, m)`` channel buffers; a battery-only group drives the
+    dual plant with its twin's default battery mode and zero recharge, as
+    :class:`~repro.sim.engine.Simulator` does.  Returns one
+    :class:`SimulationResult` per scenario, index-aligned.
     """
     if not scenarios:
         return []
@@ -220,8 +225,6 @@ def run_lockstep_group(
 
     coolant_temp = pack.temp_k.copy()
     passive = arch in (Architecture.PARALLEL, Architecture.DUAL)
-    battery_only_mode = np.full(m, DualHEESVec.MODE_BATTERY, dtype=np.int64)
-    zeros = np.zeros(m)
     if is_mpc:
         controller.begin_route(power, dt, lengths=lengths)
 
@@ -259,14 +262,12 @@ def run_lockstep_group(
 
         if arch is Architecture.PARALLEL:
             step = plant.step(total_request, dt)
-        elif arch is Architecture.DUAL:
+        elif arch is Architecture.HYBRID:
+            step = plant.step(total_request, decision.cap_bus_w, dt)
+        else:  # the dual plant; a battery-only twin keeps its defaults
             step = plant.step(
                 total_request, decision.dual_mode, decision.recharge_power_w, dt
             )
-        elif arch is Architecture.BATTERY_ONLY:
-            step = plant.step(total_request, battery_only_mode, zeros, dt)
-        else:  # HYBRID
-            step = plant.step(total_request, decision.cap_bus_w, dt)
 
         thermal = loop.step_batch(
             pack.temp_k,
@@ -280,24 +281,9 @@ def run_lockstep_group(
         pack.set_temperature(thermal.battery_temp_k)
         coolant_temp = thermal.coolant_temp_k
 
-        buf["time_s"][k] = k * dt
-        buf["request_w"][k] = p_e
-        buf["delivered_w"][k] = step.delivered_power_w
-        buf["battery_power_w"][k] = step.battery_power_w
-        buf["cap_power_w"][k] = step.ultracap_power_w
-        buf["cooling_power_w"][k] = thermal.cooler_power_w + thermal.pump_power_w
-        buf["battery_soc_percent"][k] = pack.soc_percent
-        buf["cap_soe_percent"][k] = bank.soe_percent
-        buf["battery_temp_k"][k] = pack.temp_k
-        buf["coolant_temp_k"][k] = coolant_temp
-        buf["inlet_temp_k"][k] = thermal.inlet_temp_k
-        buf["heat_w"][k] = step.battery_heat_w
-        buf["cell_current_a"][k] = step.battery_cell_current_a
-        buf["chem_energy_j"][k] = step.chem_energy_j
-        buf["cap_energy_j"][k] = step.cap_energy_j
-        buf["converter_loss_j"][k] = step.converter_loss_j
-        buf["loss_increment_percent"][k] = step.loss_increment_percent
-        buf["unmet_w"][k] = step.unmet_power_w
+        channels = step_channels(k * dt, p_e, step, thermal, pack, bank, coolant_temp)
+        for name, value in channels.items():
+            buf[name][k] = value
 
     solver_stats = controller.solver_stats() if is_mpc else None
     results = []

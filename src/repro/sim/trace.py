@@ -1,12 +1,12 @@
 """Per-step time-series recording.
 
-The recorder writes each step into preallocated per-channel numpy buffers
-(amortized O(1) via capacity doubling - no per-step list appends, no
-list->array conversion at the end) and freezes into a :class:`Trace` of
-read-only numpy arrays, which is what the figure generators and tests
-consume.  Freezing is zero-copy: the trace holds read-only views of the
-recorder's buffers, and the recorder copy-on-writes if recording continues
-afterwards so frozen traces never change underneath their consumers.
+The recorder writes each step into per-channel numpy buffers preallocated
+to the route length (no per-step list appends, no list->array conversion
+at the end) and freezes into a :class:`Trace` of read-only numpy arrays,
+which is what the figure generators and tests consume.  Freezing is
+zero-copy: the trace holds read-only views of the rows recorded so far,
+and a later record only writes rows past them, so a frozen trace never
+changes underneath its consumers.
 """
 
 from __future__ import annotations
@@ -92,21 +92,17 @@ class Trace:
 
 
 class TraceRecorder:
-    """Preallocated per-step accumulator that freezes into a :class:`Trace`.
+    """Per-step accumulator for a route of ``steps`` steps.
 
-    Buffers start at :data:`INITIAL_CAPACITY` samples and double when full,
-    so a run of N steps costs O(N) amortized with no Python-list overhead.
+    Every channel buffer is allocated once at ``steps`` samples; a record
+    past that raises.  :meth:`freeze` turns the rows recorded so far into a
+    :class:`Trace`.
     """
 
-    INITIAL_CAPACITY = 1024
-
-    def __init__(self):
-        self._buf = {name: np.empty(0) for name in CHANNELS}
-        self._capacity = 0
+    def __init__(self, steps: int):
+        self._buf = {name: np.empty(steps) for name in CHANNELS}
+        self._steps = steps
         self._n = 0
-        # set once freeze() hands out views of the buffers; the next
-        # record() then reallocates first so frozen traces stay immutable
-        self._views_out = False
 
     def record(self, **values: float):
         """Append one step; every channel must be present exactly once."""
@@ -114,31 +110,20 @@ class TraceRecorder:
             missing = set(CHANNELS) - set(values)
             extra = set(values) - set(CHANNELS)
             raise ValueError(f"bad record: missing={sorted(missing)} extra={sorted(extra)}")
-        if self._n >= self._capacity or self._views_out:
-            self._grow()
         n = self._n
+        if n == self._steps:
+            raise IndexError(f"recorder is full: all {self._steps} steps recorded")
         for name, value in values.items():
             self._buf[name][n] = float(value)
         self._n = n + 1
-
-    def _grow(self):
-        new_capacity = max(self.INITIAL_CAPACITY, 2 * self._capacity, self._n + 1)
-        for name, old in self._buf.items():
-            fresh = np.empty(new_capacity)
-            fresh[: self._n] = old[: self._n]
-            self._buf[name] = fresh
-        self._capacity = new_capacity
-        self._views_out = False
 
     def __len__(self) -> int:
         return self._n
 
     def freeze(self) -> Trace:
-        """Snapshot the recording as a frozen :class:`Trace` (zero-copy).
+        """Snapshot the rows recorded so far as a frozen :class:`Trace`.
 
-        The trace holds read-only *views* of the recorder's buffers;
-        recording further steps afterwards copy-on-writes the buffers, so
-        an earlier freeze never observes later activity.
+        Zero-copy: the trace holds read-only *views* of those rows, which
+        later records never write.
         """
-        self._views_out = True
         return Trace(**{name: self._buf[name][: self._n] for name in CHANNELS})

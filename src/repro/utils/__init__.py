@@ -9,12 +9,10 @@ from repro.utils.units import (
     KMH_PER_MPS,
     ah_to_coulomb,
     celsius_to_kelvin,
-    coulomb_to_ah,
     kelvin_to_celsius,
     kmh_to_mps,
     kwh_to_joule,
     joule_to_kwh,
-    mph_to_mps,
     mps_to_kmh,
 )
 from repro.utils.integrate import (
@@ -27,7 +25,6 @@ from repro.utils.validation import (
     check_finite,
     check_in_range,
     check_positive,
-    check_same_length,
     clamp,
 )
 
@@ -36,12 +33,10 @@ __all__ = [
     "KMH_PER_MPS",
     "ah_to_coulomb",
     "celsius_to_kelvin",
-    "coulomb_to_ah",
     "kelvin_to_celsius",
     "kmh_to_mps",
     "kwh_to_joule",
     "joule_to_kwh",
-    "mph_to_mps",
     "mps_to_kmh",
     "cumulative_trapezoid",
     "euler_step",
@@ -50,6 +45,5 @@ __all__ = [
     "check_finite",
     "check_in_range",
     "check_positive",
-    "check_same_length",
     "clamp",
 ]

@@ -16,9 +16,6 @@ CELSIUS_ZERO = 273.15
 #: Kilometres-per-hour in one metre-per-second.
 KMH_PER_MPS = 3.6
 
-#: Metres in one mile.
-METERS_PER_MILE = 1609.344
-
 #: Seconds in one hour.
 SECONDS_PER_HOUR = 3600.0
 
@@ -46,11 +43,6 @@ def mps_to_kmh(speed_mps):
     return np.asarray(speed_mps, dtype=float) * KMH_PER_MPS
 
 
-def mph_to_mps(speed_mph):
-    """Convert a speed from miles-per-hour to m/s."""
-    return np.asarray(speed_mph, dtype=float) * METERS_PER_MILE / SECONDS_PER_HOUR
-
-
 def kwh_to_joule(energy_kwh):
     """Convert an energy from kilowatt-hours to joules."""
     return np.asarray(energy_kwh, dtype=float) * 3.6e6
@@ -65,7 +57,3 @@ def ah_to_coulomb(charge_ah):
     """Convert a charge from ampere-hours to coulombs."""
     return np.asarray(charge_ah, dtype=float) * SECONDS_PER_HOUR
 
-
-def coulomb_to_ah(charge_c):
-    """Convert a charge from coulombs to ampere-hours."""
-    return np.asarray(charge_c, dtype=float) / SECONDS_PER_HOUR

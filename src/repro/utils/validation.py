@@ -36,14 +36,6 @@ def check_finite(values, name: str):
     return arr
 
 
-def check_same_length(name_a: str, a, name_b: str, b):
-    """Raise ``ValueError`` unless the two sequences have equal length."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} (len {len(a)}) and {name_b} (len {len(b)}) must have the same length"
-        )
-
-
 def clamp(value: float, low: float, high: float) -> float:
     """Clip ``value`` into ``[low, high]``."""
     if low > high:

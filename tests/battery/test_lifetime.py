@@ -1,15 +1,20 @@
 """Aging-feedback and lifetime-projection tests."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
+import repro.sim.batch as batch_mod
 from repro.battery.electrical import BatteryElectrical
 from repro.battery.lifetime import (
     LifetimeProjection,
     blt_improvement_percent,
     project_lifetime,
 )
+from repro.battery.pack import PackConfig
 from repro.battery.params import NCR18650A
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, run_scenario
 
 
 class TestAgedCell:
@@ -59,62 +64,78 @@ class TestAgedCell:
         assert r_aged.heat_w > r_fresh.heat_w
 
 
-class FakeResult:
-    def __init__(self, qloss):
-        class M:
-            qloss_percent = qloss
+def fake_run_batch(monkeypatch, rates):
+    """Patch ``run_batch`` to report ``rates`` (one per stage, in order).
 
-        self.metrics = M()
+    Returns the list the grids it is called with are appended to.
+    """
+    rates = iter(rates)
+    grids = []
+
+    def run_batch(grid):
+        grids.append(grid)
+        cells = tuple(
+            SimpleNamespace(metrics=SimpleNamespace(qloss_percent=next(rates)))
+            for _ in grid
+        )
+        return SimpleNamespace(raise_on_failure=lambda: SimpleNamespace(cells=cells))
+
+    monkeypatch.setattr(batch_mod, "run_batch", run_batch)
+    return grids
 
 
 class TestProjectLifetime:
-    def test_constant_rate_matches_naive(self):
-        """With a runner that ignores degradation, feedback changes nothing."""
+    def test_constant_rate_matches_naive(self, monkeypatch):
+        """With a rate that ignores degradation, feedback changes nothing."""
+        fake_run_batch(monkeypatch, [0.05] * 4)
         proj = project_lifetime(
-            Scenario(methodology="parallel", cycle="nycc"),
-            stages=4,
-            runner=lambda s: FakeResult(0.05),
+            Scenario(methodology="parallel", cycle="nycc"), stages=4
         )
         assert proj.routes_to_eol == pytest.approx(400.0)
         assert proj.routes_to_eol_naive == pytest.approx(400.0)
         assert proj.acceleration_factor == pytest.approx(1.0)
 
-    def test_accelerating_rate_shortens_life(self):
-        rates = iter([0.05, 0.10, 0.20, 0.40])
-
-        def runner(s):
-            return FakeResult(next(rates))
-
+    def test_accelerating_rate_shortens_life(self, monkeypatch):
+        fake_run_batch(monkeypatch, [0.05, 0.10, 0.20, 0.40])
         proj = project_lifetime(
-            Scenario(methodology="parallel", cycle="nycc"), stages=4, runner=runner
+            Scenario(methodology="parallel", cycle="nycc"), stages=4
         )
         expected = 5 / 0.05 + 5 / 0.10 + 5 / 0.20 + 5 / 0.40
         assert proj.routes_to_eol == pytest.approx(expected)
         assert proj.acceleration_factor > 1.9
 
-    def test_stage_edges(self):
+    def test_stage_edges(self, monkeypatch):
+        fake_run_batch(monkeypatch, [0.05] * 4)
         proj = project_lifetime(
-            Scenario(methodology="parallel", cycle="nycc"),
-            stages=4,
-            runner=lambda s: FakeResult(0.05),
+            Scenario(methodology="parallel", cycle="nycc"), stages=4
         )
         assert proj.stage_loss_percent == (0.0, 5.0, 10.0, 15.0)
 
-    def test_runner_receives_derated_pack(self):
-        seen = []
-
-        def runner(s):
-            seen.append(s.pack.cell.capacity_ah)
-            return FakeResult(0.05)
-
-        project_lifetime(
-            Scenario(methodology="parallel", cycle="nycc"), stages=2, runner=runner
-        )
+    def test_runner_receives_derated_pack(self, monkeypatch):
+        """All stages go to ``run_batch`` as one grid, each on its own pack."""
+        grids = fake_run_batch(monkeypatch, [0.05] * 2)
+        project_lifetime(Scenario(methodology="parallel", cycle="nycc"), stages=2)
+        (grid,) = grids
+        seen = [s.pack.cell.capacity_ah for s in grid]
         assert seen[0] > seen[1]  # second stage has faded capacity
 
     def test_rejects_bad_stages(self):
         with pytest.raises(ValueError):
-            project_lifetime(Scenario(), stages=1, runner=lambda s: FakeResult(0.1))
+            project_lifetime(Scenario(), stages=1)
+
+    def test_stage_rates_match_run_scenario_bitwise(self):
+        """Each stage is a scalar singleton: the grid reproduces run_scenario."""
+        scenario = Scenario(methodology="parallel", cycle="nycc")
+        proj = project_lifetime(scenario, stages=2)
+        expected = []
+        for stage_loss in proj.stage_loss_percent:
+            cell = scenario.pack.cell.aged(stage_loss)
+            pack = PackConfig(
+                series=scenario.pack.series, parallel=scenario.pack.parallel, cell=cell
+            )
+            result = run_scenario(dataclasses.replace(scenario, pack=pack))
+            expected.append(max(result.metrics.qloss_percent, 1e-12))
+        assert proj.stage_rate_percent_per_route == tuple(expected)
 
     def test_real_simulation_feedback(self):
         """End-to-end on a thermally active cycle: aged batteries fade faster.

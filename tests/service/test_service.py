@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import repro.service.jobs as jobs_mod
 from repro.service import JobManager, ServiceError, SweepClient, SweepServer, SweepSpec
 from repro.store import ExperimentStore
 from repro.sim.scenario import Scenario
@@ -98,6 +99,22 @@ class TestJobManager:
             assert "timeout" in record["error"]
         finally:
             mgr.shutdown()
+
+    def test_wall_clock_jump_does_not_time_out_the_job(self, manager, monkeypatch):
+        real_time, real_run_batch = time.time, jobs_mod.run_batch
+        jump = {"s": 0.0}
+
+        def run_batch_after_jump(*args, **kwargs):
+            jump["s"] = 3600.0  # the wall clock steps 1 h forward mid-job
+            return real_run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(time, "time", lambda: real_time() + jump["s"])
+        monkeypatch.setattr(jobs_mod, "run_batch", run_batch_after_jump)
+        spec = SweepSpec(base=SPEC.base, axes=SPEC.axes, timeout_s=60.0)
+        record = wait_terminal(manager, manager.submit(spec))
+        assert jump["s"] == 3600.0
+        assert record["status"] == "done", record
+        assert record["error"] is None
 
     def test_submit_after_shutdown_rejected(self, tmp_path):
         mgr = JobManager(ExperimentStore(tmp_path / "s"), worker_threads=1)

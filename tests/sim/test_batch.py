@@ -596,9 +596,50 @@ class TestCancellation:
                 cancel=lambda: len(done) >= 2,
             )
             oks = [c.ok for c in batch.cells]
-            assert oks == [True, True, False, False], workers
+            if workers == 0:
+                assert oks == [True, True, False, False]
+            else:
+                # pool cells a worker took before the cancel still finish;
+                # only the still-queued tail of the grid is cancelled
+                assert oks[:2] == [True, True], oks
+                assert oks == sorted(oks, reverse=True), oks
             assert all(c.engine_backend == "scalar" for c in batch.cells)
-            assert all("cancelled" in c.error for c in batch.cells[2:])
+            failed = [c for c in batch.cells if not c.ok]
+            assert all(c.error.startswith("cancelled:") for c in failed), workers
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers only see the patched cell runner when forked",
+    )
+    def test_pool_cancel_keeps_the_cells_workers_took(self, tmp_path, monkeypatch):
+        payloads = {s.methodology: batch_mod._execute_cell(s) for s in SINGLETONS}
+
+        def slow_cell(scenario):
+            # a marker file per started cell: workers are separate processes
+            (tmp_path / scenario.methodology).touch()
+            time.sleep(0.5)
+            return payloads[scenario.methodology]
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(batch_mod, "_execute_cell", slow_cell)
+        store = ExperimentStore(tmp_path / "store")
+        done = []
+        batch = run_batch(
+            SINGLETONS,
+            workers=2,
+            store=store,
+            on_cell_done=done.append,
+            cancel=lambda: bool(done),
+        )
+        assert batch.methodology == "process-pool"
+        started = {
+            c.index for c in batch.cells if (tmp_path / c.scenario.methodology).exists()
+        }
+        assert {0, 1} <= started  # both workers held a cell when cell 0 finished
+        assert {c.index for c in batch.cells if c.ok} == started
+        failed = [c for c in batch.cells if not c.ok]
+        assert all(c.error.startswith("cancelled:") for c in failed)
+        assert len(store) == len(started)
 
     def test_cancel_mid_run_keeps_finished_groups_lockstep(self):
         # GRID forms two lockstep groups of two (one per methodology);

@@ -31,10 +31,6 @@ class TestSpeed:
     def test_roundtrip(self):
         assert units.kmh_to_mps(units.mps_to_kmh(7.3)) == pytest.approx(7.3)
 
-    def test_mph_to_mps(self):
-        # 60 mph ~= 26.82 m/s
-        assert units.mph_to_mps(60.0) == pytest.approx(26.8224, rel=1e-4)
-
 
 class TestEnergy:
     def test_kwh_to_joule(self):
@@ -50,9 +46,6 @@ class TestEnergy:
 class TestCharge:
     def test_ah_to_coulomb(self):
         assert units.ah_to_coulomb(1.0) == pytest.approx(3600.0)
-
-    def test_coulomb_to_ah(self):
-        assert units.coulomb_to_ah(3600.0) == pytest.approx(1.0)
 
     def test_cell_capacity(self):
         # NCR18650A: 3.1 Ah = 11,160 C

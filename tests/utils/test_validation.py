@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_finite,
     check_in_range,
     check_positive,
-    check_same_length,
     clamp,
 )
 
@@ -67,15 +66,6 @@ class TestCheckFinite:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             check_finite([math.inf], "x")
-
-
-class TestCheckSameLength:
-    def test_accepts_equal(self):
-        check_same_length("a", [1, 2], "b", [3, 4])
-
-    def test_rejects_unequal(self):
-        with pytest.raises(ValueError, match="a .*b"):
-            check_same_length("a", [1], "b", [1, 2])
 
 
 class TestClamp:
