@@ -23,7 +23,11 @@ from repro.vehicle.powertrain import PowerRequest
 
 
 class NoCoolingCharger(CoolingOnlyController):
-    """Same battery-only plant, cooler disabled (the comparison case)."""
+    """Same battery-only plant, no cooling loop (the comparison case).
+
+    Like every pack without an installed cooling loop, this one is
+    air-exposed.
+    """
 
     name = "No cooling"
     uses_cooling = False

@@ -20,7 +20,6 @@ from repro import Scenario, run_scenario
 from repro.battery.pack import DEFAULT_PACK
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.cooling.multinode import MultiNodeCoolingLoop
-from repro.controllers.base import Architecture
 from repro.sim.scenario import build_controller
 from repro.utils.units import kelvin_to_celsius
 
@@ -35,8 +34,7 @@ def main():
     result = run_scenario(scenario)
     trace = result.trace
 
-    arch = build_controller(scenario).architecture
-    cooling_installed = arch in (Architecture.HYBRID, Architecture.BATTERY_ONLY)
+    cooling_installed = build_controller(scenario).uses_cooling
 
     print(f"Replaying the heat profile through {nodes} thermal segments ...")
     loop = MultiNodeCoolingLoop(

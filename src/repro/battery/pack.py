@@ -107,6 +107,9 @@ class PackState:
 class PackStepResult:
     """Outcome of one electrical step of the pack.
 
+    :class:`BatteryPack` fills each field with a float (``clipped`` with a
+    bool); :class:`BatteryPackVec` with one array entry per column.
+
     Attributes
     ----------
     cell_current_a:
@@ -318,18 +321,6 @@ class BatteryPack:
 # lockstep (struct-of-arrays) twin
 
 
-@dataclass(frozen=True)
-class PackStepBatch:
-    """Vectorized :class:`PackStepResult`: one array entry per scenario."""
-
-    cell_current_a: np.ndarray
-    terminal_power_w: np.ndarray
-    heat_w: np.ndarray
-    chem_energy_j: np.ndarray
-    loss_increment_percent: np.ndarray
-    clipped: np.ndarray
-
-
 class BatteryPackVec:
     """Struct-of-arrays battery pack advancing M scenarios in lockstep.
 
@@ -390,7 +381,7 @@ class BatteryPackVec:
         per_cell = i_max * (voc - i_max * res)
         return np.maximum(0.0, per_cell) * self._config.cell_count
 
-    def apply_power(self, terminal_power_w: np.ndarray, dt: float) -> PackStepBatch:
+    def apply_power(self, terminal_power_w: np.ndarray, dt: float) -> PackStepResult:
         """Vectorized :meth:`BatteryPack.apply_power` over all columns."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -435,8 +426,9 @@ class BatteryPackVec:
         new_soc = soc - 100.0 * cell_i * dt / ah_to_coulomb(cfg.cell.capacity_ah)
         self.soc_percent = np.minimum(self.SOC_MAX, np.maximum(0.0, new_soc))
 
-        return PackStepBatch(
+        return PackStepResult(
             cell_current_a=cell_i,
+            pack_current_a=cell_i * cfg.parallel,
             terminal_power_w=realized_power,
             heat_w=heat,
             chem_energy_j=chem_energy,

@@ -19,12 +19,15 @@ from repro.hees.dual import DualMode
 
 
 class Architecture(enum.Enum):
-    """Which HEES plant a controller drives."""
+    """Which HEES plant a controller drives.
+
+    Whether the pack also has the active cooling loop is the controller's
+    separate ``uses_cooling`` flag.
+    """
 
     PARALLEL = "parallel"
     DUAL = "dual"
     HYBRID = "hybrid"
-    BATTERY_ONLY = "battery_only"
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ corresponding scalar run bitwise.
 
 Every twin is built from the scalar controller(s) it mirrors - the ones
 :func:`repro.sim.scenario.build_controller` returns - and reads its
-parameters, ``name`` and ``architecture`` from them; the twins declare no
-thresholds or solver settings of their own.
+parameters, ``name``, ``architecture`` and ``uses_cooling`` from them; the
+twins declare no thresholds or solver settings of their own.
 
 The four baselines (:data:`BATCHED_CONTROLLERS`) are closed-form per step,
 and each takes the group's one policy.  :class:`BatchedOTEM` is the MPC
@@ -88,9 +88,9 @@ class _BaselineTwin:
     """Shared shell of the baseline twins.
 
     A twin is built from the scalar policy it mirrors and reads every
-    threshold, its ``name`` and its ``architecture`` from that policy, so
-    the scalar class (and its validation) is the one definition of each
-    methodology.  A lockstep group needs one policy: the grouping key
+    threshold, its ``name``, ``architecture`` and ``uses_cooling`` from that
+    policy, so the scalar class (and its validation) is the one definition
+    of each methodology.  A lockstep group needs one policy: the grouping key
     fixes the methodology and the coolant, and nothing else configures a
     baseline.  The twin adds only per-column state, sized by :meth:`reset`.
     """
@@ -99,6 +99,7 @@ class _BaselineTwin:
         self._policy = policy
         self.name = policy.name
         self.architecture = policy.architecture
+        self.uses_cooling = policy.uses_cooling
         self.reset(0)
 
 
@@ -269,6 +270,7 @@ class BatchedOTEM:
         self._policy = controllers[0]
         self.name = self._policy.name
         self.architecture = self._policy.architecture
+        self.uses_cooling = self._policy.uses_cooling
         self._m = self._planner.scenarios
         self._power_ext: np.ndarray | None = None
         self._per_bin = 1

@@ -5,6 +5,10 @@ system is utilized to maintain the battery temperature in the safe range"
 (paper Section IV-B.2).  The policy is a classic hysteresis thermostat: the
 cooler engages at ``temp_on_k`` with the coldest producible inlet and
 disengages at ``temp_off_k``.
+
+The plant is the dual one: the policy keeps the battery switch position
+and asks for no bank recharge, so a bank that starts full never moves and
+the battery carries every watt.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class CoolingOnlyController:
     """
 
     name = "Cooling [25]"
-    architecture = Architecture.BATTERY_ONLY
+    architecture = Architecture.DUAL
     uses_cooling = True
 
     def __init__(

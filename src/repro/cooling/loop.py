@@ -12,7 +12,7 @@ the MPC uses:
     C_c (T_c+ - T_c)/dt = h_bc ((T_b+ + T_b)/2 - (T_c+ + T_c)/2)
                           + W_c (T_i - (T_c+ + T_c)/2)
 
-a 2x2 linear system solved in closed form each step.
+a 2x2 linear system solved in closed form each step (:func:`solve_eq17`).
 """
 
 from __future__ import annotations
@@ -55,15 +55,34 @@ class CoolingStepResult:
         return self.cooler_power_w + self.pump_power_w
 
 
-@dataclass(frozen=True)
-class CoolingStepBatch:
-    """Vectorized :class:`CoolingStepResult`: one array entry per scenario."""
+def solve_eq17(
+    tb, tc, upstream_k, heat_w, dt, cb, cc, h, wc, h_amb=0.0, ambient_k=0.0
+):
+    """Eq. 17: solve the trapezoidal 2x2 system for ``(T_b+, T_c+)``.
 
-    battery_temp_k: np.ndarray
-    coolant_temp_k: np.ndarray
-    inlet_temp_k: np.ndarray
-    cooler_power_w: np.ndarray
-    pump_power_w: np.ndarray
+    ``cb``/``cc`` are the battery and coolant heat capacities [J/K], ``h``
+    the battery-coolant exchange [W/K], ``wc`` the flow capacity rate
+    [W/K] carrying ``upstream_k`` in, and ``h_amb`` the pack-surface
+    convection to ``ambient_k`` (zero for a sealed pack).  Takes floats or
+    per-column arrays; :class:`CoolingLoop` and each
+    :class:`~repro.cooling.multinode.MultiNodeCoolingLoop` segment step
+    through it.
+    """
+    a11 = cb / dt + h / 2.0 + h_amb / 2.0
+    a12 = -h / 2.0
+    b1 = (
+        cb / dt * tb
+        - h / 2.0 * (tb - tc)
+        + heat_w
+        + h_amb * (ambient_k - tb / 2.0)
+    )
+    # coolant row: flow term is wc*(T_i - (T_c+ + T_c)/2)
+    a21 = -h / 2.0
+    a22 = cc / dt + h / 2.0 + wc / 2.0
+    b2 = cc / dt * tc + h / 2.0 * (tb - tc) + wc * upstream_k - wc / 2.0 * tc
+
+    det = a11 * a22 - a12 * a21
+    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
 class CoolingLoop:
@@ -152,8 +171,6 @@ class CoolingLoop:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self._p
-        h = p.h_battery_coolant_w_per_k
-        cb, cc = self._cb, p.coolant_heat_capacity_j_per_k
 
         if cooling_active:
             inlet = self.clamp_inlet(inlet_temp_k, coolant_temp_k)
@@ -165,28 +182,13 @@ class CoolingLoop:
             pump = 0.0
 
         h_amb = p.passive_h_w_per_k if passive_ambient else 0.0
-
-        # trapezoidal discretization (Eq. 17): solve the 2x2 linear system
-        # for (T_b+, T_c+)
-        tb, tc = battery_temp_k, coolant_temp_k
-        a11 = cb / dt + h / 2.0 + h_amb / 2.0
-        a12 = -h / 2.0
-        b1 = (
-            cb / dt * tb
-            - h / 2.0 * (tb - tc)
-            + pack_heat_w
-            + h_amb * (p.ambient_temp_k - tb / 2.0)
+        tb_new, tc_new = solve_eq17(
+            battery_temp_k, coolant_temp_k, inlet, pack_heat_w, dt,
+            self._cb, p.coolant_heat_capacity_j_per_k,
+            p.h_battery_coolant_w_per_k, wc, h_amb, p.ambient_temp_k,
         )
-        # coolant row: flow term is wc*(T_i - (T_c+ + T_c)/2)
-        a21 = -h / 2.0
-        a22 = cc / dt + h / 2.0 + wc / 2.0
-        b2 = cc / dt * tc + h / 2.0 * (tb - tc) + wc * inlet - wc / 2.0 * tc
 
-        det = a11 * a22 - a12 * a21
-        tb_new = (b1 * a22 - a12 * b2) / det
-        tc_new = (a11 * b2 - a21 * b1) / det
-
-        power = self.cooler_power_w(inlet, tc) if cooling_active else 0.0
+        power = self.cooler_power_w(inlet, coolant_temp_k) if cooling_active else 0.0
         return CoolingStepResult(
             battery_temp_k=tb_new,
             coolant_temp_k=tc_new,
@@ -221,7 +223,7 @@ class CoolingLoop:
         dt: float,
         cooling_active: np.ndarray,
         passive_ambient: bool = False,
-    ) -> "CoolingStepBatch":
+    ) -> CoolingStepResult:
         """Vectorized :meth:`step` advancing M scenario columns at once.
 
         ``cooling_active`` is a per-column boolean mask (thermostats across
@@ -233,8 +235,6 @@ class CoolingLoop:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self._p
-        h = p.h_battery_coolant_w_per_k
-        cb, cc = self._cb, p.coolant_heat_capacity_j_per_k
 
         inlet = np.where(
             cooling_active,
@@ -244,28 +244,16 @@ class CoolingLoop:
         wc = np.where(cooling_active, p.flow_capacity_rate_w_per_k, 0.0)
         pump = np.where(cooling_active, p.pump_power_w, 0.0)
         h_amb = p.passive_h_w_per_k if passive_ambient else 0.0
-
-        tb, tc = battery_temp_k, coolant_temp_k
-        a11 = cb / dt + h / 2.0 + h_amb / 2.0
-        a12 = -h / 2.0
-        b1 = (
-            cb / dt * tb
-            - h / 2.0 * (tb - tc)
-            + pack_heat_w
-            + h_amb * (p.ambient_temp_k - tb / 2.0)
+        tb_new, tc_new = solve_eq17(
+            battery_temp_k, coolant_temp_k, inlet, pack_heat_w, dt,
+            self._cb, p.coolant_heat_capacity_j_per_k,
+            p.h_battery_coolant_w_per_k, wc, h_amb, p.ambient_temp_k,
         )
-        a21 = -h / 2.0
-        a22 = cc / dt + h / 2.0 + wc / 2.0
-        b2 = cc / dt * tc + h / 2.0 * (tb - tc) + wc * inlet - wc / 2.0 * tc
-
-        det = a11 * a22 - a12 * a21
-        tb_new = (b1 * a22 - a12 * b2) / det
-        tc_new = (a11 * b2 - a21 * b1) / det
 
         power = np.where(
-            cooling_active, self.cooler_power_batch(inlet, tc), 0.0
+            cooling_active, self.cooler_power_batch(inlet, coolant_temp_k), 0.0
         )
-        return CoolingStepBatch(
+        return CoolingStepResult(
             battery_temp_k=tb_new,
             coolant_temp_k=tc_new,
             inlet_temp_k=inlet,

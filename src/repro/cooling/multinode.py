@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
+from repro.cooling.loop import solve_eq17
 from repro.utils.validation import check_positive
 
 
@@ -158,19 +159,13 @@ class MultiNodeCoolingLoop:
         new_tc = np.empty(m)
         upstream = inlet
         for i in range(m):
-            tb = float(state.battery_temps_k[i])
-            tc = float(state.coolant_temps_k[i])
-            # trapezoidal 2x2 solve, as in the lumped loop, with the flow
-            # term fed by the upstream segment's (new) coolant temperature
-            a11 = cb / dt + h / 2.0
-            a12 = -h / 2.0
-            b1 = cb / dt * tb - h / 2.0 * (tb - tc) + q
-            a21 = -h / 2.0
-            a22 = cc / dt + h / 2.0 + wc / 2.0
-            b2 = cc / dt * tc + h / 2.0 * (tb - tc) + wc * upstream - wc / 2.0 * tc
-            det = a11 * a22 - a12 * a21
-            new_tb[i] = (b1 * a22 - a12 * b2) / det
-            new_tc[i] = (a11 * b2 - a21 * b1) / det
+            # the lumped loop's Eq. 17 solve, with the flow term fed by the
+            # upstream segment's (new) coolant temperature
+            new_tb[i], new_tc[i] = solve_eq17(
+                float(state.battery_temps_k[i]),
+                float(state.coolant_temps_k[i]),
+                upstream, q, dt, cb, cc, h, wc,
+            )
             upstream = new_tc[i]
 
         return MultiNodeState(

@@ -66,44 +66,28 @@ class DCDCConverter:
         v = np.asarray(port_voltage_v, dtype=float)
         sag = 1.0 - v / p.v_ref
         eta = p.eta_max - p.droop * sag**2
-        return np.clip(eta, p.eta_min, p.eta_max)
+        return np.minimum(np.maximum(eta, p.eta_min), p.eta_max)
 
-    def port_power_for_bus(self, bus_power_w: float, port_voltage_v: float) -> float:
+    def port_power_for_bus(self, bus_power_w, port_voltage_v):
         """Storage-side power needed to realize ``bus_power_w`` at the bus.
 
         Positive = storage discharging into the bus (storage supplies
         ``bus / eta``); negative = bus charging the storage (storage receives
         ``bus * eta``); clipped at the converter rating on the port side.
+        Floats in, float out; per-column arrays in, array out.
         """
-        eta = float(self.efficiency(port_voltage_v))
-        if bus_power_w >= 0:
-            port = bus_power_w / eta
-        else:
-            port = bus_power_w * eta
-        return float(np.clip(port, -self._p.max_power_w, self._p.max_power_w))
-
-    def bus_power_for_port(self, port_power_w: float, port_voltage_v: float) -> float:
-        """Bus-side power realized by ``port_power_w`` at the storage port."""
-        eta = float(self.efficiency(port_voltage_v))
-        port = float(np.clip(port_power_w, -self._p.max_power_w, self._p.max_power_w))
-        if port >= 0:
-            return port * eta
-        return port / eta
-
-    # ------------------------------------------------------------------ #
-    # lockstep (struct-of-arrays) variants
-
-    def port_power_for_bus_batch(self, bus_power_w, port_voltage_v) -> np.ndarray:
-        """Vectorized :meth:`port_power_for_bus` over column arrays."""
         eta = self.efficiency(port_voltage_v)
         port = np.where(bus_power_w >= 0, bus_power_w / eta, bus_power_w * eta)
-        return np.clip(port, -self._p.max_power_w, self._p.max_power_w)
+        rating = self._p.max_power_w
+        return np.minimum(np.maximum(port, -rating), rating)
 
-    def bus_power_for_port_batch(self, port_power_w, port_voltage_v) -> np.ndarray:
-        """Vectorized :meth:`bus_power_for_port` over column arrays."""
+    def bus_power_for_port(self, port_power_w, port_voltage_v):
+        """Bus-side power realized by ``port_power_w`` at the storage port."""
         eta = self.efficiency(port_voltage_v)
-        port = np.clip(port_power_w, -self._p.max_power_w, self._p.max_power_w)
-        return np.where(port >= 0, port * eta, port / eta)
+        rating = self._p.max_power_w
+        port = np.minimum(np.maximum(port_power_w, -rating), rating)
+        # [()] unwraps np.where's 0-d result for float inputs
+        return np.where(port >= 0, port * eta, port / eta)[()]
 
     def loss_w(self, port_power_w: float, port_voltage_v: float) -> float:
         """Power dissipated in the converter [W] for a port-side flow."""

@@ -20,9 +20,9 @@ import enum
 import numpy as np
 
 from repro.battery.pack import BatteryPack, BatteryPackVec
-from repro.hees.state import HEESStepBatch, HEESStepResult
+from repro.hees.parallel import restrung_bank
+from repro.hees.state import HEESStepResult
 from repro.ultracap.bank import UltracapBank, UltracapBankVec
-from repro.utils.validation import check_in_range, check_positive
 
 
 class DualMode(enum.Enum):
@@ -42,33 +42,20 @@ class DualHEES:
         Battery pack.
     bank:
         Ultracapacitor bank (module-rated; re-strung internally as in the
-        parallel architecture).
-    cap_resistance_ohm:
-        Series resistance of the re-strung bank [Ohm]; by default derived
-        physically via
-        :func:`repro.hees.parallel.restrung_resistance_ohm`.
-    recharge_efficiency:
-        Fraction of battery energy that lands in the bank on the recharge
-        path [-] (switch + wiring loss).
+        parallel architecture, see
+        :func:`repro.hees.parallel.restrung_bank`).
     """
 
-    def __init__(
-        self,
-        pack: BatteryPack,
-        bank: UltracapBank,
-        cap_resistance_ohm: float | None = None,
-        recharge_efficiency: float = 0.95,
-    ):
-        from repro.hees.parallel import restrung_resistance_ohm
+    #: Fraction of the power on the regen and battery->bank recharge paths
+    #: that lands in the bank [-] (switch + wiring loss).
+    ETA_PATH = 0.95
 
+    def __init__(self, pack: BatteryPack, bank: UltracapBank):
         self._pack = pack
         self._bank = bank
-        if cap_resistance_ohm is None:
-            cap_resistance_ohm = restrung_resistance_ohm(pack, bank)
-        self._rc = check_positive(cap_resistance_ohm, "cap_resistance_ohm")
-        self._eta_r = check_in_range(recharge_efficiency, 0.5, 1.0, "recharge_efficiency")
-        full_voc_cell = float(pack.electrical.open_circuit_voltage(100.0))
-        self._vr_eff = pack.config.series * full_voc_cell
+        self._vr_eff, self._rc = restrung_bank(
+            pack, bank.params.rated_voltage_v, bank.params.internal_resistance_ohm
+        )
 
     @property
     def pack(self) -> BatteryPack:
@@ -155,16 +142,16 @@ class DualHEES:
 
         if regen_to_cap > 0:
             # regen into the bank (lossy switch/wiring path)
-            cap = bank.apply_power(-regen_to_cap * self._eta_r, dt)
+            cap = bank.apply_power(-regen_to_cap * self.ETA_PATH, dt)
             cap_energy += cap.energy_j
             cap_power += cap.power_w
-            circuit_loss += regen_to_cap * (1.0 - self._eta_r) * dt
+            circuit_loss += regen_to_cap * (1.0 - self.ETA_PATH) * dt
 
         if bank_charge > 0:
             # battery pushes energy into the bank (lossy path)
-            cap = bank.apply_power(-bank_charge * self._eta_r, dt)
+            cap = bank.apply_power(-bank_charge * self.ETA_PATH, dt)
             cap_energy += cap.energy_j
-            circuit_loss += bank_charge * (1.0 - self._eta_r) * dt
+            circuit_loss += bank_charge * (1.0 - self.ETA_PATH) * dt
             battery_extra = bank_charge
         else:
             battery_extra = 0.0
@@ -220,21 +207,12 @@ class DualHEESVec:
         DualMode.RECHARGE: MODE_RECHARGE,
     }
 
-    def __init__(
-        self,
-        pack: BatteryPackVec,
-        bank: UltracapBankVec,
-        recharge_efficiency: float = 0.95,
-    ):
+    def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
         self._pack = pack
         self._bank = bank
-        self._eta_r = check_in_range(
-            recharge_efficiency, 0.5, 1.0, "recharge_efficiency"
+        self._vr_eff, self._rc = restrung_bank(
+            pack, bank.rated_voltage_v, bank.internal_resistance_ohm
         )
-        full_voc_cell = float(pack.electrical.open_circuit_voltage(100.0))
-        self._vr_eff = pack.config.series * full_voc_cell
-        k = self._vr_eff / bank.rated_voltage_v
-        self._rc = bank.internal_resistance_ohm * k * k
 
     def cap_voltage(self) -> np.ndarray:
         """Per-column bank voltage in the re-strung configuration [V]."""
@@ -248,12 +226,13 @@ class DualHEESVec:
         mode: np.ndarray,
         recharge_power_w: np.ndarray,
         dt: float,
-    ) -> HEESStepBatch:
+    ) -> HEESStepResult:
         """Vectorized :meth:`DualHEES.step` over all columns."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
         r_c = self._rc
+        eta_path = DualHEES.ETA_PATH
 
         max_charge = bank.max_charge_power_w(dt)
         regen_to_cap = np.where(
@@ -285,8 +264,8 @@ class DualHEESVec:
         disc = v_c * v_c - 4.0 * r_c * cap_request
         i_c = (v_c - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * r_c)
         bank_power = np.where(discharging, v_c * i_c, 0.0)
-        bank_power = bank_power - regen_to_cap * self._eta_r
-        bank_power = bank_power - bank_charge * self._eta_r
+        bank_power = bank_power - regen_to_cap * eta_path
+        bank_power = bank_power - bank_charge * eta_path
         touched = discharging | regenerating | charging
         cap = bank.apply_power(bank_power, dt, active=touched)
 
@@ -301,8 +280,8 @@ class DualHEESVec:
         )
         circuit_loss = (
             np.where(discharging, (cap_current**2) * r_c * dt, 0.0)
-            + regen_to_cap * (1.0 - self._eta_r) * dt
-            + bank_charge * (1.0 - self._eta_r) * dt
+            + regen_to_cap * (1.0 - eta_path) * dt
+            + bank_charge * (1.0 - eta_path) * dt
         )
         delivered_by_cap = np.where(
             discharging, cap.power_w - (cap_current**2) * r_c, 0.0
@@ -321,7 +300,7 @@ class DualHEESVec:
             request_w > 0, np.maximum(0.0, request_w - delivered), 0.0
         )
 
-        return HEESStepBatch(
+        return HEESStepResult(
             requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,

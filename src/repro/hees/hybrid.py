@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.battery.pack import BatteryPack, BatteryPackVec
 from repro.hees.converter import ConverterParams, DCDCConverter
-from repro.hees.state import HEESStepBatch, HEESStepResult
+from repro.hees.state import HEESStepResult
 from repro.ultracap.bank import UltracapBank, UltracapBankVec, UltracapStepResult
 
 
@@ -41,13 +41,17 @@ def default_battery_converter(pack: BatteryPack) -> DCDCConverter:
 
 def default_cap_converter(bank: UltracapBank) -> DCDCConverter:
     """Ultracap-port converter: efficiency sags as the bank depletes."""
+    return _cap_converter(bank.params.rated_voltage_v, bank.params.max_power_w)
+
+
+def _cap_converter(rated_voltage_v: float, max_power_w: float) -> DCDCConverter:
     return DCDCConverter(
         ConverterParams(
             eta_max=0.97,
             eta_min=0.82,
             droop=0.30,
-            v_ref=bank.params.rated_voltage_v,
-            max_power_w=bank.params.max_power_w,
+            v_ref=rated_voltage_v,
+            max_power_w=max_power_w,
         )
     )
 
@@ -61,21 +65,16 @@ class HybridHEES:
         Battery pack.
     bank:
         Ultracapacitor bank (module-rated; the converter bridges voltages).
-    battery_converter / cap_converter:
-        Converter ports; defaults built from the storage ratings.
+
+    The converter ports are :func:`default_battery_converter` and
+    :func:`default_cap_converter`, built from the storage ratings.
     """
 
-    def __init__(
-        self,
-        pack: BatteryPack,
-        bank: UltracapBank,
-        battery_converter: DCDCConverter | None = None,
-        cap_converter: DCDCConverter | None = None,
-    ):
+    def __init__(self, pack: BatteryPack, bank: UltracapBank):
         self._pack = pack
         self._bank = bank
-        self._bat_conv = battery_converter or default_battery_converter(pack)
-        self._cap_conv = cap_converter or default_cap_converter(bank)
+        self._bat_conv = default_battery_converter(pack)
+        self._cap_conv = default_cap_converter(bank)
 
     @property
     def pack(self) -> BatteryPack:
@@ -202,23 +201,24 @@ class HybridHEESVec:
     The converter ports are shared across columns: every bank produced by
     :func:`repro.ultracap.params.bank_of_farads` keeps the module rated
     voltage and power rating, so one cap-port converter serves mixed bank
-    sizes, and the pack layout (hence the battery-port converter) is a
-    lockstep group key.  The main bank call is unconditional - the scalar
-    plant also rounds the SoE through ``apply_power`` at zero command - and
-    the reserve-tap emergency pass is masked on ``unmet > 1``.
+    sizes (a bank set that mixes ratings is refused), and the pack layout
+    (hence the battery-port converter) is a lockstep group key.  The main
+    bank call is unconditional - the scalar plant also rounds the SoE
+    through ``apply_power`` at zero command - and the reserve-tap
+    emergency pass is masked on ``unmet > 1``.
     """
 
-    def __init__(
-        self,
-        pack: BatteryPackVec,
-        bank: UltracapBankVec,
-        battery_converter: DCDCConverter,
-        cap_converter: DCDCConverter,
-    ):
+    def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
+        ratings = set(zip(bank.rated_voltage_v.tolist(), bank.max_power_w.tolist()))
+        if len(ratings) > 1:
+            raise ValueError(
+                "hybrid lockstep group mixes bank module ratings; "
+                "run these scenarios on the scalar engine"
+            )
         self._pack = pack
         self._bank = bank
-        self._bat_conv = battery_converter
-        self._cap_conv = cap_converter
+        self._bat_conv = default_battery_converter(pack)
+        self._cap_conv = _cap_converter(*ratings.pop())
 
     def cap_bus_limits(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-column (min, max) feasible ultracap bus-power command."""
@@ -238,7 +238,7 @@ class HybridHEESVec:
 
     def step(
         self, request_w: np.ndarray, cap_bus_command_w: np.ndarray, dt: float
-    ) -> HEESStepBatch:
+    ) -> HEESStepResult:
         """Vectorized :meth:`HybridHEES.step` over all columns."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -246,7 +246,7 @@ class HybridHEESVec:
 
         lo, hi = self.cap_bus_limits(dt)
         v_pack_now = pack.open_circuit_voltage()
-        bat_max_bus = self._bat_conv.bus_power_for_port_batch(
+        bat_max_bus = self._bat_conv.bus_power_for_port(
             pack.max_discharge_power_w(), v_pack_now
         )
         headroom = bat_max_bus - np.maximum(request_w, 0.0)
@@ -254,16 +254,16 @@ class HybridHEESVec:
         cap_bus = np.minimum(np.maximum(cap_bus_command_w, lo), hi)
 
         v_cap = bank.voltage()
-        cap_port = self._cap_conv.port_power_for_bus_batch(cap_bus, v_cap)
+        cap_port = self._cap_conv.port_power_for_bus(cap_bus, v_cap)
         cap = bank.apply_power(cap_port, dt)
-        cap_bus_real = self._cap_conv.bus_power_for_port_batch(cap.power_w, v_cap)
+        cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, v_cap)
         cap_conv_loss = np.abs(cap.power_w - cap_bus_real)
 
         battery_bus = request_w - cap_bus_real
         v_pack = pack.open_circuit_voltage()
-        bat_port = self._bat_conv.port_power_for_bus_batch(battery_bus, v_pack)
+        bat_port = self._bat_conv.port_power_for_bus(battery_bus, v_pack)
         bat = pack.apply_power(bat_port, dt)
-        bat_bus_real = self._bat_conv.bus_power_for_port_batch(
+        bat_bus_real = self._bat_conv.bus_power_for_port(
             bat.terminal_power_w, v_pack
         )
         bat_conv_loss = np.abs(bat.terminal_power_w - bat_bus_real)
@@ -277,9 +277,9 @@ class HybridHEESVec:
         cap_energy = cap.energy_j
         em = unmet > 1.0
         if np.any(em):
-            extra_port = self._cap_conv.port_power_for_bus_batch(unmet, v_cap)
+            extra_port = self._cap_conv.port_power_for_bus(unmet, v_cap)
             extra = bank.apply_power(extra_port, dt, tap_reserve=True, active=em)
-            extra_bus = self._cap_conv.bus_power_for_port_batch(
+            extra_bus = self._cap_conv.bus_power_for_port(
                 extra.power_w, v_cap
             )
             extra_bus = np.where(em, extra_bus, 0.0)
@@ -294,7 +294,7 @@ class HybridHEESVec:
                 em, np.maximum(0.0, request_w - delivered), unmet
             )
 
-        return HEESStepBatch(
+        return HEESStepResult(
             requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,

@@ -26,24 +26,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.battery.pack import BatteryPack, BatteryPackVec
-from repro.hees.state import HEESStepBatch, HEESStepResult
+from repro.hees.state import HEESStepResult
 from repro.ultracap.bank import UltracapBank, UltracapBankVec
-from repro.utils.validation import check_positive
 
 
-def restrung_resistance_ohm(pack: BatteryPack, bank: UltracapBank) -> float:
-    """Series resistance of the bank re-strung to pack voltage [Ohm].
+def restrung_bank(pack, rated_voltage_v, internal_resistance_ohm):
+    """Rated voltage [V] and series resistance [Ohm] of the re-strung bank.
 
-    Re-arranging a module of capacitance C and resistance R to a voltage
-    ``k`` times higher (same cells, same energy) scales the resistance by
-    ``k^2``; at fixed module voltage, resistance scales inversely with
-    capacitance (fewer parallel strings).  This is what makes small banks
-    nearly useless as passive buffers (paper Table I, parallel column).
+    The rating becomes the pack's full open-circuit voltage.  Re-arranging
+    a module of capacitance C and resistance R to a voltage ``k`` times
+    higher (same cells, same energy) scales the resistance by ``k^2``; at
+    fixed module voltage, resistance scales inversely with capacitance
+    (fewer parallel strings).  This is what makes small banks nearly
+    useless as passive buffers (paper Table I, parallel column).
+
+    Serves the parallel and dual plants and their lockstep twins: the
+    module rating is a float for one bank or a per-column array.
     """
     full_voc_cell = float(pack.electrical.open_circuit_voltage(100.0))
     vr_eff = pack.config.series * full_voc_cell
-    k = vr_eff / bank.params.rated_voltage_v
-    return bank.params.internal_resistance_ohm * k * k
+    k = vr_eff / rated_voltage_v
+    return vr_eff, internal_resistance_ohm * k * k
 
 
 class ParallelHEES:
@@ -54,28 +57,17 @@ class ParallelHEES:
     pack:
         Battery pack.
     bank:
-        Ultracapacitor bank (module-rated; re-strung internally).
-    cap_resistance_ohm:
-        Series resistance of the re-strung high-voltage bank [Ohm]; by
-        default derived physically from the module rating via
-        :func:`restrung_resistance_ohm`.  It sets how aggressively the
-        capacitor takes load transients.
+        Ultracapacitor bank (module-rated; re-strung internally, see
+        :func:`restrung_bank`).  The re-strung series resistance sets how
+        aggressively the capacitor takes load transients.
     """
 
-    def __init__(
-        self,
-        pack: BatteryPack,
-        bank: UltracapBank,
-        cap_resistance_ohm: float | None = None,
-    ):
+    def __init__(self, pack: BatteryPack, bank: UltracapBank):
         self._pack = pack
         self._bank = bank
-        if cap_resistance_ohm is None:
-            cap_resistance_ohm = restrung_resistance_ohm(pack, bank)
-        self._rc = check_positive(cap_resistance_ohm, "cap_resistance_ohm")
-        # re-strung rating: full-pack open-circuit voltage
-        full_voc_cell = float(pack.electrical.open_circuit_voltage(100.0))
-        self._vr_eff = pack.config.series * full_voc_cell
+        self._vr_eff, self._rc = restrung_bank(
+            pack, bank.params.rated_voltage_v, bank.params.internal_resistance_ohm
+        )
         self.sync_soe_to_battery()
 
     @property
@@ -180,10 +172,9 @@ class ParallelHEESVec:
     def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
         self._pack = pack
         self._bank = bank
-        full_voc_cell = float(pack.electrical.open_circuit_voltage(100.0))
-        self._vr_eff = pack.config.series * full_voc_cell
-        k = self._vr_eff / bank.rated_voltage_v
-        self._rc = bank.internal_resistance_ohm * k * k
+        self._vr_eff, self._rc = restrung_bank(
+            pack, bank.rated_voltage_v, bank.internal_resistance_ohm
+        )
         self.sync_soe_to_battery()
 
     def cap_voltage(self) -> np.ndarray:
@@ -198,7 +189,7 @@ class ParallelHEESVec:
         soe = 100.0 * (voc / self._vr_eff) ** 2
         self._bank.reset(np.minimum(100.0, soe))
 
-    def step(self, request_w: np.ndarray, dt: float) -> HEESStepBatch:
+    def step(self, request_w: np.ndarray, dt: float) -> HEESStepResult:
         """Vectorized :meth:`ParallelHEES.step` over all columns."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -242,7 +233,7 @@ class ParallelHEESVec:
         )
         circuit_loss = (i_c_real**2) * r_c * dt
 
-        return HEESStepBatch(
+        return HEESStepResult(
             requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class HEESStepResult:
     """Uniform outcome of one HEES step, for any architecture.
+
+    The scalar plants fill every field with a float; their lockstep twins
+    (``ParallelHEESVec`` & co.) fill it with one array entry per column
+    and leave ``notes`` empty (the engines record no notes).
 
     Attributes
     ----------
@@ -59,26 +61,3 @@ class HEESStepResult:
     def hees_energy_j(self) -> float:
         """dE_bat + dE_cap, the HEES term of the paper's cost Eq. 19 [J]."""
         return self.chem_energy_j + self.cap_energy_j
-
-
-@dataclass(frozen=True)
-class HEESStepBatch:
-    """Vectorized :class:`HEESStepResult`: one array entry per scenario.
-
-    Produced by the lockstep plant twins (``ParallelHEESVec`` & co.); field
-    meanings match the scalar result.  The per-step ``notes`` dict is
-    dropped - it exists for scalar-trace debugging only and is not recorded
-    by the simulation engine.
-    """
-
-    requested_power_w: np.ndarray
-    delivered_power_w: np.ndarray
-    battery_power_w: np.ndarray
-    ultracap_power_w: np.ndarray
-    battery_cell_current_a: np.ndarray
-    battery_heat_w: np.ndarray
-    chem_energy_j: np.ndarray
-    cap_energy_j: np.ndarray
-    converter_loss_j: np.ndarray
-    loss_increment_percent: np.ndarray
-    unmet_power_w: np.ndarray

@@ -6,9 +6,7 @@ Per step:
 2. ask the controller for a :class:`Decision`,
 3. price the cooling command (Eq. 16) and add it to the bus request - the
    cooler and pump draw their power from the HEES,
-4. step the HEES plant (the architecture the controller declares; a
-   battery-only policy drives the dual plant with its default battery
-   mode and zero recharge),
+4. step the HEES plant the controller's ``architecture`` names,
 5. advance the coupled battery/coolant temperatures (Eq. 14-15 via Eq. 17),
 6. record the step's channels (:func:`step_channels`, shared with the
    lockstep engine).
@@ -34,6 +32,14 @@ from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams
 from repro.vehicle.powertrain import PowerRequest
 from repro.utils.validation import check_in_range, check_positive
+
+
+#: The plant each :class:`~repro.controllers.base.Architecture` names.
+_PLANTS = {
+    Architecture.PARALLEL: ParallelHEES,
+    Architecture.DUAL: DualHEES,
+    Architecture.HYBRID: HybridHEES,
+}
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,8 @@ class Simulator:
     pack_config:
         Battery pack layout.
     cap_params:
-        Ultracapacitor bank parameters (ignored for BATTERY_ONLY).
+        Ultracapacitor bank parameters (the battery-only cooling baseline
+        drives the dual plant and leaves its full bank alone).
     coolant:
         Cooling-loop parameters (the loop exists only when the controller
         declares ``uses_cooling``).
@@ -148,16 +155,6 @@ class Simulator:
 
     # ------------------------------------------------------------------ #
 
-    def _build_plant(self, pack: BatteryPack, bank: UltracapBank):
-        arch = self._controller.architecture
-        if arch is Architecture.PARALLEL:
-            return ParallelHEES(pack, bank)
-        if arch is Architecture.DUAL or arch is Architecture.BATTERY_ONLY:
-            return DualHEES(pack, bank)
-        if arch is Architecture.HYBRID:
-            return HybridHEES(pack, bank)
-        raise ValueError(f"unknown architecture {arch}")
-
     def run(self, request: PowerRequest) -> SimulationResult:
         """Simulate the whole route and return trace + metrics."""
         controller = self._controller
@@ -169,12 +166,15 @@ class Simulator:
             initial_temp_k=self._temp0,
         )
         bank = UltracapBank(self._cap_params, initial_soe_percent=self._soe0)
-        plant = self._build_plant(pack, bank)
+        plant = _PLANTS[controller.architecture](pack, bank)
         loop = CoolingLoop(self._coolant, self._pack_config.heat_capacity_j_per_k)
 
         dt = request.dt
         coolant_temp = self._temp0
         recorder = TraceRecorder(len(request))
+        # a pack without an installed cooling loop is air-exposed; the
+        # actively-cooled pack is sealed
+        passive = not controller.uses_cooling
 
         for k in range(len(request)):
             p_e = float(request.power_w[k])
@@ -211,14 +211,11 @@ class Simulator:
                 step = plant.step(total_request, dt)
             elif arch is Architecture.HYBRID:
                 step = plant.step(total_request, decision.cap_bus_w, dt)
-            else:  # the dual plant; a battery-only policy keeps its defaults
+            else:
                 step = plant.step(
                     total_request, decision.dual_mode, decision.recharge_power_w, dt
                 )
 
-            # architectures without an installed cooling system have
-            # air-exposed packs; the actively-cooled pack is sealed
-            passive = arch in (Architecture.PARALLEL, Architecture.DUAL)
             thermal = loop.step(
                 pack.temp_k,
                 coolant_temp,

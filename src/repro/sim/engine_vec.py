@@ -10,19 +10,25 @@ loop iteration per *timestep* instead of one per timestep per scenario.
 
 Equivalence contract
 --------------------
-Every model twin (``BatteryPackVec``, ``UltracapBankVec``, the plant and
-cooling twins, the batched policies) mirrors its scalar counterpart
-expression-for-expression, with branches re-expressed as ``np.where`` masks
-that never round-trip untouched state.  Each batched policy is built from
-the scalar controller :func:`repro.sim.scenario.build_controller` returns
-and reads its thresholds and solver settings from it, so the two cannot
-disagree on a parameter.  A column of a lockstep run is
-therefore bitwise-identical to the scalar run of that scenario - verified
-channel-by-channel in ``tests/sim/test_engine_vec.py`` - except for two
-bookkeeping-only channels (``loss_increment_percent``, ``converter_loss_j``)
-where NumPy's vectorized and scalar libm paths can round ``pow``/``exp``
-one ulp apart (~1e-15 relative); neither feeds back into the dynamics, so
-the difference never cascades.
+The twins that remain are the step bodies whose scalar originals are
+measurably faster on floats: ``BatteryPackVec.apply_power``,
+``UltracapBankVec.apply_power``, the three plant twins' ``step`` and
+``CoolingLoop.step_batch``.  Each mirrors its scalar counterpart
+expression-for-expression, with branches re-expressed as ``np.where``
+masks that never round-trip untouched state, and shares everything else
+with it: the scalar step-result types (one array entry per column), the
+array-capable :class:`~repro.hees.converter.DCDCConverter`, the re-strung
+bank constants (:func:`repro.hees.parallel.restrung_bank`) and the Eq. 17
+solve (:func:`repro.cooling.loop.solve_eq17`).  Each batched policy is
+built from the scalar controller :func:`repro.sim.scenario.build_controller`
+returns and reads its thresholds, solver settings and ``uses_cooling``
+from it, so the two cannot disagree on a parameter.  A column of a
+lockstep run is therefore bitwise-identical to the scalar run of that
+scenario - verified channel-by-channel in ``tests/sim/test_engine_vec.py``
+- except for two bookkeeping-only channels (``loss_increment_percent``,
+``converter_loss_j``) where NumPy's vectorized and scalar libm paths can
+round ``pow``/``exp`` one ulp apart (~1e-15 relative); neither feeds back
+into the dynamics, so the difference never cascades.
 
 Scope
 -----
@@ -55,17 +61,13 @@ from repro.controllers.batched import BATCHED_CONTROLLERS, BatchedOTEM
 from repro.cooling.loop import CoolingLoop
 from repro.drivecycle.library import get_cycle
 from repro.hees.dual import DualHEESVec
-from repro.hees.hybrid import (
-    HybridHEESVec,
-    default_battery_converter,
-    default_cap_converter,
-)
+from repro.hees.hybrid import HybridHEESVec
 from repro.hees.parallel import ParallelHEESVec
 from repro.sim.engine import SimulationResult, step_channels
 from repro.sim.metrics import compute_metrics
 from repro.sim.scenario import Scenario, build_controller
 from repro.sim.trace import CHANNELS, Trace
-from repro.ultracap.bank import UltracapBank, UltracapBankVec
+from repro.ultracap.bank import UltracapBankVec
 from repro.vehicle.powertrain import Powertrain, PowerRequest
 
 #: Methodologies the lockstep engine can vectorize: the closed-form
@@ -138,32 +140,12 @@ def build_request(scenario: Scenario) -> PowerRequest:
     return Powertrain(scenario.vehicle).power_request(cycle)
 
 
-def _build_plant(arch: Architecture, scenarios, pack, bank):
-    if arch is Architecture.PARALLEL:
-        return ParallelHEESVec(pack, bank)
-    if arch is Architecture.DUAL or arch is Architecture.BATTERY_ONLY:
-        return DualHEESVec(pack, bank)
-    if arch is Architecture.HYBRID:
-        # one converter pair serves the whole group: every bank produced by
-        # bank_of_farads shares the module rating the cap converter is
-        # built from, and the pack layout is a group key
-        ratings = {
-            (p.rated_voltage_v, p.max_power_w)
-            for p in (s.cap_params() for s in scenarios)
-        }
-        if len(ratings) > 1:
-            raise ValueError(
-                "hybrid lockstep group mixes bank module ratings; "
-                "run these scenarios on the scalar engine"
-            )
-        ref_bank = UltracapBank(scenarios[0].cap_params())
-        return HybridHEESVec(
-            pack,
-            bank,
-            battery_converter=default_battery_converter(pack),
-            cap_converter=default_cap_converter(ref_bank),
-        )
-    raise ValueError(f"unknown architecture {arch}")
+#: The lockstep twin of the plant each architecture names.
+_PLANT_TWINS = {
+    Architecture.PARALLEL: ParallelHEESVec,
+    Architecture.DUAL: DualHEESVec,
+    Architecture.HYBRID: HybridHEESVec,
+}
 
 
 def run_lockstep_group(
@@ -175,9 +157,7 @@ def run_lockstep_group(
     share ``dt`` (use :func:`run_lockstep` to group arbitrary sets).
     Each step runs the scalar engine's sequence on whole columns and
     records through the same :func:`repro.sim.engine.step_channels` map
-    into ``(t_max, m)`` channel buffers; a battery-only group drives the
-    dual plant with its twin's default battery mode and zero recharge, as
-    :class:`~repro.sim.engine.Simulator` does.  Returns one
+    into ``(t_max, m)`` channel buffers.  Returns one
     :class:`SimulationResult` per scenario, index-aligned.
     """
     if not scenarios:
@@ -220,11 +200,11 @@ def run_lockstep_group(
     bank = UltracapBankVec(
         [s.cap_params() for s in scenarios], initial_soe_percent=100.0
     )
-    plant = _build_plant(arch, scenarios, pack, bank)
+    plant = _PLANT_TWINS[arch](pack, bank)
     loop = CoolingLoop(first.coolant, first.pack.heat_capacity_j_per_k)
 
     coolant_temp = pack.temp_k.copy()
-    passive = arch in (Architecture.PARALLEL, Architecture.DUAL)
+    passive = not controller.uses_cooling
     if is_mpc:
         controller.begin_route(power, dt, lengths=lengths)
 
@@ -264,7 +244,7 @@ def run_lockstep_group(
             step = plant.step(total_request, dt)
         elif arch is Architecture.HYBRID:
             step = plant.step(total_request, decision.cap_bus_w, dt)
-        else:  # the dual plant; a battery-only twin keeps its defaults
+        else:
             step = plant.step(
                 total_request, decision.dual_mode, decision.recharge_power_w, dt
             )

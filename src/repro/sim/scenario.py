@@ -27,6 +27,7 @@ from repro.core.otem import OTEMController
 from repro.drivecycle.library import get_cycle
 from repro.sim.engine import SimulationResult, Simulator
 from repro.ultracap.params import UltracapParams, bank_of_farads
+from repro.utils.validation import check_positive
 from repro.vehicle.params import MODEL_S_LIKE, VehicleParams
 from repro.vehicle.powertrain import Powertrain
 
@@ -96,6 +97,8 @@ class Scenario:
             )
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
+        check_positive(self.ucap_farads, "ucap_farads")
+        check_positive(self.initial_temp_k, "initial_temp_k")
         if self.rollout_backend not in MPCPlanner.BACKENDS:
             raise ValueError(
                 f"unknown rollout_backend {self.rollout_backend!r}; "

@@ -21,6 +21,9 @@ from repro.utils.validation import check_in_range
 class UltracapStepResult:
     """Outcome of one step of the bank.
 
+    :class:`UltracapBank` fills each field with a float (``clipped`` with a
+    bool); :class:`UltracapBankVec` with one array entry per column.
+
     Attributes
     ----------
     power_w:
@@ -164,16 +167,6 @@ class UltracapBank:
 # lockstep (struct-of-arrays) twin
 
 
-@dataclass(frozen=True)
-class UltracapStepBatch:
-    """Vectorized :class:`UltracapStepResult`: one array entry per scenario."""
-
-    power_w: np.ndarray
-    current_a: np.ndarray
-    energy_j: np.ndarray
-    clipped: np.ndarray
-
-
 class UltracapBankVec:
     """Struct-of-arrays ultracap bank advancing M scenarios in lockstep.
 
@@ -259,7 +252,7 @@ class UltracapBankVec:
         dt: float,
         tap_reserve: bool = False,
         active=None,
-    ) -> UltracapStepBatch:
+    ) -> UltracapStepResult:
         """Vectorized :meth:`UltracapBank.apply_power` over all columns.
 
         ``active`` (optional boolean mask) restricts the update to a subset
@@ -301,6 +294,6 @@ class UltracapBankVec:
             current = np.where(active, current, 0.0)
             energy = np.where(active, energy, 0.0)
             clipped = clipped & active
-        return UltracapStepBatch(
+        return UltracapStepResult(
             power_w=power, current_a=current, energy_j=energy, clipped=clipped
         )

@@ -8,11 +8,8 @@ from repro.utils.units import (
     CELSIUS_ZERO,
     KMH_PER_MPS,
     ah_to_coulomb,
-    celsius_to_kelvin,
     kelvin_to_celsius,
     kmh_to_mps,
-    kwh_to_joule,
-    joule_to_kwh,
     mps_to_kmh,
 )
 from repro.utils.integrate import (
@@ -32,11 +29,8 @@ __all__ = [
     "CELSIUS_ZERO",
     "KMH_PER_MPS",
     "ah_to_coulomb",
-    "celsius_to_kelvin",
     "kelvin_to_celsius",
     "kmh_to_mps",
-    "kwh_to_joule",
-    "joule_to_kwh",
     "mps_to_kmh",
     "cumulative_trapezoid",
     "euler_step",

@@ -23,11 +23,6 @@ SECONDS_PER_HOUR = 3600.0
 GAS_CONSTANT = 8.314462618
 
 
-def celsius_to_kelvin(temp_c):
-    """Convert a temperature from degrees Celsius to kelvin."""
-    return np.asarray(temp_c, dtype=float) + CELSIUS_ZERO
-
-
 def kelvin_to_celsius(temp_k):
     """Convert a temperature from kelvin to degrees Celsius."""
     return np.asarray(temp_k, dtype=float) - CELSIUS_ZERO
@@ -41,16 +36,6 @@ def kmh_to_mps(speed_kmh):
 def mps_to_kmh(speed_mps):
     """Convert a speed from m/s to km/h."""
     return np.asarray(speed_mps, dtype=float) * KMH_PER_MPS
-
-
-def kwh_to_joule(energy_kwh):
-    """Convert an energy from kilowatt-hours to joules."""
-    return np.asarray(energy_kwh, dtype=float) * 3.6e6
-
-
-def joule_to_kwh(energy_j):
-    """Convert an energy from joules to kilowatt-hours."""
-    return np.asarray(energy_j, dtype=float) / 3.6e6
 
 
 def ah_to_coulomb(charge_ah):

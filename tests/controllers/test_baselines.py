@@ -43,9 +43,14 @@ class TestParallelPassive:
 
 class TestCoolingOnly:
     def test_declares_battery_only(self):
+        # the dual plant, held in battery mode with no bank recharge
         c = CoolingOnlyController()
-        assert c.architecture is Architecture.BATTERY_ONLY
+        assert c.architecture is Architecture.DUAL
         assert c.uses_cooling
+        for temp_k in (295.0, 305.0):
+            d = c.control(make_obs(temp_k=temp_k, soe=50.0))
+            assert d.dual_mode is DualMode.BATTERY
+            assert d.recharge_power_w == 0.0
 
     def test_off_when_cool(self):
         c = CoolingOnlyController()

@@ -1,5 +1,6 @@
 """Cooling-loop dynamics tests (Eq. 14-17)."""
 
+import numpy as np
 import pytest
 
 from repro.battery.pack import DEFAULT_PACK
@@ -126,3 +127,41 @@ class TestDynamics:
     def test_rejects_nonpositive_heat_capacity(self):
         with pytest.raises(ValueError):
             CoolingLoop(DEFAULT_COOLANT, 0.0)
+
+
+class TestStepBatchMatchesStep:
+    """Each ``step_batch`` column is the scalar ``step`` of that column."""
+
+    FIELDS = (
+        "battery_temp_k",
+        "coolant_temp_k",
+        "inlet_temp_k",
+        "cooler_power_w",
+        "pump_power_w",
+    )
+
+    @pytest.mark.parametrize("passive_ambient", [False, True])
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 5.0, 30.0])
+    def test_columns_bitwise(self, loop, dt, passive_ambient):
+        rng = np.random.default_rng(17)
+        m = 2_000
+        tb = rng.uniform(260.0, 340.0, m)
+        tc = tb + rng.uniform(-15.0, 15.0, m)
+        inlet = rng.uniform(250.0, 345.0, m)
+        heat = rng.uniform(0.0, 25_000.0, m)
+        active = rng.random(m) < 0.5
+        batch = loop.step_batch(
+            tb, tc, inlet, heat, dt, active, passive_ambient=passive_ambient
+        )
+        cols = [
+            loop.step(
+                tb[j], tc[j], inlet[j], heat[j], dt,
+                cooling_active=bool(active[j]),
+                passive_ambient=passive_ambient,
+            )
+            for j in range(m)
+        ]
+        for name in self.FIELDS:
+            scalar = np.array([getattr(c, name) for c in cols], dtype=float)
+            column = np.broadcast_to(getattr(batch, name), (m,)).astype(float)
+            assert column.tobytes() == scalar.tobytes(), name

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.battery.pack import BatteryPack
-from repro.hees.parallel import ParallelHEES, restrung_resistance_ohm
+from repro.hees.parallel import ParallelHEES, restrung_bank
 from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams, bank_of_farads
+
+
+def restrung_resistance_ohm(pack, bank):
+    p = bank.params
+    return restrung_bank(pack, p.rated_voltage_v, p.internal_resistance_ohm)[1]
 
 
 @pytest.fixture()
@@ -96,12 +101,9 @@ class TestCircuitSplit:
         assert result.unmet_power_w > 0
 
     def test_cap_buffers_more_with_lower_resistance(self):
-        low_r = ParallelHEES(
-            BatteryPack(), UltracapBank(UltracapParams()), cap_resistance_ohm=0.1
-        )
-        high_r = ParallelHEES(
-            BatteryPack(), UltracapBank(UltracapParams()), cap_resistance_ohm=2.0
-        )
+        # the re-strung resistance of the 25,000 F bank is 5x lower
+        low_r = ParallelHEES(BatteryPack(), UltracapBank(bank_of_farads(25_000)))
+        high_r = ParallelHEES(BatteryPack(), UltracapBank(bank_of_farads(5_000)))
         share_low = low_r.step(80_000.0, 1.0).ultracap_power_w
         share_high = high_r.step(80_000.0, 1.0).ultracap_power_w
         assert share_low > share_high

@@ -1,5 +1,6 @@
 """Property-based tests for the DC/DC converter."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,3 +59,26 @@ class TestTransferInvariants:
     @given(st.floats(min_value=0.0, max_value=50_000.0), st.floats(min_value=1.0, max_value=16.2))
     def test_loss_nonnegative(self, p, v):
         assert CONV.loss_w(p, v) >= -1e-9
+
+
+class TestArrayCalls:
+    """One body serves the scalar plant and its lockstep twin."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-120_000.0, max_value=120_000.0),
+                st.floats(min_value=0.0, max_value=20.0),
+            ),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_array_call_equals_float_calls_bitwise(self, points):
+        powers = np.array([p for p, _ in points])
+        volts = np.array([v for _, v in points])
+        for method in (CONV.port_power_for_bus, CONV.bus_power_for_port):
+            batch = np.asarray(method(powers, volts), dtype=float)
+            each = np.array([float(method(p, v)) for p, v in points])
+            assert batch.shape == powers.shape
+            assert batch.tobytes() == each.tobytes()

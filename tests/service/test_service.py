@@ -235,6 +235,16 @@ class TestHTTP:
         assert err.value.status == 400
         assert "unknown axis" in str(err.value)
 
+    def test_bad_scenario_value_is_a_400(self, client):
+        for spec in (
+            {"base": {"initial_temp_k": -5.0}},
+            {"axes": {"ucap_farads": [5_000.0, 0.0]}},
+        ):
+            with pytest.raises(ServiceError) as err:
+                client.submit(spec)
+            assert err.value.status == 400
+            assert "must be a finite positive number" in str(err.value)
+
     def test_unknown_sweep_is_a_404(self, client):
         for call in (client.status, client.rows, client.cancel):
             with pytest.raises(ServiceError) as err:

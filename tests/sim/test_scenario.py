@@ -21,6 +21,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(repeat=0)
 
+    @pytest.mark.parametrize("field", ["initial_temp_k", "ucap_farads"])
+    @pytest.mark.parametrize("value", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_or_nonfinite_physical_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict({field: value})
+
     def test_with_methodology(self):
         s = Scenario().with_methodology("dual")
         assert s.methodology == "dual"
@@ -41,7 +49,7 @@ class TestBuildController:
         "name,arch",
         [
             ("parallel", Architecture.PARALLEL),
-            ("cooling", Architecture.BATTERY_ONLY),
+            ("cooling", Architecture.DUAL),
             ("dual", Architecture.DUAL),
             ("otem", Architecture.HYBRID),
             ("heuristic", Architecture.HYBRID),
@@ -50,6 +58,7 @@ class TestBuildController:
     def test_architecture_mapping(self, name, arch):
         controller = build_controller(Scenario(methodology=name))
         assert controller.architecture is arch
+        assert controller.uses_cooling == (name in ("cooling", "otem", "heuristic"))
 
     def test_all_methodologies_buildable(self):
         for name in METHODOLOGIES:
