@@ -7,9 +7,10 @@ on shape).  Benchmarks run the real simulations once per measurement
 timing is a bonus.
 
 Every :func:`run_once` measurement is also appended to the perf-trajectory
-file ``BENCH_suite.json`` (via :mod:`repro.utils.perf`), so successive PRs
-leave comparable machine-readable wall-clock records next to the
-experiment outputs.  Set ``REPRO_BENCH_DIR`` to redirect the files.
+file ``BENCH_suite.json`` (via :mod:`repro.utils.perf`), each under its
+bench module and function and with its own provenance stamp, so
+successive PRs leave comparable machine-readable wall-clock records next
+to the experiment outputs.  Set ``REPRO_BENCH_DIR`` to redirect the files.
 
 Scale: the paper's temperature analyses drive US06 five times; benches use
 the ``REPEAT_*`` constants below (3x for temperature figures, 1x for the
@@ -21,6 +22,7 @@ records a full-scale run.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from repro.utils.perf import record_timing
 
@@ -42,10 +44,13 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing.
 
     The wall-clock of the measured call is recorded into
-    ``BENCH_suite.json`` under the function's name, building the repo's
-    perf trajectory as a side effect of running the bench suite.
+    ``BENCH_suite.json`` under ``<bench module>.<function name>`` (two
+    benches may time functions of the same name, or the same function),
+    building the repo's perf trajectory as a side effect of running the
+    bench suite.
     """
     start = time.perf_counter()
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    record_timing("suite", fn.__name__, time.perf_counter() - start)
+    module = Path(benchmark.fullname.split("::")[0]).stem
+    record_timing("suite", f"{module}.{fn.__name__}", time.perf_counter() - start)
     return result

@@ -1,4 +1,4 @@
-"""Shared utilities: unit conversions, numeric integration, validation.
+"""Shared utilities: unit conversions and validation.
 
 These helpers are deliberately small and dependency-free (numpy only) so the
 physics modules stay focused on the model equations from the paper.
@@ -11,12 +11,6 @@ from repro.utils.units import (
     kelvin_to_celsius,
     kmh_to_mps,
     mps_to_kmh,
-)
-from repro.utils.integrate import (
-    cumulative_trapezoid,
-    euler_step,
-    rk4_step,
-    trapezoid,
 )
 from repro.utils.validation import (
     check_finite,
@@ -32,10 +26,6 @@ __all__ = [
     "kelvin_to_celsius",
     "kmh_to_mps",
     "mps_to_kmh",
-    "cumulative_trapezoid",
-    "euler_step",
-    "rk4_step",
-    "trapezoid",
     "check_finite",
     "check_in_range",
     "check_positive",

@@ -130,8 +130,16 @@ def record_timing(
 ) -> Path:
     """Record one wall-clock measurement into ``BENCH_<bench>.json``.
 
-    The shared shape future PRs inherit: ``{"timings_s": {name: seconds}}``.
+    The shared shape future PRs inherit: ``{"timings_s": {name: seconds}}``,
+    with ``"timings_provenance": {name: provenance}`` beside it.  A file
+    collects timings from many runs, so each keeps the stamp of the run
+    that measured it; the file-level ``provenance`` names the last write.
     """
-    timings = _load(bench_path(bench, directory)).get("timings_s", {})
+    data = _load(bench_path(bench, directory))
+    timings = data.get("timings_s", {})
+    stamps = data.get("timings_provenance", {})
     timings[measurement] = seconds
-    return record_bench(bench, {"timings_s": timings}, directory)
+    stamps[measurement] = provenance()
+    return record_bench(
+        bench, {"timings_s": timings, "timings_provenance": stamps}, directory
+    )

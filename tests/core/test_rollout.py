@@ -437,3 +437,106 @@ def _cold_and_warm_plans(model):
 class TestScalarPlanGolden:
     def test_cold_and_warm_plans(self, model):
         assert _cold_and_warm_plans(model) == PLAN_GOLDEN
+
+
+# --------------------------------------------------------------------- #
+# one call, one base run and every single-input alternative
+
+
+def _one_input_costs(model, state, cap, inlet, preview, alt_cap, alt_inlet):
+    """The alternatives' costs as separate calls, one input replaced each."""
+    costs = []
+    for k in range(len(cap)):
+        replaced = cap.copy()
+        replaced[k] = alt_cap[k]
+        costs.append(model.rollout_cost(state, replaced, inlet, preview, 5.0))
+    for k in range(len(inlet)):
+        replaced = inlet.copy()
+        replaced[k] = alt_inlet[k]
+        costs.append(model.rollout_cost(state, cap, replaced, preview, 5.0))
+    return costs
+
+
+def _stepped(model, state, cap_w, inlet_k, preview_w, z_override=None):
+    """MPC-typed inputs plus the planner's forward-difference alternatives.
+
+    The alternatives step every normalized input by ``FD_EPS`` - backward
+    where a forward step would leave [0, 1] - exactly as
+    ``MPCPlanner._solve_penalty`` builds them.
+    """
+    planner = MPCPlanner(model, horizon=len(cap_w))
+    state, cap, inlet, preview = _mpc_inputs(model, state, cap_w, inlet_k, preview_w)
+    z = np.concatenate(
+        [
+            (cap - planner._cap_lo) / planner._cap_scale,
+            (inlet - planner._inlet_lo) / planner._inlet_scale,
+        ]
+    )
+    if z_override is not None:
+        z = z_override
+        cap, inlet = planner._denormalize(z)
+    eps = MPCPlanner.FD_EPS
+    alt_cap, alt_inlet = planner._denormalize(z + np.where(z + eps > 1.0, -eps, eps))
+    return state, cap, inlet, preview, alt_cap, alt_inlet
+
+
+class TestRolloutSweep:
+    def _check(self, model, state, cap, inlet, preview, alt_cap, alt_inlet):
+        cost, alt_costs = model.rollout_cost(
+            state, cap, inlet, preview, 5.0, (alt_cap, alt_inlet)
+        )
+        assert cost == model.rollout_cost(state, cap, inlet, preview, 5.0)
+        assert alt_costs == _one_input_costs(
+            model, state, cap, inlet, preview, alt_cap, alt_inlet
+        )
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+    def test_branch_case_alternatives_match_separate_calls(self, model, name):
+        self._check(model, *_stepped(model, *BRANCH_CASES[name]))
+
+    def test_branch_case_arbitrary_alternatives(self, model):
+        # alternatives far from the plan: other clamp and guard branches
+        for name in sorted(BRANCH_CASES):
+            state, cap, inlet, preview = _mpc_inputs(model, *BRANCH_CASES[name])
+            self._check(
+                model, state, cap, inlet, preview, -cap[::-1], inlet[::-1] + 7.0
+            )
+
+    def test_random_mpc_inputs_match_separate_calls(self, model):
+        rng = np.random.default_rng(20161107)
+        flipped = absorbed = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            state = (
+                rng.uniform(285.0, 320.0),
+                rng.uniform(285.0, 320.0),
+                rng.uniform(0.0, 100.0),
+                rng.uniform(0.0, 105.0),
+            )
+            z = rng.uniform(0.0, 1.0, 2 * n)
+            # inputs on the bounds: z = 1.0 takes the backward step
+            z[rng.random(2 * n) < 0.2] = 1.0
+            z[rng.random(2 * n) < 0.1] = 0.0
+            flipped += int(np.sum(z == 1.0))
+            args = _stepped(
+                model,
+                state,
+                np.zeros(n),
+                np.zeros(n),
+                rng.uniform(-250e3, 250e3, n),
+                z_override=z,
+            )
+            # an inlet above T_c is clamped to T_c whatever its step
+            absorbed += int(np.sum(args[2] > state[1]))
+            self._check(model, *args)
+        assert flipped and absorbed
+
+    def test_clamp_absorbed_inlet_alternative_costs_the_plan(self, model):
+        state, cap, inlet, preview = _mpc_inputs(
+            model, (300.0, 295.0, 80.0, 60.0), [0.0] * 3, [311.0] * 3, [2e4] * 3
+        )
+        cost, alt_costs = model.rollout_cost(
+            state, cap, inlet, preview, 5.0, (cap, inlet + 0.5)
+        )
+        # both inlets sit above T_c, which the C3 clamp holds them to
+        assert alt_costs[3:] == [cost] * 3

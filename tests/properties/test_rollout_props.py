@@ -82,3 +82,35 @@ def test_prediction_tracks_plant(init, cmds):
     assert pred.coolant_k[-1] == pytest.approx(tc, abs=0.25)
     assert pred.socs[-1] == pytest.approx(pack.soc_percent, abs=0.3)
     assert pred.soes[-1] == pytest.approx(bank.soe_percent, abs=2.5)
+
+
+alternatives = st.tuples(
+    st.lists(
+        st.floats(min_value=-90_000.0, max_value=90_000.0), min_size=N, max_size=N
+    ),
+    st.lists(st.floats(min_value=250.0, max_value=340.0), min_size=N, max_size=N),
+)
+
+
+@given(initial, st.floats(min_value=285.0, max_value=320.0), commands, alternatives)
+@settings(max_examples=40)
+def test_alternatives_cost_like_separate_rollouts(init, tc0, cmds, alts):
+    """One call's single-input alternatives cost, bit for bit, what a
+    separate rollout with that input replaced costs."""
+    tb0, soc0, soe0 = init
+    cap_cmds, inlet_cmds, preview = cmds
+    alt_cap, alt_inlet = alts
+    state = (tb0, tc0, soc0, soe0)
+    cost, alt_costs = MODEL.rollout_cost(
+        state, cap_cmds, inlet_cmds, preview, 5.0, (alt_cap, alt_inlet)
+    )
+    assert cost == MODEL.rollout_cost(state, cap_cmds, inlet_cmds, preview, 5.0)
+    for k in range(N):
+        cap = list(cap_cmds)
+        cap[k] = alt_cap[k]
+        assert alt_costs[k] == MODEL.rollout_cost(state, cap, inlet_cmds, preview, 5.0)
+        inlet = list(inlet_cmds)
+        inlet[k] = alt_inlet[k]
+        assert alt_costs[N + k] == MODEL.rollout_cost(
+            state, cap_cmds, inlet, preview, 5.0
+        )

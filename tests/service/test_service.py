@@ -245,6 +245,17 @@ class TestHTTP:
             assert err.value.status == 400
             assert "must be a finite positive number" in str(err.value)
 
+    def test_bad_mpc_setting_is_a_400(self, client):
+        for spec, message in (
+            ({"base": {"mpc_horizon": 0}}, "mpc_horizon must be an integer >= 1"),
+            ({"axes": {"mpc_step_s": [5.0, 0.0]}}, "mpc_step_s must be a finite"),
+            ({"base": {"mpc_max_evals": -1}}, "mpc_max_evals must be an integer"),
+        ):
+            with pytest.raises(ServiceError) as err:
+                client.submit(spec)
+            assert err.value.status == 400
+            assert message in str(err.value)
+
     def test_unknown_sweep_is_a_404(self, client):
         for call in (client.status, client.rows, client.cancel):
             with pytest.raises(ServiceError) as err:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from repro.utils.perf import git_commit, record_bench, record_timing
+from repro.utils import perf
+from repro.utils.perf import bench_path, git_commit, record_bench, record_timing
 
 SHA = "0123456789abcdef0123456789abcdef01234567"
 OTHER = "fedcba9876543210fedcba9876543210fedcba98"
@@ -101,6 +102,18 @@ class TestRecordBench:
         data = json.loads(path.read_text())
         assert data["timings_s"] == {"first": 1.5, "second": 2.5}
         assert data["provenance"]["cpu_count"] == os.cpu_count()
+
+    def test_each_timing_keeps_its_own_stamp(self, tmp_path, monkeypatch):
+        record_timing("suite", "first", 1.5, directory=tmp_path)
+        first = json.loads(bench_path("suite", tmp_path).read_text())
+        stamp = first["timings_provenance"]["first"]
+        assert stamp["commit"] == first["provenance"]["commit"]
+        monkeypatch.setattr(perf, "git_commit", lambda: "another-commit")
+        path = record_timing("suite", "second", 2.5, directory=tmp_path)
+        data = json.loads(path.read_text())
+        assert data["timings_provenance"]["first"] == stamp
+        assert data["timings_provenance"]["second"]["commit"] == "another-commit"
+        assert data["provenance"]["commit"] == "another-commit"
 
     @pytest.mark.parametrize("content", ["{\"a\": 1", "[1, 2]"])
     def test_unreadable_file_is_left_untouched(self, tmp_path, content):
