@@ -55,8 +55,8 @@ def test_ablation_solver_formulation(benchmark):
     pen = results["penalty"][0].metrics
     slsqp = results["slsqp"][0].metrics
     # both formulations must land in the same regime; single-start SLSQP
-    # is faster but gets caught in local optima more often, which is
-    # exactly why the multi-start penalty formulation is the default
+    # gets caught in local optima more often, which is exactly why the
+    # multi-start penalty formulation is the default
     assert slsqp.qloss_percent < 2.5 * pen.qloss_percent
     assert slsqp.time_above_safe_s < 60.0
     assert abs(slsqp.average_power_w - pen.average_power_w) / pen.average_power_w < 0.15

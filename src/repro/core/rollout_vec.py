@@ -17,11 +17,11 @@ same elementwise expressions the shared-state path uses, which keeps the
 per-element arithmetic - and therefore the equivalence bound - unchanged
 regardless of how rows are stacked.
 
-This is the solver hot path: a batched finite-difference gradient costs
-one kernel invocation instead of ``2N+1`` serial Python rollouts, and the
-multi-start candidates of the lockstep race (:func:`repro.core.mpc._race`)
-evaluate as rows of a single batch.  The scalar model stays the semantic
-reference; this module only exists to make it fast.
+This is the solver hot path: a batched central-difference gradient costs
+one kernel invocation, and the multi-start candidates of the lockstep
+race (:func:`repro.core.mpc._race`) evaluate as rows of a single batch.
+The scalar model stays the semantic reference; this module only exists
+to make it fast.
 """
 
 from __future__ import annotations
