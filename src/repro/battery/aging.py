@@ -55,10 +55,13 @@ class AgingModel:
         return p.aging_prefactor * arrhenius * current**p.aging_current_exp
 
     def step(self, current_a: float, temp_k: float, dt: float) -> float:
-        """Accumulate one step of loss; returns the increment [%]."""
+        """Accumulate one step of loss; returns the increment [%].
+
+        Floats, or per-column arrays (the loss then accumulates per column).
+        """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        increment = float(self.loss_rate(current_a, temp_k)) * dt
+        increment = self.loss_rate(current_a, temp_k) * dt
         self._loss_percent += increment
         return increment
 

@@ -204,26 +204,28 @@ class BatteryPack:
         """Accumulated capacity loss [%]."""
         return self._aging.loss_percent
 
+    # The methods below are NumPy ufunc expressions, so the lockstep twin
+    # (:class:`BatteryPackVec`) inherits them: a float here, one entry per
+    # column there.
+
     def set_temperature(self, temp_k: float):
         """Update the pack temperature (called by the cooling loop)."""
-        self._state.temp_k = check_positive(temp_k, "temp_k")
+        if not np.all(np.isfinite(temp_k) & (np.asarray(temp_k) > 0)):
+            raise ValueError(f"temp_k must be a finite positive number, got {temp_k}")
+        self._state.temp_k = temp_k
 
     # ------------------------------------------------------------------ #
     # pack-level electrical quantities
 
     def open_circuit_voltage(self) -> float:
         """Pack open-circuit voltage [V] at the current SoC."""
-        cell_voc = float(
-            self._electrical.open_circuit_voltage(self._state.soc_percent)
-        )
+        cell_voc = self._electrical.open_circuit_voltage(self._state.soc_percent)
         return self._config.series * cell_voc
 
     def internal_resistance(self) -> float:
         """Pack internal resistance [Ohm] at the current SoC and temperature."""
-        cell_r = float(
-            self._electrical.internal_resistance(
-                self._state.soc_percent, self._state.temp_k
-            )
+        cell_r = self._electrical.internal_resistance(
+            self._state.soc_percent, self._state.temp_k
         )
         return cell_r * self._config.series / self._config.parallel
 
@@ -232,11 +234,11 @@ class BatteryPack:
         per_cell = self._electrical.max_discharge_power(
             self._state.soc_percent, self._state.temp_k
         )
-        return max(0.0, per_cell) * self._config.cell_count
+        return np.maximum(0.0, per_cell) * self._config.cell_count
 
     def discharge_headroom_j(self) -> float:
         """Usable energy left above the SoC floor [J] (coarse, at nominal V)."""
-        usable_fraction = max(
+        usable_fraction = np.maximum(
             0.0, (self._state.soc_percent - self.SOC_MIN) / 100.0
         )
         return usable_fraction * self._config.energy_kwh * 3.6e6
@@ -321,18 +323,16 @@ class BatteryPack:
 # lockstep (struct-of-arrays) twin
 
 
-class BatteryPackVec:
+class BatteryPackVec(BatteryPack):
     """Struct-of-arrays battery pack advancing M scenarios in lockstep.
 
-    Mirrors :meth:`BatteryPack.apply_power` expression-for-expression (same
-    operation order, branches as masks) so each column of the batch evolves
-    bitwise-identically to a scalar :class:`BatteryPack` run of that
-    scenario.  All M packs share one :class:`PackConfig`; SoC and
-    temperature are per-column state.
+    All M packs share one :class:`PackConfig`; the :class:`PackState`
+    holds one SoC and one temperature entry per column, and the aging
+    model one accumulated loss per column.  Every query is inherited from
+    :class:`BatteryPack`; :meth:`apply_power` mirrors the scalar step
+    expression-for-expression (same operation order, branches as masks)
+    so each column evolves bitwise-identically to a scalar run.
     """
-
-    SOC_MIN = BatteryPack.SOC_MIN
-    SOC_MAX = BatteryPack.SOC_MAX
 
     def __init__(
         self,
@@ -343,43 +343,15 @@ class BatteryPackVec:
         self._config = config
         self._electrical = BatteryElectrical(config.cell)
         self._aging = AgingModel(config.cell)
-        soc = np.asarray(initial_soc_percent, dtype=float)
-        temp = np.asarray(initial_temp_k, dtype=float)
-        soc, temp = np.broadcast_arrays(soc, temp)
-        self.soc_percent = soc.astype(float).copy()
-        self.temp_k = temp.astype(float).copy()
+        self.reset(initial_soc_percent, initial_temp_k)
 
-    @property
-    def config(self) -> PackConfig:
-        """Pack layout (shared by every column)."""
-        return self._config
-
-    @property
-    def electrical(self) -> BatteryElectrical:
-        """Cell electrical model (shared by every column)."""
-        return self._electrical
-
-    def set_temperature(self, temp_k: np.ndarray):
-        """Update the per-column pack temperatures (cooling loop)."""
-        self.temp_k = temp_k
-
-    def open_circuit_voltage(self) -> np.ndarray:
-        """Pack open-circuit voltage [V] per column."""
-        cell_voc = self._electrical.open_circuit_voltage(self.soc_percent)
-        return self._config.series * cell_voc
-
-    def internal_resistance(self) -> np.ndarray:
-        """Pack internal resistance [Ohm] per column."""
-        cell_r = self._electrical.internal_resistance(self.soc_percent, self.temp_k)
-        return cell_r * self._config.series / self._config.parallel
-
-    def max_discharge_power_w(self) -> np.ndarray:
-        """Pack power ceiling [W] per column (constraint C6)."""
-        i_max = self._config.cell.max_current_a
-        voc = self._electrical.open_circuit_voltage(self.soc_percent)
-        res = self._electrical.internal_resistance(self.soc_percent, self.temp_k)
-        per_cell = i_max * (voc - i_max * res)
-        return np.maximum(0.0, per_cell) * self._config.cell_count
+    def reset(self, soc_percent, temp_k):
+        """Restore per-column initial conditions (fresh routes)."""
+        soc, temp = np.broadcast_arrays(
+            np.asarray(soc_percent, dtype=float), np.asarray(temp_k, dtype=float)
+        )
+        self._state = PackState(soc_percent=soc.copy(), temp_k=temp.copy())
+        self._aging.reset()
 
     def apply_power(self, terminal_power_w: np.ndarray, dt: float) -> PackStepResult:
         """Vectorized :meth:`BatteryPack.apply_power` over all columns."""
@@ -387,7 +359,8 @@ class BatteryPackVec:
             raise ValueError(f"dt must be positive, got {dt}")
         cfg = self._config
         elec = self._electrical
-        soc, temp = self.soc_percent, self.temp_k
+        state = self._state
+        soc, temp = state.soc_percent, state.temp_k
         per_cell_power = terminal_power_w / cfg.cell_count
 
         voc = elec.open_circuit_voltage(soc)
@@ -421,10 +394,10 @@ class BatteryPackVec:
         heat = np.maximum(0.0, joule + entropic) * cfg.cell_count
 
         chem_energy = voc * cell_i * dt * cfg.cell_count
-        loss_inc = self._aging.loss_rate(cell_i, temp) * dt
+        loss_inc = self._aging.step(cell_i, temp, dt)
 
         new_soc = soc - 100.0 * cell_i * dt / ah_to_coulomb(cfg.cell.capacity_ah)
-        self.soc_percent = np.minimum(self.SOC_MAX, np.maximum(0.0, new_soc))
+        state.soc_percent = np.minimum(self.SOC_MAX, np.maximum(0.0, new_soc))
 
         return PackStepResult(
             cell_current_a=cell_i,

@@ -117,6 +117,10 @@ class CoolingLoop:
         """C_b of Eq. 14 [J/K]."""
         return self._cb
 
+    # The two queries below are NumPy ufunc expressions: floats for
+    # :meth:`step`, per-column arrays for :meth:`step_batch` and the
+    # lockstep engine.
+
     def clamp_inlet(self, inlet_temp_k: float, coolant_temp_k: float) -> float:
         """Apply constraints C2 (T_i <= T_o) and C3 (P_c <= P_c_max).
 
@@ -126,14 +130,14 @@ class CoolingLoop:
         producible inlet or above T_o (cooling only).
         """
         p = self._p
-        coldest = max(
+        coldest = np.maximum(
             p.min_inlet_temp_k, coolant_temp_k - p.max_inlet_drop_k(coolant_temp_k)
         )
-        return min(max(inlet_temp_k, coldest), coolant_temp_k)
+        return np.minimum(np.maximum(inlet_temp_k, coldest), coolant_temp_k)
 
     def cooler_power_w(self, inlet_temp_k: float, coolant_temp_k: float) -> float:
         """Cooler electrical power for a given (already clamped) inlet (Eq. 16)."""
-        drop = max(0.0, coolant_temp_k - inlet_temp_k)
+        drop = np.maximum(0.0, coolant_temp_k - inlet_temp_k)
         return self._p.flow_capacity_rate_w_per_k * drop / self._p.cooler_efficiency
 
     def step(
@@ -197,23 +201,6 @@ class CoolingLoop:
             pump_power_w=pump,
         )
 
-    # ------------------------------------------------------------------ #
-    # lockstep (struct-of-arrays) variants
-
-    def clamp_inlet_batch(self, inlet_temp_k, coolant_temp_k) -> np.ndarray:
-        """Vectorized :meth:`clamp_inlet` (C2/C3) over column arrays."""
-        p = self._p
-        coldest = np.maximum(
-            p.min_inlet_temp_k,
-            coolant_temp_k - p.max_inlet_drop_k(coolant_temp_k),
-        )
-        return np.minimum(np.maximum(inlet_temp_k, coldest), coolant_temp_k)
-
-    def cooler_power_batch(self, inlet_temp_k, coolant_temp_k) -> np.ndarray:
-        """Vectorized :meth:`cooler_power_w` (Eq. 16) over column arrays."""
-        drop = np.maximum(0.0, coolant_temp_k - inlet_temp_k)
-        return self._p.flow_capacity_rate_w_per_k * drop / self._p.cooler_efficiency
-
     def step_batch(
         self,
         battery_temp_k: np.ndarray,
@@ -238,7 +225,7 @@ class CoolingLoop:
 
         inlet = np.where(
             cooling_active,
-            self.clamp_inlet_batch(inlet_temp_k, coolant_temp_k),
+            self.clamp_inlet(inlet_temp_k, coolant_temp_k),
             coolant_temp_k,
         )
         wc = np.where(cooling_active, p.flow_capacity_rate_w_per_k, 0.0)
@@ -251,7 +238,7 @@ class CoolingLoop:
         )
 
         power = np.where(
-            cooling_active, self.cooler_power_batch(inlet, coolant_temp_k), 0.0
+            cooling_active, self.cooler_power_w(inlet, coolant_temp_k), 0.0
         )
         return CoolingStepResult(
             battery_temp_k=tb_new,

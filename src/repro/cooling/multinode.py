@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
-from repro.cooling.loop import solve_eq17
+from repro.cooling.loop import CoolingLoop, solve_eq17
 from repro.utils.validation import check_positive
 
 
@@ -110,13 +110,10 @@ class MultiNodeCoolingLoop:
             pump_power_w=0.0,
         )
 
-    def clamp_inlet(self, inlet_temp_k: float, outlet_temp_k: float) -> float:
-        """Apply C2 (no heating) and C3 (cooler power ceiling)."""
-        p = self._p
-        coldest = max(
-            p.min_inlet_temp_k, outlet_temp_k - p.max_inlet_drop_k(outlet_temp_k)
-        )
-        return min(max(inlet_temp_k, coldest), outlet_temp_k)
+    #: C2/C3 inlet clamp and Eq. 16 cooler power of the lumped loop, priced
+    #: against the pack outlet (both read only the loop parameters).
+    clamp_inlet = CoolingLoop.clamp_inlet
+    cooler_power_w = CoolingLoop.cooler_power_w
 
     def step(
         self,
@@ -148,7 +145,7 @@ class MultiNodeCoolingLoop:
             inlet = self.clamp_inlet(inlet_temp_k, outlet)
             wc = p.flow_capacity_rate_w_per_k
             pump = p.pump_power_w
-            cooler = wc * max(0.0, outlet - inlet) / p.cooler_efficiency
+            cooler = self.cooler_power_w(inlet, outlet)
         else:
             inlet = outlet
             wc = 0.0

@@ -50,7 +50,7 @@ from scipy import optimize
 from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER, minimize_lockstep
 from repro.core.rollout import PredictionModel, RolloutResult
 from repro.core.rollout_vec import BatchPredictionModel
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,9 @@ class MPCPlanner:
         method: str = "penalty",
         rollout_backend: str = "scalar",
     ):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_count(horizon, "horizon")
         check_positive(step_s, "step_s")
-        if max_function_evals < 1:
-            raise ValueError("max_function_evals must be >= 1")
+        check_count(max_function_evals, "max_function_evals")
         if method not in self.METHODS:
             raise ValueError(f"method must be one of {self.METHODS}, got {method!r}")
         if rollout_backend not in self.BACKENDS:

@@ -19,10 +19,8 @@ import enum
 
 import numpy as np
 
-from repro.battery.pack import BatteryPack, BatteryPackVec
-from repro.hees.parallel import restrung_bank
+from repro.hees.parallel import RestrungHEES
 from repro.hees.state import HEESStepResult
-from repro.ultracap.bank import UltracapBank, UltracapBankVec
 
 
 class DualMode(enum.Enum):
@@ -33,7 +31,7 @@ class DualMode(enum.Enum):
     RECHARGE = "recharge"  # battery on load + battery charges the bank
 
 
-class DualHEES:
+class DualHEES(RestrungHEES):
     """Switched battery/ultracapacitor storage.
 
     Parameters
@@ -50,32 +48,13 @@ class DualHEES:
     #: that lands in the bank [-] (switch + wiring loss).
     ETA_PATH = 0.95
 
-    def __init__(self, pack: BatteryPack, bank: UltracapBank):
-        self._pack = pack
-        self._bank = bank
-        self._vr_eff, self._rc = restrung_bank(
-            pack, bank.params.rated_voltage_v, bank.params.internal_resistance_ohm
-        )
-
-    @property
-    def pack(self) -> BatteryPack:
-        """The battery pack."""
-        return self._pack
-
-    @property
-    def bank(self) -> UltracapBank:
-        """The ultracapacitor bank."""
-        return self._bank
-
-    def cap_voltage(self) -> float:
-        """Bank voltage in the re-strung configuration [V]."""
-        return self._vr_eff * float(np.sqrt(max(self._bank.soe_percent, 0.0) / 100.0))
-
     def _cap_deliverable_w(self, request_w: float, dt: float) -> float:
         """Power the bank can push into the load at its current voltage."""
         v_c = self.cap_voltage()
         max_point = v_c * v_c / (4.0 * self._rc)  # maximum-power-transfer point
-        return float(min(request_w, max_point, self._bank.max_discharge_power_w(dt)))
+        return np.minimum(
+            request_w, np.minimum(max_point, self._bank.max_discharge_power_w(dt))
+        )
 
     def step(
         self,
@@ -182,18 +161,20 @@ class DualHEES:
         )
 
 
-class DualHEESVec:
+class DualHEESVec(DualHEES):
     """Lockstep struct-of-arrays twin of :class:`DualHEES`.
 
-    Takes the switch position as an integer code array (``MODE_*`` class
-    constants) so a batched policy can hand over a whole column of modes.
-    The regen / ultracap-discharge / battery-recharge paths are mutually
-    exclusive per column (regen needs a negative request; the two others
-    need distinct modes), so the scalar plant's up-to-three sequential
-    ``bank.apply_power`` calls collapse into one masked call with the same
-    per-column arguments - columns that take no bank path keep their SoE
-    bit pattern untouched, exactly like the scalar plant not calling the
-    bank at all.
+    Built from a :class:`~repro.battery.pack.BatteryPackVec` and an
+    :class:`~repro.ultracap.bank.UltracapBankVec`; inherits everything but
+    :meth:`step`.  Takes the switch position as an integer code array
+    (``MODE_*`` class constants) so a batched policy can hand over a whole
+    column of modes.  The regen / ultracap-discharge / battery-recharge
+    paths are mutually exclusive per column (regen needs a negative
+    request; the two others need distinct modes), so the scalar plant's
+    up-to-three sequential ``bank.apply_power`` calls collapse into one
+    masked call with the same per-column arguments - columns that take no
+    bank path keep their SoE bit pattern untouched, exactly like the
+    scalar plant not calling the bank at all.
     """
 
     MODE_BATTERY = 0
@@ -206,19 +187,6 @@ class DualHEESVec:
         DualMode.ULTRACAP: MODE_ULTRACAP,
         DualMode.RECHARGE: MODE_RECHARGE,
     }
-
-    def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
-        self._pack = pack
-        self._bank = bank
-        self._vr_eff, self._rc = restrung_bank(
-            pack, bank.rated_voltage_v, bank.internal_resistance_ohm
-        )
-
-    def cap_voltage(self) -> np.ndarray:
-        """Per-column bank voltage in the re-strung configuration [V]."""
-        return self._vr_eff * np.sqrt(
-            np.maximum(self._bank.soe_percent, 0.0) / 100.0
-        )
 
     def step(
         self,
@@ -238,13 +206,10 @@ class DualHEESVec:
         regen_to_cap = np.where(
             request_w < 0, np.minimum(-request_w, max_charge), 0.0
         )
-        v_c = self.cap_voltage()
-        max_point = v_c * v_c / (4.0 * r_c)
-        deliverable = np.minimum(
-            request_w, np.minimum(max_point, bank.max_discharge_power_w(dt))
-        )
         cap_request = np.where(
-            (request_w >= 0) & (mode == self.MODE_ULTRACAP), deliverable, 0.0
+            (request_w >= 0) & (mode == self.MODE_ULTRACAP),
+            self._cap_deliverable_w(request_w, dt),
+            0.0,
         )
         bank_charge = np.where(
             (mode == self.MODE_RECHARGE)
@@ -261,6 +226,7 @@ class DualHEESVec:
         charging = bank_charge > 0
 
         # bank discharge through the series resistance into the load
+        v_c = self.cap_voltage()
         disc = v_c * v_c - 4.0 * r_c * cap_request
         i_c = (v_c - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * r_c)
         bank_power = np.where(discharging, v_c * i_c, 0.0)

@@ -100,18 +100,19 @@ class HybridHEES:
         """(min, max) feasible ultracap bus-power command for a ``dt`` step.
 
         Max is discharge (bank energy, converter rating); min is charge
-        (negative; bank headroom, converter rating).
+        (negative; bank headroom, converter rating).  NumPy ufunc
+        expressions, so the lockstep twin inherits it: floats here, one
+        entry per column there.  ``eta`` never reaches zero - the converter
+        clips it at ``eta_min`` >= 0.3 - so the charge limits divide by it
+        unguarded.
         """
         v = self._bank.voltage()
-        eta = float(self._cap_conv.efficiency(v))
-        discharge = min(
-            self._bank.max_discharge_power_w(dt) * eta,
-            self._cap_conv.params.max_power_w * eta,
+        eta = self._cap_conv.efficiency(v)
+        rating = self._cap_conv.params.max_power_w
+        discharge = np.minimum(
+            self._bank.max_discharge_power_w(dt) * eta, rating * eta
         )
-        charge = min(
-            self._bank.max_charge_power_w(dt) / eta if eta > 0 else 0.0,
-            self._cap_conv.params.max_power_w / eta if eta > 0 else 0.0,
-        )
+        charge = np.minimum(self._bank.max_charge_power_w(dt) / eta, rating / eta)
         return (-charge, discharge)
 
     def step(self, request_w: float, cap_bus_command_w: float, dt: float) -> HEESStepResult:
@@ -195,10 +196,13 @@ class HybridHEES:
         )
 
 
-class HybridHEESVec:
+class HybridHEESVec(HybridHEES):
     """Lockstep struct-of-arrays twin of :class:`HybridHEES`.
 
-    The converter ports are shared across columns: every bank produced by
+    Built from a :class:`~repro.battery.pack.BatteryPackVec` and an
+    :class:`~repro.ultracap.bank.UltracapBankVec`; inherits everything but
+    its constructor and :meth:`step`.  The converter ports are shared
+    across columns: every bank produced by
     :func:`repro.ultracap.params.bank_of_farads` keeps the module rated
     voltage and power rating, so one cap-port converter serves mixed bank
     sizes (a bank set that mixes ratings is refused), and the pack layout
@@ -209,7 +213,9 @@ class HybridHEESVec:
     """
 
     def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
-        ratings = set(zip(bank.rated_voltage_v.tolist(), bank.max_power_w.tolist()))
+        ratings = set(
+            zip(bank.params.rated_voltage_v.tolist(), bank.params.max_power_w.tolist())
+        )
         if len(ratings) > 1:
             raise ValueError(
                 "hybrid lockstep group mixes bank module ratings; "
@@ -219,22 +225,6 @@ class HybridHEESVec:
         self._bank = bank
         self._bat_conv = default_battery_converter(pack)
         self._cap_conv = _cap_converter(*ratings.pop())
-
-    def cap_bus_limits(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column (min, max) feasible ultracap bus-power command."""
-        v = self._bank.voltage()
-        eta = self._cap_conv.efficiency(v)
-        discharge = np.minimum(
-            self._bank.max_discharge_power_w(dt) * eta,
-            self._cap_conv.params.max_power_w * eta,
-        )
-        # eta is clipped to eta_min > 0, so the scalar plant's eta > 0
-        # guard never fires; plain division mirrors it
-        charge = np.minimum(
-            self._bank.max_charge_power_w(dt) / eta,
-            self._cap_conv.params.max_power_w / eta,
-        )
-        return (-charge, discharge)
 
     def step(
         self, request_w: np.ndarray, cap_bus_command_w: np.ndarray, dt: float

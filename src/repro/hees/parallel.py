@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.battery.pack import BatteryPack, BatteryPackVec
+from repro.battery.pack import BatteryPack
 from repro.hees.state import HEESStepResult
-from repro.ultracap.bank import UltracapBank, UltracapBankVec
+from repro.ultracap.bank import UltracapBank
 
 
 def restrung_bank(pack, rated_voltage_v, internal_resistance_ohm):
@@ -49,17 +49,15 @@ def restrung_bank(pack, rated_voltage_v, internal_resistance_ohm):
     return vr_eff, internal_resistance_ohm * k * k
 
 
-class ParallelHEES:
-    """Passive parallel battery + ultracapacitor storage.
+class RestrungHEES:
+    """Base of the plants that wire a re-strung bank to the pack directly.
 
-    Parameters
-    ----------
-    pack:
-        Battery pack.
-    bank:
-        Ultracapacitor bank (module-rated; re-strung internally, see
-        :func:`restrung_bank`).  The re-strung series resistance sets how
-        aggressively the capacitor takes load transients.
+    Holds the pack, the bank and the re-strung constants
+    (:func:`restrung_bank`) for :class:`ParallelHEES` and
+    :class:`repro.hees.dual.DualHEES`.  Every query is a NumPy ufunc
+    expression, so the lockstep twins inherit them too: a float for one
+    bank, one entry per column for a
+    :class:`~repro.ultracap.bank.UltracapBankVec`.
     """
 
     def __init__(self, pack: BatteryPack, bank: UltracapBank):
@@ -68,7 +66,6 @@ class ParallelHEES:
         self._vr_eff, self._rc = restrung_bank(
             pack, bank.params.rated_voltage_v, bank.params.internal_resistance_ohm
         )
-        self.sync_soe_to_battery()
 
     @property
     def pack(self) -> BatteryPack:
@@ -86,8 +83,26 @@ class ParallelHEES:
         return self._vr_eff
 
     def cap_voltage(self) -> float:
-        """Bank voltage in the re-strung configuration [V]."""
-        return self._vr_eff * float(np.sqrt(max(self._bank.soe_percent, 0.0) / 100.0))
+        """Bank voltage in the re-strung configuration [V] (Eq. 8)."""
+        return self._vr_eff * np.sqrt(np.maximum(self._bank.soe_percent, 0.0) / 100.0)
+
+
+class ParallelHEES(RestrungHEES):
+    """Passive parallel battery + ultracapacitor storage.
+
+    Parameters
+    ----------
+    pack:
+        Battery pack.
+    bank:
+        Ultracapacitor bank (module-rated; re-strung internally, see
+        :func:`restrung_bank`).  The re-strung series resistance sets how
+        aggressively the capacitor takes load transients.
+    """
+
+    def __init__(self, pack: BatteryPack, bank: UltracapBank):
+        super().__init__(pack, bank)
+        self.sync_soe_to_battery()
 
     def sync_soe_to_battery(self):
         """Pre-charge the bank to the battery's open-circuit voltage.
@@ -97,7 +112,7 @@ class ParallelHEES:
         """
         voc = self._pack.open_circuit_voltage()
         soe = 100.0 * (voc / self._vr_eff) ** 2
-        self._bank.reset(min(100.0, soe))
+        self._bank.reset(np.minimum(100.0, soe))
 
     def step(self, request_w: float, dt: float) -> HEESStepResult:
         """Advance one step: split ``request_w`` per the circuit equations."""
@@ -159,35 +174,17 @@ class ParallelHEES:
         )
 
 
-class ParallelHEESVec:
+class ParallelHEESVec(ParallelHEES):
     """Lockstep struct-of-arrays twin of :class:`ParallelHEES`.
 
-    Advances M parallel-architecture scenarios per step; the circuit split
-    (Eq. 10-13), the pack-clip residual handoff, and the re-strung-bank
-    bookkeeping mirror the scalar plant branch-for-branch (as masks), so
-    every column matches a scalar run bitwise.  Bank sizes may differ per
-    column; the pack layout is shared.
+    Built from a :class:`~repro.battery.pack.BatteryPackVec` and an
+    :class:`~repro.ultracap.bank.UltracapBankVec`, it advances M
+    parallel-architecture scenarios per step and inherits everything but
+    :meth:`step`.  The circuit split (Eq. 10-13), the pack-clip residual
+    handoff, and the re-strung-bank bookkeeping mirror the scalar plant
+    branch-for-branch (as masks), so every column matches a scalar run
+    bitwise.  Bank sizes may differ per column; the pack layout is shared.
     """
-
-    def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
-        self._pack = pack
-        self._bank = bank
-        self._vr_eff, self._rc = restrung_bank(
-            pack, bank.rated_voltage_v, bank.internal_resistance_ohm
-        )
-        self.sync_soe_to_battery()
-
-    def cap_voltage(self) -> np.ndarray:
-        """Per-column bank voltage in the re-strung configuration [V]."""
-        return self._vr_eff * np.sqrt(
-            np.maximum(self._bank.soe_percent, 0.0) / 100.0
-        )
-
-    def sync_soe_to_battery(self) -> None:
-        """Pre-charge every bank to its battery's open-circuit voltage."""
-        voc = self._pack.open_circuit_voltage()
-        soe = 100.0 * (voc / self._vr_eff) ** 2
-        self._bank.reset(np.minimum(100.0, soe))
 
     def step(self, request_w: np.ndarray, dt: float) -> HEESStepResult:
         """Vectorized :meth:`ParallelHEES.step` over all columns."""

@@ -86,7 +86,7 @@ def step_channels(time_s, request_w, step, thermal, pack, bank, coolant_temp_k) 
         "delivered_w": step.delivered_power_w,
         "battery_power_w": step.battery_power_w,
         "cap_power_w": step.ultracap_power_w,
-        "cooling_power_w": thermal.cooler_power_w + thermal.pump_power_w,
+        "cooling_power_w": thermal.total_power_w,
         "battery_soc_percent": pack.soc_percent,
         "cap_soe_percent": bank.soe_percent,
         "battery_temp_k": pack.temp_k,

@@ -10,25 +10,34 @@ loop iteration per *timestep* instead of one per timestep per scenario.
 
 Equivalence contract
 --------------------
-The twins that remain are the step bodies whose scalar originals are
-measurably faster on floats: ``BatteryPackVec.apply_power``,
-``UltracapBankVec.apply_power``, the three plant twins' ``step`` and
-``CoolingLoop.step_batch``.  Each mirrors its scalar counterpart
-expression-for-expression, with branches re-expressed as ``np.where``
-masks that never round-trip untouched state, and shares everything else
-with it: the scalar step-result types (one array entry per column), the
-array-capable :class:`~repro.hees.converter.DCDCConverter`, the re-strung
-bank constants (:func:`repro.hees.parallel.restrung_bank`) and the Eq. 17
-solve (:func:`repro.cooling.loop.solve_eq17`).  Each batched policy is
-built from the scalar controller :func:`repro.sim.scenario.build_controller`
-returns and reads its thresholds, solver settings and ``uses_cooling``
-from it, so the two cannot disagree on a parameter.  A column of a
-lockstep run is therefore bitwise-identical to the scalar run of that
-scenario - verified channel-by-channel in ``tests/sim/test_engine_vec.py``
-- except for two bookkeeping-only channels (``loss_increment_percent``,
-``converter_loss_j``) where NumPy's vectorized and scalar libm paths can
-round ``pow``/``exp`` one ulp apart (~1e-15 relative); neither feeds back
-into the dynamics, so the difference never cascades.
+Each plant twin subclasses its scalar class and keeps only its step body
+and what builds column state: ``BatteryPackVec`` and ``UltracapBankVec``
+keep ``__init__``, ``reset`` and ``apply_power``; ``HybridHEESVec`` keeps
+``__init__`` and ``step``; ``ParallelHEESVec`` and ``DualHEESVec`` keep
+``step``; ``CoolingLoop`` keeps ``step_batch`` beside ``step``.  The step
+bodies stay twinned because their scalar originals are measurably faster
+on floats; each mirrors its scalar counterpart expression-for-expression,
+with branches re-expressed as ``np.where`` masks that never round-trip
+untouched state.  Everything else is defined once and takes a float or a
+column array alike: every plant query (the bank's Eq. 8 voltage and C5/C7
+energy and power limits, the pack's Voc, R and C6 ceiling, the re-strung
+``cap_voltage``, ``sync_soe_to_battery``, ``cap_bus_limits``, the loop's
+C2/C3 inlet clamp and Eq. 16 cooler power) is a NumPy ufunc expression
+the twins inherit.  Shared as well are the scalar step-result types (one
+array entry per column), the :class:`~repro.hees.converter.DCDCConverter`,
+the re-strung bank constants (:func:`repro.hees.parallel.restrung_bank`)
+and the Eq. 17 solve (:func:`repro.cooling.loop.solve_eq17`).  Each
+batched policy is built from the scalar controller
+:func:`repro.sim.scenario.build_controller` returns and reads its
+thresholds, solver settings and ``uses_cooling`` from it, so the two
+cannot disagree on a parameter.  A column of a lockstep run is therefore
+bitwise-identical to the scalar run of that scenario - verified
+channel-by-channel in ``tests/sim/test_engine_vec.py``, and query by query
+in ``tests/sim/test_shared_queries.py`` - except for two bookkeeping-only
+channels (``loss_increment_percent``, ``converter_loss_j``) where NumPy's
+vectorized and scalar libm paths can round ``pow``/``exp`` one ulp apart
+(~1e-15 relative); neither feeds back into the dynamics, so the
+difference never cascades.
 
 Scope
 -----
@@ -228,12 +237,12 @@ def run_lockstep_group(
         cooling_on = decision.cooling_active
         inlet = np.where(
             cooling_on,
-            loop.clamp_inlet_batch(decision.inlet_temp_k, coolant_temp),
+            loop.clamp_inlet(decision.inlet_temp_k, coolant_temp),
             coolant_temp,
         )
         cooling_power = np.where(
             cooling_on,
-            loop.cooler_power_batch(inlet, coolant_temp)
+            loop.cooler_power_w(inlet, coolant_temp)
             + first.coolant.pump_power_w,
             0.0,
         )

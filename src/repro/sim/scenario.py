@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.battery.pack import DEFAULT_PACK, PackConfig
@@ -28,7 +27,7 @@ from repro.core.otem import OTEMController
 from repro.drivecycle.library import get_cycle
 from repro.sim.engine import SimulationResult, Simulator
 from repro.ultracap.params import UltracapParams, bank_of_farads
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 from repro.vehicle.params import MODEL_S_LIKE, VehicleParams
 from repro.vehicle.powertrain import Powertrain
 
@@ -100,13 +99,7 @@ class Scenario:
         check_positive(self.initial_temp_k, "initial_temp_k")
         check_positive(self.mpc_step_s, "mpc_step_s")
         for name in ("repeat", "mpc_horizon", "mpc_max_evals"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < 1
-            ):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(getattr(self, name), name)
         if self.rollout_backend not in MPCPlanner.BACKENDS:
             raise ValueError(
                 f"unknown rollout_backend {self.rollout_backend!r}; "

@@ -10,6 +10,7 @@ nothing, a full bank accepts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,15 +76,19 @@ class UltracapBank:
         """Stored energy [J]."""
         return self._soe / 100.0 * self._p.energy_capacity_j
 
+    # The queries below are NumPy ufunc expressions, so the lockstep twin
+    # (:class:`UltracapBankVec`) inherits them: a float here, one entry per
+    # column there.
+
     def voltage(self, soe_percent: float | None = None) -> float:
         """Terminal voltage Vcap [V] (Eq. 8) at the given (or current) SoE."""
         soe = self._soe if soe_percent is None else soe_percent
-        return self._p.rated_voltage_v * float(np.sqrt(max(soe, 0.0) / 100.0))
+        return self._p.rated_voltage_v * np.sqrt(np.maximum(soe, 0.0) / 100.0)
 
     def headroom_j(self) -> float:
         """Energy the bank can still absorb before hitting SoE-max [J]."""
         return (
-            max(0.0, self._p.soe_max_percent - self._soe)
+            np.maximum(0.0, self._p.soe_max_percent - self._soe)
             / 100.0
             * self._p.energy_capacity_j
         )
@@ -96,27 +101,31 @@ class UltracapBank:
         phantom charge.
         """
         return (
-            max(0.0, self._soe - self._p.soe_min_percent)
+            np.maximum(0.0, self._soe - self._p.soe_min_percent)
             / 100.0
             * self._p.energy_capacity_j
         )
 
     def reserve_j(self) -> float:
         """Emergency energy between the C5 floor and the hard floor [J]."""
-        floor = min(self._soe, self._p.soe_min_percent)
+        floor = np.minimum(self._soe, self._p.soe_min_percent)
         return (
-            max(0.0, floor - self._p.soe_hard_min_percent)
+            np.maximum(0.0, floor - self._p.soe_hard_min_percent)
             / 100.0
             * self._p.energy_capacity_j
         )
 
     def max_discharge_power_w(self, dt: float) -> float:
         """Largest sustainable discharge power for a step of ``dt`` [W]."""
-        return min(self._p.max_power_w, self.available_j() / dt if dt > 0 else 0.0)
+        return np.minimum(
+            self._p.max_power_w, self.available_j() / dt if dt > 0 else 0.0
+        )
 
     def max_charge_power_w(self, dt: float) -> float:
         """Largest sustainable charge power for a step of ``dt`` [W] (positive)."""
-        return min(self._p.max_power_w, self.headroom_j() / dt if dt > 0 else 0.0)
+        return np.minimum(
+            self._p.max_power_w, self.headroom_j() / dt if dt > 0 else 0.0
+        )
 
     def apply_power(
         self, power_w: float, dt: float, tap_reserve: bool = False
@@ -167,84 +176,44 @@ class UltracapBank:
 # lockstep (struct-of-arrays) twin
 
 
-class UltracapBankVec:
+#: The :class:`UltracapParams` fields the bank and the plants read, stacked
+#: one entry per column by :class:`UltracapBankVec`.
+_COLUMN_FIELDS = (
+    "rated_voltage_v",
+    "internal_resistance_ohm",
+    "max_power_w",
+    "energy_capacity_j",
+    "soe_min_percent",
+    "soe_max_percent",
+    "soe_hard_min_percent",
+)
+
+
+class UltracapBankVec(UltracapBank):
     """Struct-of-arrays ultracap bank advancing M scenarios in lockstep.
 
     Unlike the battery pack, bank parameters vary across a sweep (the
-    paper's Table I sizes), so every :class:`UltracapParams` field the
-    stepping touches is stacked into a per-column array.  The update
-    mirrors :meth:`UltracapBank.apply_power` expression-for-expression so
-    each column is bitwise-identical to a scalar bank run.
+    paper's Table I sizes), so :attr:`params` holds each field the bank and
+    the plants read as a per-column array; SoE is per-column state.  Every
+    query is inherited from :class:`UltracapBank`; :meth:`apply_power`
+    mirrors the scalar step expression-for-expression so each column is
+    bitwise-identical to a scalar bank run.
     """
 
     def __init__(self, params, initial_soe_percent: float = 100.0):
         params = list(params)
-        self.rated_voltage_v = np.array([p.rated_voltage_v for p in params])
-        self.max_power_w = np.array([p.max_power_w for p in params])
-        self.energy_capacity_j = np.array([p.energy_capacity_j for p in params])
-        self.soe_min_percent = np.array([p.soe_min_percent for p in params])
-        self.soe_max_percent = np.array([p.soe_max_percent for p in params])
-        self.soe_hard_min_percent = np.array(
-            [p.soe_hard_min_percent for p in params]
+        self._p = SimpleNamespace(
+            **{
+                name: np.array([getattr(p, name) for p in params])
+                for name in _COLUMN_FIELDS
+            }
         )
-        self.internal_resistance_ohm = np.array(
-            [p.internal_resistance_ohm for p in params]
-        )
-        self.soe_percent = np.full(len(params), float(initial_soe_percent))
+        self._soe = np.full(len(params), float(initial_soe_percent))
 
     def reset(self, soe_percent) -> None:
         """Restore per-column initial SoE."""
         soe = np.asarray(soe_percent, dtype=float)
-        self.soe_percent = np.broadcast_to(
-            soe, self.soe_percent.shape
-        ).astype(float).copy()
-
-    def voltage(self, soe_percent=None) -> np.ndarray:
-        """Terminal voltage Vcap [V] (Eq. 8) per column."""
-        soe = self.soe_percent if soe_percent is None else soe_percent
-        return self.rated_voltage_v * np.sqrt(np.maximum(soe, 0.0) / 100.0)
-
-    @property
-    def energy_j(self) -> np.ndarray:
-        """Stored energy [J] per column."""
-        return self.soe_percent / 100.0 * self.energy_capacity_j
-
-    def headroom_j(self) -> np.ndarray:
-        """Energy each bank can still absorb before SoE-max [J]."""
-        return (
-            np.maximum(0.0, self.soe_max_percent - self.soe_percent)
-            / 100.0
-            * self.energy_capacity_j
-        )
-
-    def available_j(self) -> np.ndarray:
-        """Energy deliverable before the C5 floor [J] per column."""
-        return (
-            np.maximum(0.0, self.soe_percent - self.soe_min_percent)
-            / 100.0
-            * self.energy_capacity_j
-        )
-
-    def reserve_j(self) -> np.ndarray:
-        """Emergency energy between the C5 floor and the hard floor [J]."""
-        floor = np.minimum(self.soe_percent, self.soe_min_percent)
-        return (
-            np.maximum(0.0, floor - self.soe_hard_min_percent)
-            / 100.0
-            * self.energy_capacity_j
-        )
-
-    def max_discharge_power_w(self, dt: float) -> np.ndarray:
-        """Largest sustainable discharge power per column for ``dt`` [W]."""
-        return np.minimum(
-            self.max_power_w, self.available_j() / dt if dt > 0 else 0.0
-        )
-
-    def max_charge_power_w(self, dt: float) -> np.ndarray:
-        """Largest sustainable charge power per column for ``dt`` [W]."""
-        return np.minimum(
-            self.max_power_w, self.headroom_j() / dt if dt > 0 else 0.0
-        )
+        self._soe = np.broadcast_to(soe, self._soe.shape).astype(float).copy()
 
     def apply_power(
         self,
@@ -262,8 +231,9 @@ class UltracapBankVec:
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        p = self._p
         requested = power_w
-        power = np.clip(power_w, -self.max_power_w, self.max_power_w)
+        power = np.clip(power_w, -p.max_power_w, p.max_power_w)
         deliverable = self.available_j()
         if tap_reserve:
             deliverable = deliverable + self.reserve_j()
@@ -276,20 +246,19 @@ class UltracapBankVec:
         energy = power * dt
         new_energy_j = self.energy_j - energy
         mean_voltage = 0.5 * (
-            self.voltage()
-            + self.voltage(100.0 * new_energy_j / self.energy_capacity_j)
+            self.voltage() + self.voltage(100.0 * new_energy_j / p.energy_capacity_j)
         )
         current = np.where(
             mean_voltage > 1e-9,
             power / np.maximum(mean_voltage, 1e-30),
             0.0,
         )
-        new_soe = 100.0 * new_energy_j / self.energy_capacity_j
+        new_soe = 100.0 * new_energy_j / p.energy_capacity_j
         clipped = np.abs(power - requested) > 1e-9
         if active is None:
-            self.soe_percent = new_soe
+            self._soe = new_soe
         else:
-            self.soe_percent = np.where(active, new_soe, self.soe_percent)
+            self._soe = np.where(active, new_soe, self._soe)
             power = np.where(active, power, 0.0)
             current = np.where(active, current, 0.0)
             energy = np.where(active, energy, 0.0)

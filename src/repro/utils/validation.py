@@ -8,13 +8,21 @@ NaNs ten thousand simulation steps later.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 
+def _as_number(value, name: str) -> float:
+    """``value`` as a float; a string or a bool is refused, not converted."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_positive(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``value`` is a finite, strictly positive number."""
-    value = float(value)
+    value = _as_number(value, name)
     if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a finite positive number, got {value}")
     return value
@@ -22,9 +30,16 @@ def check_positive(value: float, name: str) -> float:
 
 def check_in_range(value: float, low: float, high: float, name: str) -> float:
     """Raise ``ValueError`` unless ``low <= value <= high``."""
-    value = float(value)
+    value = _as_number(value, name)
     if not math.isfinite(value) or not (low <= value <= high):
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
+
+
+def check_count(value: int, name: str) -> int:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 

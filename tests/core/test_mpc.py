@@ -51,10 +51,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="step_s"):
             make_planner(step_s=step_s)
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, 10.5, 150.0, True])
     def test_rejects_budget_below_one(self, budget):
         with pytest.raises(ValueError, match="max_function_evals"):
             make_planner(max_function_evals=budget)
+
+    @pytest.mark.parametrize("horizon", [2.5, 8.0, True, "8"])
+    def test_rejects_non_integer_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            make_planner(horizon=horizon)
 
 
 class TestPlanShape:

@@ -236,14 +236,16 @@ class TestHTTP:
         assert "unknown axis" in str(err.value)
 
     def test_bad_scenario_value_is_a_400(self, client):
-        for spec in (
-            {"base": {"initial_temp_k": -5.0}},
-            {"axes": {"ucap_farads": [5_000.0, 0.0]}},
+        for spec, message in (
+            ({"base": {"initial_temp_k": -5.0}}, "must be a finite positive number"),
+            ({"axes": {"ucap_farads": [5_000.0, 0.0]}}, "must be a finite positive"),
+            ({"base": {"ucap_farads": "25000"}}, "ucap_farads must be a number"),
+            ({"axes": {"initial_temp_k": [298.0, "298"]}}, "initial_temp_k must be a"),
         ):
             with pytest.raises(ServiceError) as err:
                 client.submit(spec)
             assert err.value.status == 400
-            assert "must be a finite positive number" in str(err.value)
+            assert message in str(err.value)
 
     def test_bad_mpc_setting_is_a_400(self, client):
         for spec, message in (

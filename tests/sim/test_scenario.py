@@ -36,6 +36,22 @@ class TestScenario:
         with pytest.raises(ValueError, match="mpc_step_s"):
             Scenario.from_dict({"mpc_step_s": value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ucap_farads", "25000"),
+            ("ucap_farads", True),
+            ("initial_temp_k", "298"),
+            ("mpc_step_s", "5"),
+            ("mpc_step_s", False),
+        ],
+    )
+    def test_rejects_strings_and_bools_for_physical_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            Scenario(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict({field: value})
+
     @pytest.mark.parametrize("field", ["repeat", "mpc_horizon", "mpc_max_evals"])
     @pytest.mark.parametrize("value", [0, -3, 2.5, 12.0, True, "12"])
     def test_rejects_counts_that_are_not_integers_from_one(self, field, value):
