@@ -210,7 +210,7 @@ class BatteryPack:
 
     def set_temperature(self, temp_k: float):
         """Update the pack temperature (called by the cooling loop)."""
-        if not np.all(np.isfinite(temp_k) & (np.asarray(temp_k) > 0)):
+        if not np.asarray((0 < temp_k) & (temp_k < np.inf)).all():
             raise ValueError(f"temp_k must be a finite positive number, got {temp_k}")
         self._state.temp_k = temp_k
 

@@ -128,6 +128,13 @@ def test_loop_query_on_columns_equals_per_column_floats_bitwise(query):
     assert bits(method(np.array(INLET_K), np.array(COOLANT_K))) == bits(per_column)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_set_temperature_checks_every_column(bad):
+    pack, _ = twin_columns()
+    with pytest.raises(ValueError, match="temp_k"):
+        pack.set_temperature(np.array(TEMP_K[:-1] + (bad,)))
+
+
 def test_columns_cover_the_clamp_and_floor_branches():
     """Guard the point choice: every min/max above takes both sides."""
     _, bank = twin_columns()
