@@ -162,14 +162,10 @@ class BatteryPack:
         initial_soc_percent: float = 100.0,
         initial_temp_k: float = 298.0,
     ):
-        check_in_range(initial_soc_percent, 0.0, 100.0, "initial_soc_percent")
-        check_positive(initial_temp_k, "initial_temp_k")
         self._config = config
         self._electrical = BatteryElectrical(config.cell)
         self._aging = AgingModel(config.cell)
-        self._state = PackState(
-            soc_percent=initial_soc_percent, temp_k=initial_temp_k
-        )
+        self.reset(initial_soc_percent, initial_temp_k)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -315,6 +311,7 @@ class BatteryPack:
     def reset(self, soc_percent: float = 100.0, temp_k: float = 298.0):
         """Restore initial conditions (fresh route)."""
         check_in_range(soc_percent, 0.0, 100.0, "soc_percent")
+        check_positive(temp_k, "temp_k")
         self._state = PackState(soc_percent=soc_percent, temp_k=temp_k)
         self._aging.reset()
 
@@ -327,23 +324,13 @@ class BatteryPackVec(BatteryPack):
     """Struct-of-arrays battery pack advancing M scenarios in lockstep.
 
     All M packs share one :class:`PackConfig`; the :class:`PackState`
-    holds one SoC and one temperature entry per column, and the aging
-    model one accumulated loss per column.  Every query is inherited from
-    :class:`BatteryPack`; :meth:`apply_power` mirrors the scalar step
-    expression-for-expression (same operation order, branches as masks)
-    so each column evolves bitwise-identically to a scalar run.
+    holds one SoC and one temperature entry per column (``initial_*`` take
+    arrays), and the aging model one accumulated loss per column.  The
+    constructor and every query are inherited from :class:`BatteryPack`;
+    :meth:`reset` builds the columns and :meth:`apply_power` mirrors the
+    scalar step expression-for-expression (same operation order, branches
+    as masks) so each column evolves bitwise-identically to a scalar run.
     """
-
-    def __init__(
-        self,
-        config: PackConfig,
-        initial_soc_percent,
-        initial_temp_k,
-    ):
-        self._config = config
-        self._electrical = BatteryElectrical(config.cell)
-        self._aging = AgingModel(config.cell)
-        self.reset(initial_soc_percent, initial_temp_k)
 
     def reset(self, soc_percent, temp_k):
         """Restore per-column initial conditions (fresh routes)."""

@@ -11,10 +11,11 @@ loop iteration per *timestep* instead of one per timestep per scenario.
 Equivalence contract
 --------------------
 Each plant twin subclasses its scalar class and keeps only its step body
-and what builds column state: ``BatteryPackVec`` and ``UltracapBankVec``
-keep ``__init__``, ``reset`` and ``apply_power``; ``HybridHEESVec`` keeps
-``__init__`` and ``step``; ``ParallelHEESVec`` and ``DualHEESVec`` keep
-``step``; ``CoolingLoop`` keeps ``step_batch`` beside ``step``.  The step
+and what builds column state: ``BatteryPackVec`` keeps ``reset`` and
+``apply_power``; ``UltracapBankVec`` keeps ``__init__``, ``reset`` and
+``apply_power``; ``HybridHEESVec`` keeps ``__init__`` and ``step``;
+``ParallelHEESVec`` and ``DualHEESVec`` keep ``step``; ``CoolingLoop``
+keeps ``step_batch`` beside ``step``.  The step
 bodies stay twinned because their scalar originals are measurably faster
 on floats; each mirrors its scalar counterpart expression-for-expression,
 with branches re-expressed as ``np.where`` masks that never round-trip
