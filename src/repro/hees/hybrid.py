@@ -109,9 +109,7 @@ class HybridHEES:
         v = self._bank.voltage()
         eta = self._cap_conv.efficiency(v)
         rating = self._cap_conv.params.max_power_w
-        discharge = np.minimum(
-            self._bank.max_discharge_power_w(dt) * eta, rating * eta
-        )
+        discharge = np.minimum(self._bank.max_discharge_power_w(dt) * eta, rating * eta)
         charge = np.minimum(self._bank.max_charge_power_w(dt) / eta, rating / eta)
         return (-charge, discharge)
 
