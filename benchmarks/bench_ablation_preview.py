@@ -22,11 +22,7 @@ def run_mode(mode):
     controller = OTEMController(
         cap_params=UltracapParams(), preview_mode=mode
     )
-    sim = Simulator(
-        controller,
-        cap_params=UltracapParams(),
-        preview_steps=controller.required_preview_steps(request.dt),
-    )
+    sim = Simulator(controller, cap_params=UltracapParams())
     return sim.run(request)
 
 

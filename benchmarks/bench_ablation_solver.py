@@ -24,11 +24,7 @@ def run_with_method(method):
 
     request = Powertrain().power_request(get_cycle("us06"))
     controller = OTEMController(cap_params=UltracapParams(), mpc_method=method)
-    sim = Simulator(
-        controller,
-        cap_params=UltracapParams(),
-        preview_steps=controller.required_preview_steps(request.dt),
-    )
+    sim = Simulator(controller, cap_params=UltracapParams())
     start = time.perf_counter()
     result = sim.run(request)
     return result, time.perf_counter() - start

@@ -6,18 +6,19 @@ seeds 0..63) advanced as one struct-of-arrays batch by
 ``repro.sim.engine_vec`` versus the same scenarios run one-by-one through
 the scalar ``Simulator``.  Power requests are prebuilt for both sides, so
 the comparison times the engines themselves, not cycle synthesis or the
-perturbation cache.  Records per-engine wall clocks and the speedup to
-``BENCH_engine.json``; the acceptance target is >= 5x, asserted under the
-strict CI gate with a noise-margin floor of 2x everywhere else.
+perturbation cache.  Both sides run in interleaved repeats (one serial
+pass, then one batch, per repeat), so each pair shares the host's load.
+Records each side's median and quartiles and the median per-pair speedup
+to ``BENCH_engine.json``; the acceptance target is >= 5x on that median,
+asserted under the strict CI gate with a noise-margin floor of 2x
+everywhere else.
 """
 
 from __future__ import annotations
 
 import os
-import statistics
-import time
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import interleaved, run_once, spread
 from repro.sim.engine import Simulator
 from repro.sim.engine_vec import build_request, run_lockstep_group
 from repro.sim.scenario import Scenario, build_controller
@@ -25,8 +26,9 @@ from repro.sim.scenario import Scenario, build_controller
 #: Ensemble size of the paper-style Monte-Carlo traffic sweep.
 ENSEMBLE = 64
 
-#: Lockstep repetitions (the batch is fast; medians stabilize quickly).
-REPEATS = 3
+#: Interleaved (serial, lockstep) pairs; their per-pair ratios are the
+#: speedup samples.
+REPEATS = 5
 
 SCENARIOS = [
     Scenario(methodology="dual", cycle="nycc", perturb_seed=seed)
@@ -42,7 +44,6 @@ def _run_scalar(scenario: Scenario, request) -> object:
         cap_params=scenario.cap_params(),
         coolant=scenario.coolant,
         initial_temp_k=scenario.initial_temp_k,
-        preview_steps=10,
     )
     return simulator.run(request)
 
@@ -55,21 +56,18 @@ def lockstep_dual_ensemble(requests) -> list:
 def test_lockstep_engine_speedup(benchmark):
     requests = [build_request(s) for s in SCENARIOS]
 
-    # serial scalar reference: one Simulator per scenario
-    start = time.perf_counter()
-    scalar_results = [
-        _run_scalar(s, r) for s, r in zip(SCENARIOS, requests)
-    ]
-    scalar_s = time.perf_counter() - start
-
-    # lockstep: the whole ensemble is one batch; median of a few passes
-    lockstep_times = []
-    lockstep_results = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        lockstep_results = run_lockstep_group(SCENARIOS, requests)
-        lockstep_times.append(time.perf_counter() - start)
-    lockstep_s = statistics.median(lockstep_times)
+    # serial scalar reference (one Simulator per scenario) against the
+    # whole ensemble as one batch, pair by pair
+    times, results = interleaved(
+        {
+            "scalar": lambda: [
+                _run_scalar(s, r) for s, r in zip(SCENARIOS, requests)
+            ],
+            "lockstep": lambda: run_lockstep_group(SCENARIOS, requests),
+        },
+        REPEATS,
+    )
+    scalar_results, lockstep_results = results["scalar"], results["lockstep"]
 
     run_once(benchmark, lockstep_dual_ensemble, requests)
 
@@ -81,7 +79,11 @@ def test_lockstep_engine_speedup(benchmark):
         ) <= 1e-9 * scalar.metrics.qloss_percent
         assert lockstep.metrics.peak_temp_k == scalar.metrics.peak_temp_k
 
-    speedup = scalar_s / lockstep_s
+    scalar_spread = spread(times["scalar"])
+    lockstep_spread = spread(times["lockstep"])
+    ratios = spread([a / b for a, b in zip(times["scalar"], times["lockstep"])])
+    speedup = ratios["median"]
+    scalar_s, lockstep_s = scalar_spread["median"], lockstep_spread["median"]
     steps = sum(len(r) for r in requests)
 
     from repro.utils.perf import record_bench
@@ -94,14 +96,15 @@ def test_lockstep_engine_speedup(benchmark):
             "cycle": "nycc",
             "perturb_seeds": f"0..{ENSEMBLE - 1}",
             "steps_total": steps,
-            "repeats_lockstep": REPEATS,
+            "repeats": REPEATS,
             "cpu_count": os.cpu_count(),
-            "scalar_serial_s": scalar_s,
+            "scalar_serial_s": scalar_spread,
             "scalar_per_scenario_s": scalar_s / ENSEMBLE,
-            "lockstep_median_s": lockstep_s,
+            "lockstep_s": lockstep_spread,
             "lockstep_per_scenario_s": lockstep_s / ENSEMBLE,
             "steps_per_s_scalar": steps / scalar_s,
             "steps_per_s_lockstep": steps / lockstep_s,
+            "speedup_pairs": ratios,
             "speedup": speedup,
         },
     )
@@ -109,8 +112,9 @@ def test_lockstep_engine_speedup(benchmark):
     print()
     print(
         f"lockstep engine ({ENSEMBLE} x dual/nycc Monte-Carlo): "
-        f"scalar serial {scalar_s:.2f} s, "
-        f"lockstep {lockstep_s:.2f} s -> {speedup:.2f}x -> {path}"
+        f"scalar serial {scalar_s:.2f} s, lockstep {lockstep_s:.2f} s "
+        f"(medians of {REPEATS}) -> {speedup:.2f}x median pair ratio "
+        f"(IQR {ratios['q1']:.2f}-{ratios['q3']:.2f}) -> {path}"
     )
 
     # acceptance: >= 5x; the unconditional floor leaves margin for noisy

@@ -4,20 +4,21 @@ The tentpole measurement of the vectorized-rollout PR: one penalty-method
 ``MPCPlanner.plan`` solve at the paper's horizon (N=12, default weights,
 default budget) timed cold (fresh warm-start state, the expensive replan
 case) and warm (receding-horizon steady state) for both rollout backends.
-Records medians and the speedup to the perf-trajectory artifact
-``BENCH_mpc.json``; the acceptance target for the vectorized backend is a
->= 3x median speedup, asserted here with a CI-noise safety margin.
+The four solves run back to back in interleaved repeats, so each
+scalar/vectorized pair shares the host's load.  Records each side's median
+and quartiles and the median per-pair speedups to the perf-trajectory
+artifact ``BENCH_mpc.json``; the acceptance target for the vectorized
+backend is a >= 3x median cold speedup, asserted here with a CI-noise
+safety margin.
 """
 
 from __future__ import annotations
 
 import os
-import statistics
-import time
 
 import numpy as np
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import interleaved, run_once, spread
 from repro.battery.pack import DEFAULT_PACK, BatteryPack
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.cost import CostWeights
@@ -37,7 +38,7 @@ STATE = (310.0, 308.5, 75.0, 65.0)
 #: Constant 20 kW preview (a representative aggressive-route bin average).
 PREVIEW = np.full(HORIZON, 20_000.0)
 
-#: Cold-solve repetitions per backend (medians are stable well before 20).
+#: Interleaved repeats of the four solves (cold and warm per backend).
 REPEATS = 21
 
 
@@ -53,44 +54,53 @@ def _make_planner(backend: str) -> MPCPlanner:
     return MPCPlanner(model, horizon=HORIZON, rollout_backend=backend)
 
 
-def _measure(planner: MPCPlanner) -> dict:
-    """Median cold/warm solve times [s] and the achieved cold cost."""
-    cold, warm = [], []
-    cost = float("nan")
-    for _ in range(REPEATS):
-        planner.reset()
-        start = time.perf_counter()
-        plan = planner.plan(STATE, PREVIEW)
-        cold.append(time.perf_counter() - start)
-        cost = plan.solver_cost
-        start = time.perf_counter()
-        planner.plan(STATE, PREVIEW)
-        warm.append(time.perf_counter() - start)
+def _cold(planner: MPCPlanner):
+    """A replan from a fresh warm-start state."""
+    planner.reset()
+    return planner.plan(STATE, PREVIEW)
+
+
+def _summary(times: dict, last: dict, backend: str) -> dict:
+    """One backend's cold/warm spreads and its achieved cold cost."""
     return {
-        "cold_median_s": statistics.median(cold),
-        "cold_mean_s": statistics.fmean(cold),
-        "warm_median_s": statistics.median(warm),
-        "cost": cost,
+        "cold_s": spread(times[f"{backend}_cold"]),
+        "warm_s": spread(times[f"{backend}_warm"]),
+        "cost": last[f"{backend}_cold"].solver_cost,
     }
+
+
+def _pair_ratios(times: dict, kind: str) -> dict:
+    """Spread of the per-pair scalar / vectorized ratios of one solve kind."""
+    pairs = zip(times[f"scalar_{kind}"], times[f"vectorized_{kind}"])
+    return spread([a / b for a, b in pairs])
 
 
 def test_mpc_solver_vectorized_speedup(benchmark):
     scalar_planner = _make_planner("scalar")
     vec_planner = _make_planner("vectorized")
 
-    # interleave-free but same-session: both backends measured back-to-back
-    # so load noise hits them alike
-    scalar = _measure(scalar_planner)
-    vectorized = _measure(vec_planner)
+    # each warm solve follows its backend's cold one, as in a route
+    times, last = interleaved(
+        {
+            "scalar_cold": lambda: _cold(scalar_planner),
+            "scalar_warm": lambda: scalar_planner.plan(STATE, PREVIEW),
+            "vectorized_cold": lambda: _cold(vec_planner),
+            "vectorized_warm": lambda: vec_planner.plan(STATE, PREVIEW),
+        },
+        REPEATS,
+    )
+    scalar = _summary(times, last, "scalar")
+    vectorized = _summary(times, last, "vectorized")
 
     def solve_vectorized():
-        vec_planner.reset()
-        return vec_planner.plan(STATE, PREVIEW)
+        return _cold(vec_planner)
 
     run_once(benchmark, solve_vectorized)
 
-    speedup = scalar["cold_median_s"] / vectorized["cold_median_s"]
-    warm_speedup = scalar["warm_median_s"] / vectorized["warm_median_s"]
+    cold_pairs = _pair_ratios(times, "cold")
+    warm_pairs = _pair_ratios(times, "warm")
+    speedup = cold_pairs["median"]
+    warm_speedup = warm_pairs["median"]
 
     # same formulation at the same budget: the two backends must land on
     # comparable objective values (different optimizer trajectories only)
@@ -114,6 +124,8 @@ def test_mpc_solver_vectorized_speedup(benchmark):
             "cpu_count": os.cpu_count(),
             "scalar": scalar,
             "vectorized": vectorized,
+            "speedup_cold_pairs": cold_pairs,
+            "speedup_warm_pairs": warm_pairs,
             "speedup_cold_median": speedup,
             "speedup_warm_median": warm_speedup,
         },
@@ -122,9 +134,11 @@ def test_mpc_solver_vectorized_speedup(benchmark):
     print()
     print(
         f"mpc solve (N={HORIZON}, penalty): "
-        f"scalar {scalar['cold_median_s'] * 1e3:.1f} ms, "
-        f"vectorized {vectorized['cold_median_s'] * 1e3:.1f} ms "
-        f"-> {speedup:.2f}x cold, {warm_speedup:.2f}x warm -> {path}"
+        f"scalar {scalar['cold_s']['median'] * 1e3:.1f} ms, "
+        f"vectorized {vectorized['cold_s']['median'] * 1e3:.1f} ms cold "
+        f"-> {speedup:.2f}x cold (IQR {cold_pairs['q1']:.2f}-"
+        f"{cold_pairs['q3']:.2f}), {warm_speedup:.2f}x warm median pair "
+        f"ratio -> {path}"
     )
 
     # acceptance: >= 3x; the unconditional floor leaves margin for noisy

@@ -21,6 +21,7 @@ records a full-scale run.
 
 from __future__ import annotations
 
+import statistics
 import time
 from pathlib import Path
 
@@ -54,3 +55,28 @@ def run_once(benchmark, fn, *args, **kwargs):
     module = Path(benchmark.fullname.split("::")[0]).stem
     record_timing("suite", f"{module}.{fn.__name__}", time.perf_counter() - start)
     return result
+
+
+def interleaved(sides: dict, repeats: int) -> tuple[dict, dict]:
+    """Time every side once per repeat, the sides back to back.
+
+    ``sides`` maps a name to a zero-argument callable.  Returns each
+    side's wall clocks [s], index-aligned so that pair ``i`` ran under the
+    same host load, and each side's last return value.  One pass per side
+    cannot tell a change from a load swing on a shared host; the
+    per-pair ratios of interleaved repeats can.
+    """
+    times: dict = {name: [] for name in sides}
+    last: dict = {}
+    for _ in range(repeats):
+        for name, fn in sides.items():
+            start = time.perf_counter()
+            last[name] = fn()
+            times[name].append(time.perf_counter() - start)
+    return times, last
+
+
+def spread(samples) -> dict:
+    """Median and quartiles of ``samples``: how a BENCH file records spread."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(samples)}

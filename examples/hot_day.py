@@ -26,16 +26,8 @@ from repro.utils.units import kelvin_to_celsius
 
 
 def run(controller, request, initial_temp_k):
-    preview = (
-        controller.required_preview_steps(request.dt)
-        if isinstance(controller, OTEMController)
-        else 10
-    )
     sim = Simulator(
-        controller,
-        cap_params=UltracapParams(),
-        preview_steps=preview,
-        initial_temp_k=initial_temp_k,
+        controller, cap_params=UltracapParams(), initial_temp_k=initial_temp_k
     )
     return sim.run(request)
 

@@ -16,10 +16,10 @@ Public API
     Baseline [16]: dual architecture, temperature-threshold switching.
 ``NoisyObservations`` / ``CoolingFailure``
     Robustness / failure-injection wrappers around any policy.
-``BatchDecision``
-    The struct-of-arrays decision of the lockstep twins
-    (:mod:`repro.controllers.batched`), which the lockstep engine
-    (:mod:`repro.sim.engine_vec`) builds from the scalar policies above.
+
+The lockstep twins (:mod:`repro.controllers.batched`), which the lockstep
+engine (:mod:`repro.sim.engine_vec`) builds from the scalar policies
+above, speak the same ``Observation`` / ``Decision`` interface on columns.
 """
 
 from repro.controllers.base import Architecture, Controller, Decision, Observation
@@ -28,11 +28,9 @@ from repro.controllers.cooling_only import CoolingOnlyController
 from repro.controllers.dual_threshold import DualThresholdController
 from repro.controllers.wrappers import CoolingFailure, NoisyObservations
 from repro.controllers.heuristic import HybridHeuristicController
-from repro.controllers.batched import BatchDecision
 
 __all__ = [
     "HybridHeuristicController",
-    "BatchDecision",
     "Architecture",
     "Controller",
     "Decision",

@@ -2,9 +2,17 @@
 
 Every methodology in the paper - the three baselines and OTEM - is a
 :class:`Controller`.  Each control step the simulator builds an
-:class:`Observation` (measured states plus the power-request preview the
-paper's Algorithm 1 feeds the optimizer) and receives a :class:`Decision`
-(ultracapacitor split / switch position / cooler inlet command).
+:class:`Observation` (measured states plus the rest of the route, which is
+the power-request preview the paper's Algorithm 1 feeds the optimizer) and
+receives a :class:`Decision` (ultracapacitor split / switch position /
+cooler inlet command).
+
+The same two types serve both engines.  The scalar
+:class:`repro.sim.engine.Simulator` fills them with floats; the lockstep
+engine (:mod:`repro.sim.engine_vec`) fills them with one array entry per
+scenario column, and its twins (:mod:`repro.controllers.batched`) answer
+with columns where the columns disagree and scalars, which broadcast,
+where they do not.
 """
 
 from __future__ import annotations
@@ -45,8 +53,12 @@ class Observation:
     power_request_w:
         EV bus power request for this step [W].
     preview_w:
-        Power-request preview over the control window (Algorithm 1 line 12),
-        ``preview_w[0]`` being this step; zero-padded past route end [W].
+        The rest of the route, ``power_w[k:]``, as a read-only view
+        (Algorithm 1 line 12: requests predicted from the drive route);
+        ``preview_w[0]`` is this step [W].  A controller reads as far ahead
+        as it plans and treats the route past its end as zero.  On the
+        lockstep engine it holds one row per column, time along the last
+        axis, zero past each column's own route end.
     battery_soc_percent:
         Battery SoC [%].
     battery_temp_k:
@@ -72,13 +84,19 @@ class Observation:
 class Decision:
     """A controller's commands for one step.
 
+    Each field is a float (bool, :class:`DualMode`) on the scalar engine.
+    A lockstep twin sets a field to a per-column array where its columns
+    disagree and leaves the scalar default where they agree; the engine
+    broadcasts either.
+
     Attributes
     ----------
     cap_bus_w:
         Hybrid architecture: ultracapacitor bus-power command [W]
         (positive = discharge the bank).
     dual_mode:
-        Dual architecture: switch position.
+        Dual architecture: switch position (a column of :class:`DualMode`
+        codes on the lockstep engine).
     recharge_power_w:
         Dual architecture: battery->bank recharge power [W] in RECHARGE mode.
     cooling_active:

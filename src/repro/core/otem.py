@@ -1,10 +1,10 @@
 """The OTEM controller (paper Section III, Algorithm 1).
 
 Drives the hybrid HEES architecture plus the active cooling loop.  Every
-``replan_every`` plant steps it aggregates the fine-grained power preview
-into the MPC's coarser horizon bins, solves the Eq. 18-19 program, and then
-applies the solved first-horizon-step inputs until the next replan (standard
-receding-horizon operation with move blocking).
+``mpc_step_s`` of plant time it averages the next ``mpc_step_s x horizon``
+of the route into the MPC's coarser horizon bins, solves the Eq. 18-19
+program, and then applies the solved first-horizon-step inputs until the
+next replan (standard receding-horizon operation with move blocking).
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class OTEMController:
     max_function_evals:
         Solver budget per replan.
     preview_mode:
-        ``"perfect"`` uses the route preview (the paper's assumption: power
-        requests predicted from the drive route); ``"persistence"`` assumes
-        the current request persists over the window - the no-preview
-        ablation (see benchmarks/bench_ablation_preview.py).
+        ``"perfect"`` reads the window from the route (the paper's
+        assumption: power requests predicted from the drive route);
+        ``"persistence"`` holds the current request over the whole window -
+        the no-preview ablation (see benchmarks/bench_ablation_preview.py).
     mpc_method:
         Solver formulation, ``"penalty"`` or ``"slsqp"`` (see
         :class:`repro.core.mpc.MPCPlanner`).
@@ -82,10 +82,9 @@ class OTEMController:
     Notes
     -----
     The controller replans every ``mpc_step_s`` seconds of plant time; at
-    1 Hz plant sampling that is every ``mpc_step_s`` plant steps.  The
-    simulator must be built with ``preview_steps >= horizon * mpc_step_s /
-    plant_dt`` so the MPC sees its whole window (use
-    :func:`OTEMController.required_preview_steps`).
+    1 Hz plant sampling that is every ``mpc_step_s`` plant steps.  Its
+    window is ``horizon`` bins of that many plant steps, taken from the
+    observation's rest of the route and zero past the route end.
     """
 
     name = "OTEM"
@@ -143,32 +142,37 @@ class OTEMController:
         attaches this to :class:`repro.sim.engine.SimulationResult`)."""
         return self._planner.stats
 
-    def required_preview_steps(self, plant_dt: float) -> int:
-        """Preview length the simulator must provide at plant sampling."""
-        return int(np.ceil(self._planner.horizon * self._planner.step_s / plant_dt))
+    def _steps_per_bin(self, plant_dt: float) -> int:
+        """Plant steps per horizon bin (and per replan)."""
+        return max(1, int(round(self._planner.step_s / plant_dt)))
 
     def _aggregate_preview(self, preview_w: np.ndarray, plant_dt: float) -> np.ndarray:
-        """Average the fine preview into the MPC's coarse horizon bins."""
-        per_bin = max(1, int(round(self._planner.step_s / plant_dt)))
+        """Average the window ahead into the MPC's coarse horizon bins.
+
+        Takes the first ``steps_per_bin x horizon`` samples along the last
+        axis, zero-padded past the route end, so one route's preview and
+        the lockstep engine's rows of them bin alike.  The fresh window is
+        C-contiguous, so each bin mean reduces a contiguous run.
+        """
+        per_bin = self._steps_per_bin(plant_dt)
         n = self._planner.horizon
-        needed = per_bin * n
-        fine = np.asarray(preview_w, dtype=float)
-        if fine.size < needed:
-            fine = np.concatenate([fine, np.zeros(needed - fine.size)])
-        return fine[:needed].reshape(n, per_bin).mean(axis=1)
+        preview_w = np.asarray(preview_w, dtype=float)
+        span = min(per_bin * n, preview_w.shape[-1])
+        fine = np.zeros(preview_w.shape[:-1] + (per_bin * n,))
+        fine[..., :span] = preview_w[..., :span]
+        return fine.reshape(*preview_w.shape[:-1], n, per_bin).mean(axis=-1)
 
     def control(self, obs: Observation) -> Decision:
         """Receding-horizon control with move blocking."""
-        steps_per_replan = max(1, int(round(self._planner.step_s / obs.dt)))
+        steps_per_replan = self._steps_per_bin(obs.dt)
         due = (
             self._plan is None
             or (obs.step_index - self._plan_step_index) >= steps_per_replan
         )
         if due:
             if self._preview_mode == "persistence":
-                fine = np.full_like(
-                    np.asarray(obs.preview_w, dtype=float), obs.power_request_w
-                )
+                window = steps_per_replan * self._planner.horizon
+                fine = np.full(window, float(obs.power_request_w))
             else:
                 fine = obs.preview_w
             coarse_preview = self._aggregate_preview(fine, obs.dt)

@@ -23,12 +23,16 @@ from repro.hees.parallel import RestrungHEES
 from repro.hees.state import HEESStepResult
 
 
-class DualMode(enum.Enum):
-    """Switch positions of the dual architecture."""
+class DualMode(enum.IntEnum):
+    """Switch positions of the dual architecture.
 
-    BATTERY = "battery"
-    ULTRACAP = "ultracap"
-    RECHARGE = "recharge"  # battery on load + battery charges the bank
+    Integer-valued, so a column of switch positions is a plain integer
+    array: the lockstep twins build one with ``np.where`` over the members.
+    """
+
+    BATTERY = 0
+    ULTRACAP = 1
+    RECHARGE = 2  # battery on load + battery charges the bank
 
 
 class DualHEES(RestrungHEES):
@@ -157,7 +161,7 @@ class DualHEES(RestrungHEES):
             converter_loss_j=circuit_loss,
             loss_increment_percent=bat.loss_increment_percent,
             unmet_power_w=unmet,
-            notes={"mode": mode.value, "cap_current_a": float(cap_current)},
+            notes={"mode": mode.name.lower(), "cap_current_a": float(cap_current)},
         )
 
 
@@ -166,8 +170,8 @@ class DualHEESVec(DualHEES):
 
     Built from a :class:`~repro.battery.pack.BatteryPackVec` and an
     :class:`~repro.ultracap.bank.UltracapBankVec`; inherits everything but
-    :meth:`step`.  Takes the switch position as an integer code array
-    (``MODE_*`` class constants) so a batched policy can hand over a whole
+    :meth:`step`.  Takes the switch position as an array of
+    :class:`DualMode` codes so a batched policy can hand over a whole
     column of modes.  The regen / ultracap-discharge / battery-recharge
     paths are mutually exclusive per column (regen needs a negative
     request; the two others need distinct modes), so the scalar plant's
@@ -176,17 +180,6 @@ class DualHEESVec(DualHEES):
     bank path keep their SoE bit pattern untouched, exactly like the
     scalar plant not calling the bank at all.
     """
-
-    MODE_BATTERY = 0
-    MODE_ULTRACAP = 1
-    MODE_RECHARGE = 2
-
-    #: DualMode -> integer code (for batched policies).
-    MODE_CODES = {
-        DualMode.BATTERY: MODE_BATTERY,
-        DualMode.ULTRACAP: MODE_ULTRACAP,
-        DualMode.RECHARGE: MODE_RECHARGE,
-    }
 
     def step(
         self,
@@ -207,12 +200,12 @@ class DualHEESVec(DualHEES):
             request_w < 0, np.minimum(-request_w, max_charge), 0.0
         )
         cap_request = np.where(
-            (request_w >= 0) & (mode == self.MODE_ULTRACAP),
+            (request_w >= 0) & (mode == DualMode.ULTRACAP),
             self._cap_deliverable_w(request_w, dt),
             0.0,
         )
         bank_charge = np.where(
-            (mode == self.MODE_RECHARGE)
+            (mode == DualMode.RECHARGE)
             & (recharge_power_w > 0)
             & (request_w >= 0),
             np.minimum(

@@ -32,6 +32,7 @@ import uuid
 from repro.sim.batch import cell_row, run_batch
 from repro.service.spec import SweepSpec
 from repro.store import ExperimentStore
+from repro.utils.validation import check_count, check_positive
 
 #: Lifecycle states of a sweep job.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "interrupted")
@@ -119,8 +120,9 @@ class JobManager:
         worker_threads: int = 2,
         default_timeout_s: float | None = None,
     ):
-        if worker_threads < 1:
-            raise ValueError("worker_threads must be >= 1")
+        check_count(worker_threads, "worker_threads")
+        if default_timeout_s is not None:
+            check_positive(default_timeout_s, "default_timeout_s")
         self._store = store
         self._default_timeout_s = default_timeout_s
         self._jobs: dict = {}

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.sim.batch import scenario_grid
 from repro.sim.scenario import Scenario
+from repro.utils.validation import check_count, check_positive
 
 #: Fields of :class:`Scenario` that a spec may sweep over.
 SWEEPABLE_FIELDS = tuple(f.name for f in dataclasses.fields(Scenario))
@@ -67,12 +68,10 @@ class SweepSpec:
     tag: str = ""
 
     def __post_init__(self):
-        if self.seeds < 0:
-            raise ValueError("seeds must be >= 0")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
+        check_count(self.seeds, "seeds", minimum=0)
+        check_count(self.workers, "workers", minimum=0)
+        if self.timeout_s is not None:
+            check_positive(self.timeout_s, "timeout_s")
         unknown = sorted(set(self.axes) - set(SWEEPABLE_FIELDS))
         if unknown:
             raise ValueError(

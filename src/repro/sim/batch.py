@@ -53,6 +53,7 @@ from repro.core.mpc import SolverStats
 from repro.sim.engine_vec import lockstep_groups, run_lockstep
 from repro.sim.metrics import SummaryMetrics
 from repro.sim.scenario import Scenario, run_scenario
+from repro.utils.validation import check_count, check_positive
 
 #: Bump when the cached payload layout or the simulation semantics change
 #: in a way that must invalidate existing cache entries.
@@ -362,8 +363,9 @@ def run_batch(
         Cells index-aligned with ``scenarios``.
     """
     scenarios = list(scenarios)
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
+    check_count(workers, "workers", minimum=0)
+    if timeout_s is not None:
+        check_positive(timeout_s, "timeout_s")
     scalar_methodology = "serial"
     if workers >= 2:
         if (os.cpu_count() or 1) <= 1:

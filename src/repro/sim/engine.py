@@ -2,7 +2,8 @@
 
 Per step:
 
-1. build an :class:`Observation` (states + power-request preview),
+1. build an :class:`Observation` (states + the rest of the route, which is
+   the power-request preview),
 2. ask the controller for a :class:`Decision`,
 3. price the cooling command (Eq. 16) and add it to the bus request - the
    cooler and pump draw their power from the HEES,
@@ -118,12 +119,12 @@ class Simulator:
     coolant:
         Cooling-loop parameters (the loop exists only when the controller
         declares ``uses_cooling``).
-    initial_soc_percent / initial_temp_k / initial_soe_percent:
+    initial_soc_percent / initial_temp_k:
         Initial conditions (Algorithm 1 line 9 uses 298 K and 100%).
-    preview_steps:
-        Length of the power preview handed to the controller (the MPC's
-        control window N).
 
+    Every route starts with a full bank (SoE 100 %, Algorithm 1 line 9),
+    and each step's observation carries the rest of the route as its
+    preview, so the controller decides how far ahead to read.
     :meth:`run` records into a :class:`~repro.sim.trace.TraceRecorder`
     sized to the route, one :func:`step_channels` record per step.
     """
@@ -136,22 +137,15 @@ class Simulator:
         coolant: CoolantParams = DEFAULT_COOLANT,
         initial_soc_percent: float = 100.0,
         initial_temp_k: float = 298.0,
-        initial_soe_percent: float = 100.0,
-        preview_steps: int = 10,
     ):
         check_in_range(initial_soc_percent, 0.0, 100.0, "initial_soc_percent")
-        check_in_range(initial_soe_percent, 0.0, 100.0, "initial_soe_percent")
         check_positive(initial_temp_k, "initial_temp_k")
-        if preview_steps < 1:
-            raise ValueError("preview_steps must be >= 1")
         self._controller = controller
         self._pack_config = pack_config
         self._cap_params = cap_params if cap_params is not None else UltracapParams()
         self._coolant = coolant
         self._soc0 = initial_soc_percent
         self._temp0 = initial_temp_k
-        self._soe0 = initial_soe_percent
-        self._preview = preview_steps
 
     # ------------------------------------------------------------------ #
 
@@ -165,7 +159,7 @@ class Simulator:
             initial_soc_percent=self._soc0,
             initial_temp_k=self._temp0,
         )
-        bank = UltracapBank(self._cap_params, initial_soe_percent=self._soe0)
+        bank = UltracapBank(self._cap_params)
         plant = _PLANTS[controller.architecture](pack, bank)
         loop = CoolingLoop(self._coolant, self._pack_config.heat_capacity_j_per_k)
 
@@ -175,15 +169,18 @@ class Simulator:
         # a pack without an installed cooling loop is air-exposed; the
         # actively-cooled pack is sealed
         passive = not controller.uses_cooling
+        # a read-only view: each step's preview is its tail
+        power = request.power_w.view()
+        power.flags.writeable = False
 
         for k in range(len(request)):
-            p_e = float(request.power_w[k])
+            p_e = float(power[k])
             obs = Observation(
                 step_index=k,
                 time_s=k * dt,
                 dt=dt,
                 power_request_w=p_e,
-                preview_w=request.window(k, self._preview),
+                preview_w=power[k:],
                 battery_soc_percent=pack.soc_percent,
                 battery_temp_k=pack.temp_k,
                 coolant_temp_k=coolant_temp,

@@ -27,8 +27,14 @@ C2/C3 inlet clamp and Eq. 16 cooler power) is a NumPy ufunc expression
 the twins inherit.  Shared as well are the scalar step-result types (one
 array entry per column), the :class:`~repro.hees.converter.DCDCConverter`,
 the re-strung bank constants (:func:`repro.hees.parallel.restrung_bank`)
-and the Eq. 17 solve (:func:`repro.cooling.loop.solve_eq17`).  Each
-batched policy is built from the scalar controller
+and the Eq. 17 solve (:func:`repro.cooling.loop.solve_eq17`).  The
+controller interface is shared too: each step the engine builds the
+scalar engine's :class:`~repro.controllers.base.Observation` with one
+array entry per column (its preview is the rest of each column's route,
+one row per column) and the twin returns a
+:class:`~repro.controllers.base.Decision` of columns and broadcasting
+scalars; a switch position is a :class:`~repro.hees.dual.DualMode` code
+in both engines.  Each batched policy is built from the scalar controller
 :func:`repro.sim.scenario.build_controller` returns and reads its
 thresholds, solver settings and ``uses_cooling`` from it, so the two
 cannot disagree on a parameter.  A column of a lockstep run is therefore
@@ -56,9 +62,10 @@ freely within a group as long as the architecture-defining fields match
 (:func:`lockstep_key` - which for OTEM also pins the solver shape);
 cycle lengths may be ragged - columns are zero-padded to the longest
 route and truncated on output, which is exact because no operation
-couples columns.  :func:`run_lockstep_group` builds a baseline group's
-one scalar policy (the key fixes everything that configures it) and an
-OTEM group's per-column controllers, then makes the twin from them.
+couples columns and the scalar preview is zero past the route end too.
+:func:`run_lockstep_group` builds a baseline group's one scalar policy
+(the key fixes everything that configures it) and an OTEM group's
+per-column controllers, then makes the twin from them.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.battery.pack import BatteryPackVec
-from repro.controllers.base import Architecture
+from repro.controllers.base import Architecture, Observation
 from repro.controllers.batched import BATCHED_CONTROLLERS, BatchedOTEM
 from repro.cooling.loop import CoolingLoop
 from repro.drivecycle.library import get_cycle
@@ -165,7 +172,9 @@ def run_lockstep_group(
 
     All scenarios must share :func:`lockstep_key` and their requests must
     share ``dt`` (use :func:`run_lockstep` to group arbitrary sets).
-    Each step runs the scalar engine's sequence on whole columns and
+    Each step runs the scalar engine's sequence on whole columns - the
+    same :class:`~repro.controllers.base.Observation` and
+    :class:`~repro.controllers.base.Decision`, holding columns - and
     records through the same :func:`repro.sim.engine.step_channels` map
     into ``(t_max, m)`` channel buffers.  Returns one
     :class:`SimulationResult` per scenario, index-aligned.
@@ -190,16 +199,18 @@ def run_lockstep_group(
     power = np.zeros((t_max, m))
     for j, r in enumerate(requests):
         power[: len(r), j] = r.power_w
+    power.flags.writeable = False
 
     # the twin is built from the scalar controllers build_controller
     # returns, so each policy is defined once (see repro.controllers.batched)
     if first.methodology == "otem":
-        controller = BatchedOTEM([build_controller(s) for s in scenarios])
+        controller = BatchedOTEM(
+            [build_controller(s) for s in scenarios], lengths=lengths
+        )
     else:
         twin = BATCHED_CONTROLLERS[first.methodology]
         controller = twin(build_controller(first))
     controller.reset(m)
-    is_mpc = getattr(controller, "is_mpc", False)
     arch = controller.architecture
 
     pack = BatteryPackVec(
@@ -207,31 +218,31 @@ def run_lockstep_group(
         initial_soc_percent=100.0,
         initial_temp_k=np.array([s.initial_temp_k for s in scenarios]),
     )
-    bank = UltracapBankVec(
-        [s.cap_params() for s in scenarios], initial_soe_percent=100.0
-    )
+    bank = UltracapBankVec([s.cap_params() for s in scenarios])
     plant = _PLANT_TWINS[arch](pack, bank)
     loop = CoolingLoop(first.coolant, first.pack.heat_capacity_j_per_k)
 
     coolant_temp = pack.temp_k.copy()
     passive = not controller.uses_cooling
-    if is_mpc:
-        controller.begin_route(power, dt, lengths=lengths)
 
     buf = {name: np.empty((t_max, m)) for name in CHANNELS}
 
     for k in range(t_max):
         p_e = power[k]
-        if is_mpc:
-            decision = controller.control_mpc(
-                k,
-                pack.temp_k,
-                coolant_temp,
-                np.broadcast_to(np.asarray(pack.soc_percent, dtype=float), (m,)),
-                bank.soe_percent,
-            )
-        else:
-            decision = controller.control(p_e, pack.temp_k, bank.soe_percent)
+        # the preview is the rest of each column's route, one row per
+        # column (time along the last axis, as on the scalar engine)
+        obs = Observation(
+            step_index=k,
+            time_s=k * dt,
+            dt=dt,
+            power_request_w=p_e,
+            preview_w=power[k:].T,
+            battery_soc_percent=pack.soc_percent,
+            battery_temp_k=pack.temp_k,
+            coolant_temp_k=coolant_temp,
+            cap_soe_percent=bank.soe_percent,
+        )
+        decision = controller.control(obs)
 
         # price the cooling command before the plant step (the cooler
         # draws from the HEES bus); per-column thermostats may disagree
@@ -275,7 +286,8 @@ def run_lockstep_group(
         for name, value in channels.items():
             buf[name][k] = value
 
-    solver_stats = controller.solver_stats() if is_mpc else None
+    stats_fn = getattr(controller, "solver_stats", None)
+    solver_stats = stats_fn() if callable(stats_fn) else None
     results = []
     for j, request in enumerate(requests):
         n = int(lengths[j])

@@ -223,17 +223,11 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
 
         cycle = perturbed(cycle, scenario.perturb_seed)
     request = Powertrain(scenario.vehicle).power_request(cycle)
-    controller = build_controller(scenario)
-    if isinstance(controller, OTEMController):
-        preview = controller.required_preview_steps(request.dt)
-    else:
-        preview = 10
     simulator = Simulator(
-        controller,
+        build_controller(scenario),
         pack_config=scenario.pack,
         cap_params=scenario.cap_params(),
         coolant=scenario.coolant,
         initial_temp_k=scenario.initial_temp_k,
-        preview_steps=preview,
     )
     return simulator.run(request)

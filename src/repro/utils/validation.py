@@ -36,10 +36,18 @@ def check_in_range(value: float, low: float, high: float, name: str) -> float:
     return value
 
 
-def check_count(value: int, name: str) -> int:
-    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value: int, name: str, minimum: int = 1) -> int:
+    """Raise ``ValueError`` unless ``value`` is an integer >= ``minimum``.
+
+    A bool or a float (even ``2.0``) is refused, not converted: a count
+    that is not an ``int`` fails later, where it is used, or acts as 1.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 

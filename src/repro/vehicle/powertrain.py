@@ -75,20 +75,6 @@ class PowerRequest:
         """Net electrical energy drawn over the trace [J]."""
         return float(np.trapezoid(self.power_w, dx=self.dt))
 
-    def window(self, start: int, length: int) -> np.ndarray:
-        """Power samples ``[start, start+length)``, zero-padded past the end.
-
-        This is the preview the MPC uses near the end of a route, where the
-        remaining trace is shorter than the control window.
-        """
-        if start < 0 or length < 0:
-            raise ValueError("start and length must be non-negative")
-        end = min(start + length, len(self))
-        head = self.power_w[start:end] if start < len(self) else np.zeros(0)
-        if head.size < length:
-            head = np.concatenate([head, np.zeros(length - head.size)])
-        return head
-
 
 class Powertrain:
     """End-to-end drive-cycle-to-power-request model.

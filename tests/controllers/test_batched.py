@@ -12,8 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.controllers.base import Observation
+from repro.controllers.base import Decision, Observation
 from repro.controllers.batched import (
+    BATCHED_CONTROLLERS,
     BatchedCoolingOnly,
     BatchedDualThreshold,
     BatchedHybridHeuristic,
@@ -24,7 +25,8 @@ from repro.controllers.dual_threshold import DualThresholdController
 from repro.controllers.heuristic import HybridHeuristicController
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.otem import OTEMController
-from repro.hees.dual import DualHEESVec
+from repro.hees.dual import DualMode
+from repro.sim.scenario import Scenario, build_controller
 
 #: A coolant whose full-cold inlet differs from the default's.
 COOLANT = dataclasses.replace(DEFAULT_COOLANT, min_inlet_temp_k=285.0)
@@ -81,16 +83,17 @@ POLICIES = {
 
 
 def _obs(k, request, temp, soe):
+    """An observation of floats, or of columns when given arrays."""
     return Observation(
         step_index=k,
         time_s=float(k),
         dt=1.0,
-        power_request_w=float(request),
-        preview_w=np.full(10, float(request)),
-        battery_soc_percent=90.0,
-        battery_temp_k=float(temp),
-        coolant_temp_k=float(temp),
-        cap_soe_percent=float(soe),
+        power_request_w=request,
+        preview_w=np.repeat(np.expand_dims(request, -1), 10, axis=-1),
+        battery_soc_percent=np.full(np.shape(request), 90.0),
+        battery_temp_k=temp,
+        coolant_temp_k=temp,
+        cap_soe_percent=soe,
     )
 
 
@@ -106,20 +109,26 @@ def test_each_column_follows_its_scalar_policy(methodology):
     soes = np.stack([SOES, SOES[::-1]])
     seen = set()
     for k in range(len(TEMPS)):
-        batch = twin.control(requests[:, k], temps[:, k], soes[:, k])
-        inlet = np.broadcast_to(batch.inlet_temp_k, (2,))
-        for j, ref in enumerate(refs):
-            d = ref.control(_obs(k, requests[j, k], temps[j, k], soes[j, k]))
-            got = (
-                batch.cap_bus_w[j],
-                batch.dual_mode[j],
-                batch.recharge_power_w[j],
-                batch.cooling_active[j],
-                inlet[j],
+        batch = twin.control(_obs(k, requests[:, k], temps[:, k], soes[:, k]))
+        assert isinstance(batch, Decision)
+        columns = [
+            np.broadcast_to(getattr(batch, name), (2,))
+            for name in (
+                "cap_bus_w",
+                "dual_mode",
+                "recharge_power_w",
+                "cooling_active",
+                "inlet_temp_k",
             )
+        ]
+        for j, ref in enumerate(refs):
+            d = ref.control(
+                _obs(k, float(requests[j, k]), float(temps[j, k]), float(soes[j, k]))
+            )
+            got = tuple(column[j] for column in columns)
             want = (
                 d.cap_bus_w,
-                DualHEESVec.MODE_CODES[d.dual_mode],
+                d.dual_mode,
                 d.recharge_power_w,
                 d.cooling_active,
                 d.inlet_temp_k,
@@ -128,7 +137,7 @@ def test_each_column_follows_its_scalar_policy(methodology):
             seen.add((d.dual_mode, d.cooling_active, np.sign(d.cap_bus_w)))
     # the sequence must exercise every branch of the policy under test
     if methodology == "dual":
-        assert {mode for mode, _, _ in seen} == set(DualHEESVec.MODE_CODES)
+        assert {mode for mode, _, _ in seen} == set(DualMode)
     else:
         assert {cool for _, cool, _ in seen} == {False, True}
     if methodology == "heuristic":
@@ -146,3 +155,35 @@ def test_otem_twin_refuses_persistence_preview():
                 OTEMController(**knobs, preview_mode="persistence"),
             ]
         )
+
+
+@pytest.mark.parametrize("methodology", sorted(BATCHED_CONTROLLERS) + ["otem"])
+def test_every_twin_returns_a_decision(methodology):
+    """Both engines speak one interface: each twin answers an Observation
+    of columns with a Decision."""
+    scenarios = [
+        Scenario(
+            methodology=methodology,
+            ucap_farads=farads,
+            mpc_horizon=2,
+            mpc_max_evals=5,
+            rollout_backend="vectorized",
+        )
+        for farads in (5_000.0, 25_000.0)
+    ]
+    if methodology == "otem":
+        twin = BatchedOTEM([build_controller(s) for s in scenarios])
+    else:
+        twin = BATCHED_CONTROLLERS[methodology](build_controller(scenarios[0]))
+    twin.reset(2)
+    temps = np.array([300.0, 310.0])
+    d = twin.control(_obs(0, np.array([20e3, -5e3]), temps, np.array([90.0, 50.0])))
+    assert isinstance(d, Decision)
+    for name in (
+        "cap_bus_w",
+        "dual_mode",
+        "recharge_power_w",
+        "cooling_active",
+        "inlet_temp_k",
+    ):
+        np.broadcast_to(getattr(d, name), (2,))  # a column or a scalar

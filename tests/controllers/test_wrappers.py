@@ -62,7 +62,7 @@ class TestNoisyObservations:
             temp_sigma_k=1.0,
             seed=0,
         )
-        result = Simulator(controller, preview_steps=30).run(short_request)
+        result = Simulator(controller).run(short_request)
         assert np.all(np.isfinite(result.trace.battery_temp_k))
         assert result.metrics.unmet_energy_j < 2e5
 
@@ -104,14 +104,12 @@ class TestCoolingFailure:
         healthy = Simulator(
             OTEMController(horizon=6, max_function_evals=40),
             initial_temp_k=308.0,
-            preview_steps=30,
         ).run(short_request)
         failed = Simulator(
             CoolingFailure(
                 OTEMController(horizon=6, max_function_evals=40), fail_at_s=0.0
             ),
             initial_temp_k=308.0,
-            preview_steps=30,
         ).run(short_request)
         # the route still gets driven
         assert failed.metrics.unmet_energy_j < 2e5

@@ -32,10 +32,6 @@ class TestInterface:
         assert otem.uses_cooling
         assert otem.name == "OTEM"
 
-    def test_required_preview(self, otem):
-        assert otem.required_preview_steps(1.0) == 30
-        assert otem.required_preview_steps(5.0) == 6
-
 
 class TestPreviewAggregation:
     def test_constant_preview(self, otem):
@@ -52,6 +48,75 @@ class TestPreviewAggregation:
         fine = np.arange(30, dtype=float)
         coarse = otem._aggregate_preview(fine, 1.0)
         assert coarse[0] == pytest.approx(np.mean(fine[:5]))
+
+    def test_reads_only_its_window(self, otem):
+        """Given the rest of a route, OTEM reads steps_per_bin x horizon
+        samples and ignores the route beyond them."""
+        route = np.arange(100, dtype=float)
+        coarse = otem._aggregate_preview(route, 1.0)
+        assert np.array_equal(coarse, route[:30].reshape(6, 5).mean(axis=1))
+        coarse_5s = otem._aggregate_preview(route, 5.0)
+        assert np.array_equal(coarse_5s, route[:6])
+
+    def test_rows_bin_like_single_routes(self, otem):
+        """The lockstep engine's rows of routes bin row by row, bitwise."""
+        rng = np.random.default_rng(0)
+        rows = rng.normal(20_000.0, 15_000.0, size=(4, 45))
+        coarse = otem._aggregate_preview(rows, 1.0)
+        assert coarse.shape == (4, 6)
+        for row, got in zip(rows, coarse):
+            assert np.array_equal(got, otem._aggregate_preview(row, 1.0))
+
+
+def _planned_previews(otem, route, steps):
+    """The coarse previews ``otem`` hands its planner at ``steps``."""
+    seen = {}
+    real = otem.planner.plan
+
+    def spy(state, preview):
+        seen[obs.step_index] = preview
+        return real(state, preview)
+
+    otem.planner.plan = spy
+    for k in steps:
+        obs = Observation(
+            step_index=k,
+            time_s=float(k),
+            dt=1.0,
+            power_request_w=float(route[k]),
+            preview_w=route[k:],
+            battery_soc_percent=95.0,
+            battery_temp_k=300.0,
+            coolant_temp_k=300.0,
+            cap_soe_percent=100.0,
+        )
+        otem.control(obs)
+    return seen
+
+
+class TestLastWindow:
+    """Near the route end the window runs past it; both preview modes give
+    the coarse preview of a zero-padded fixed-length window."""
+
+    ROUTE = np.linspace(-10_000.0, 60_000.0, 40)
+
+    def test_perfect_preview_zero_pads_past_route_end(self):
+        otem = OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=20)
+        seen = _planned_previews(otem, self.ROUTE, range(30, 40))
+        padded = np.concatenate([self.ROUTE[35:], np.zeros(25)])
+        assert sorted(seen) == [30, 35]
+        assert np.array_equal(seen[35], padded.reshape(6, 5).mean(axis=1))
+
+    def test_persistence_holds_request_over_whole_window(self):
+        otem = OTEMController(
+            horizon=6,
+            mpc_step_s=5.0,
+            max_function_evals=20,
+            preview_mode="persistence",
+        )
+        seen = _planned_previews(otem, self.ROUTE, range(30, 40))
+        held = np.full(30, self.ROUTE[35]).reshape(6, 5).mean(axis=1)
+        assert np.array_equal(seen[35], held)
 
 
 class TestMoveBlocking:

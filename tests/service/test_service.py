@@ -86,6 +86,16 @@ class TestJobManager:
         wait_terminal(manager, sweep_id)
         assert manager.cancel(sweep_id) is False
 
+    @pytest.mark.parametrize("threads", [0, 1.5, True])
+    def test_rejects_bad_worker_threads(self, tmp_path, threads):
+        with pytest.raises(ValueError, match="worker_threads must be an integer"):
+            JobManager(ExperimentStore(tmp_path), worker_threads=threads)
+
+    def test_rejects_nan_default_timeout(self, tmp_path):
+        """A NaN budget would never expire."""
+        with pytest.raises(ValueError, match="default_timeout_s must be a finite"):
+            JobManager(ExperimentStore(tmp_path), default_timeout_s=float("nan"))
+
     def test_timeout_fails_the_job(self, tmp_path):
         mgr = JobManager(ExperimentStore(tmp_path / "t"), worker_threads=1)
         try:
@@ -241,6 +251,18 @@ class TestHTTP:
             ({"axes": {"ucap_farads": [5_000.0, 0.0]}}, "must be a finite positive"),
             ({"base": {"ucap_farads": "25000"}}, "ucap_farads must be a number"),
             ({"axes": {"initial_temp_k": [298.0, "298"]}}, "initial_temp_k must be a"),
+        ):
+            with pytest.raises(ServiceError) as err:
+                client.submit(spec)
+            assert err.value.status == 400
+            assert message in str(err.value)
+
+    def test_bad_execution_knob_is_a_400(self, client):
+        """Refused at submit, not after the job starts and dies in run_batch."""
+        for spec, message in (
+            ({"workers": 2.5}, "workers must be an integer >= 0"),
+            ({"seeds": True}, "seeds must be an integer >= 0"),
+            ({"timeout_s": float("nan")}, "timeout_s must be a finite positive"),
         ):
             with pytest.raises(ServiceError) as err:
                 client.submit(spec)

@@ -1,6 +1,7 @@
 """SweepSpec: grid compilation, validation, and the JSON wire format."""
 
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,30 @@ class TestValidation:
             SweepSpec(workers=-1)
         with pytest.raises(ValueError):
             SweepSpec(timeout_s=0.0)
+
+    @pytest.mark.parametrize("field", ["seeds", "workers"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2", None])
+    def test_counts_must_be_integers(self, field, value):
+        """A float worker count would crash the job in run_batch; a bool
+        would silently act as 1."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            SweepSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seeds", "workers"])
+    def test_zero_counts_accepted(self, field):
+        assert getattr(SweepSpec(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -1.0, True, "60"]
+    )
+    def test_timeout_must_be_finite_and_positive(self, value):
+        """A NaN budget never expires: ``now > nan`` is always False."""
+        with pytest.raises(ValueError, match="timeout_s must be a"):
+            SweepSpec(timeout_s=value)
+
+    def test_knobs_validated_from_json(self):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            SweepSpec.from_dict({"workers": 2.5})
 
     def test_unknown_execution_mode_rejected(self):
         """The engine is routed by run_batch: a spec naming one is refused

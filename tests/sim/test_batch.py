@@ -239,6 +239,16 @@ class TestSerialFallback:
         batch = run_batch(GRID[:1], workers=0)
         assert batch.methodology == "serial"
 
+    @pytest.mark.parametrize("workers", [-1, 2.5, True])
+    def test_rejects_bad_worker_count(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer >= 0"):
+            run_batch(GRID[:1], workers=workers)
+
+    @pytest.mark.parametrize("timeout_s", [0.0, float("nan"), "5"])
+    def test_rejects_bad_timeout(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be a"):
+            run_batch(GRID[:1], timeout_s=timeout_s)
+
     def test_fallback_matches_serial_bitwise(self, monkeypatch):
         serial = run_batch(SINGLETONS[:2], workers=0)
         monkeypatch.setattr("os.cpu_count", lambda: 1)

@@ -6,7 +6,11 @@ import pytest
 from repro.controllers.cooling_only import CoolingOnlyController
 from repro.controllers.dual_threshold import DualThresholdController
 from repro.controllers.parallel_passive import ParallelPassiveController
+from repro.core.otem import OTEMController
 from repro.sim.engine import Simulator
+from repro.sim.engine_vec import build_request
+from repro.sim.scenario import Scenario, run_scenario
+from repro.sim.trace import CHANNELS
 
 
 class TestRunShapes:
@@ -98,13 +102,40 @@ class TestValidation:
         with pytest.raises(ValueError):
             Simulator(ParallelPassiveController(), initial_soc_percent=120.0)
 
-    def test_rejects_bad_preview(self):
-        with pytest.raises(ValueError):
-            Simulator(ParallelPassiveController(), preview_steps=0)
-
     def test_controller_reset_called(self, short_request):
         controller = DualThresholdController()
         controller._on_cap = True  # dirty state
         Simulator(controller).run(short_request)
         # run() resets before the loop; the flag reflects route dynamics only
         assert controller.architecture.value == "dual"
+
+
+class TestRoutePreview:
+    def test_bare_otem_simulator_matches_run_scenario(self):
+        """The route is the preview: a bare Simulator gives OTEM its whole
+        window, so it reproduces ``run_scenario`` bitwise in every channel
+        (a short default preview would plan on a fraction of it)."""
+        scenario = Scenario(methodology="otem", cycle="nycc")
+        request = build_request(scenario)
+        bare = Simulator(OTEMController(cap_params=scenario.cap_params())).run(
+            request
+        )
+        routed = run_scenario(scenario)
+        for name in CHANNELS:
+            assert np.array_equal(
+                getattr(bare.trace, name), getattr(routed.trace, name)
+            ), name
+        assert bare.solver == routed.solver
+
+    def test_preview_is_read_only_rest_of_route(self, short_request):
+        seen = []
+
+        class Probe(ParallelPassiveController):
+            def control(self, obs):
+                seen.append(obs.preview_w)
+                return super().control(obs)
+
+        Simulator(Probe()).run(short_request)
+        for k in (0, 60, len(short_request) - 1):
+            assert np.array_equal(seen[k], short_request.power_w[k:])
+            assert not seen[k].flags.writeable

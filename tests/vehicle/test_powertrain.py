@@ -35,24 +35,6 @@ class TestPowerRequestContainer:
         pr = PowerRequest("t", 2.0, np.array([10.0, 10.0, 10.0]))
         assert pr.energy_j() == pytest.approx(40.0)
 
-    def test_window_inside(self):
-        pr = PowerRequest("t", 1.0, np.arange(10.0))
-        assert pr.window(2, 3).tolist() == [2.0, 3.0, 4.0]
-
-    def test_window_pads_past_end(self):
-        pr = PowerRequest("t", 1.0, np.arange(5.0))
-        out = pr.window(3, 4)
-        assert out.tolist() == [3.0, 4.0, 0.0, 0.0]
-
-    def test_window_fully_past_end(self):
-        pr = PowerRequest("t", 1.0, np.arange(5.0))
-        assert pr.window(10, 3).tolist() == [0.0, 0.0, 0.0]
-
-    def test_window_rejects_negative(self):
-        pr = PowerRequest("t", 1.0, np.arange(5.0))
-        with pytest.raises(ValueError):
-            pr.window(-1, 2)
-
 
 class TestPowertrain:
     def test_idle_costs_only_aux(self):
