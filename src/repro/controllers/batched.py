@@ -116,10 +116,12 @@ class BatchedDualThreshold(_BaselineTwin):
         recharging = (
             ~self._on_cap & (soe < p._soe_target) & (temp < p._recharge_t_max)
         )
+        # plain-int codes: NumPy converts an IntEnum member several
+        # times slower than an int
         mode = np.where(
             self._on_cap,
-            DualMode.ULTRACAP,
-            np.where(recharging, DualMode.RECHARGE, DualMode.BATTERY),
+            DualMode.ULTRACAP.value,
+            np.where(recharging, DualMode.RECHARGE.value, DualMode.BATTERY.value),
         )
         recharge = np.where(recharging, p._recharge_w, 0.0)
         return Decision(dual_mode=mode, recharge_power_w=recharge)

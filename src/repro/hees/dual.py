@@ -188,7 +188,11 @@ class DualHEESVec(DualHEES):
         recharge_power_w: np.ndarray,
         dt: float,
     ) -> HEESStepResult:
-        """Vectorized :meth:`DualHEES.step` over all columns."""
+        """Vectorized :meth:`DualHEES.step` over all columns.
+
+        Compares against the members' plain-int ``value``: NumPy converts
+        an ``IntEnum`` member several times slower than an ``int``.
+        """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
@@ -200,12 +204,12 @@ class DualHEESVec(DualHEES):
             request_w < 0, np.minimum(-request_w, max_charge), 0.0
         )
         cap_request = np.where(
-            (request_w >= 0) & (mode == DualMode.ULTRACAP),
+            (request_w >= 0) & (mode == DualMode.ULTRACAP.value),
             self._cap_deliverable_w(request_w, dt),
             0.0,
         )
         bank_charge = np.where(
-            (mode == DualMode.RECHARGE)
+            (mode == DualMode.RECHARGE.value)
             & (recharge_power_w > 0)
             & (request_w >= 0),
             np.minimum(
