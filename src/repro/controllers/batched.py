@@ -182,21 +182,19 @@ class BatchedOTEM:
     The twin reads each column's window from the observation's rows of
     the route with the scalar controller's own
     :meth:`~repro.core.otem.OTEMController._aggregate_preview`.  Ragged
-    groups pass each column's route length: a column replans only while
-    the step lies inside its own route, as the scalar engine stops there.
+    groups: a column replans only while the step lies inside its own route
+    (``lengths``), as the scalar engine stops there.
     """
 
     def __init__(
-        self,
-        controllers: Sequence[OTEMController],
-        lengths: Sequence[int] | None = None,
+        self, controllers: Sequence[OTEMController], lengths: Sequence[int]
     ):
         """Build the twin from the group's scalar controllers.
 
         Each controller contributes its planner (its bank energy); the
         solver shape is shared, and :class:`repro.core.mpc.MPCPlannerVec`
         refuses planners that do not share it.  ``lengths`` holds each
-        column's route length in steps (default: no column ever ends).
+        column's route length in steps.
         """
         # imported here: repro.core pulls in repro.sim, which circles back
         # to this module through the lockstep engine
@@ -213,8 +211,6 @@ class BatchedOTEM:
         self.architecture = self._policy.architecture
         self.uses_cooling = self._policy.uses_cooling
         self._m = self._planner.scenarios
-        if lengths is None:
-            lengths = np.full(self._m, np.iinfo(np.int64).max)
         self._lengths = np.asarray(lengths, dtype=np.int64)
         if self._lengths.shape != (self._m,):
             raise ValueError(

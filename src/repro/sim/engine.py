@@ -125,6 +125,7 @@ class Simulator:
     Every route starts with a full bank (SoE 100 %, Algorithm 1 line 9),
     and each step's observation carries the rest of the route as its
     preview, so the controller decides how far ahead to read.
+
     :meth:`run` records into a :class:`~repro.sim.trace.TraceRecorder`
     sized to the route, one :func:`step_channels` record per step.
     """

@@ -204,9 +204,7 @@ def run_lockstep_group(
     # the twin is built from the scalar controllers build_controller
     # returns, so each policy is defined once (see repro.controllers.batched)
     if first.methodology == "otem":
-        controller = BatchedOTEM(
-            [build_controller(s) for s in scenarios], lengths=lengths
-        )
+        controller = BatchedOTEM([build_controller(s) for s in scenarios], lengths)
     else:
         twin = BATCHED_CONTROLLERS[first.methodology]
         controller = twin(build_controller(first))

@@ -153,7 +153,8 @@ def test_otem_twin_refuses_persistence_preview():
             [
                 OTEMController(**knobs),
                 OTEMController(**knobs, preview_mode="persistence"),
-            ]
+            ],
+            lengths=[60, 60],
         )
 
 
@@ -172,7 +173,7 @@ def test_every_twin_returns_a_decision(methodology):
         for farads in (5_000.0, 25_000.0)
     ]
     if methodology == "otem":
-        twin = BatchedOTEM([build_controller(s) for s in scenarios])
+        twin = BatchedOTEM([build_controller(s) for s in scenarios], lengths=[60, 60])
     else:
         twin = BATCHED_CONTROLLERS[methodology](build_controller(scenarios[0]))
     twin.reset(2)

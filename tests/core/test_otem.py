@@ -69,15 +69,16 @@ class TestPreviewAggregation:
 
 
 def _planned_previews(otem, route, steps):
-    """The coarse previews ``otem`` hands its planner at ``steps``."""
-    seen = {}
+    """The coarse previews ``otem`` hands its planner, by replan step."""
+    planned = []
     real = otem.planner.plan
 
     def spy(state, preview):
-        seen[obs.step_index] = preview
+        planned.append(preview)
         return real(state, preview)
 
     otem.planner.plan = spy
+    seen = {}
     for k in steps:
         obs = Observation(
             step_index=k,
@@ -90,7 +91,8 @@ def _planned_previews(otem, route, steps):
             coolant_temp_k=300.0,
             cap_soe_percent=100.0,
         )
-        otem.control(obs)
+        if otem.control(obs).info["replanned"]:
+            seen[k] = planned[-1]
     return seen
 
 
