@@ -12,11 +12,14 @@ Two rollout backends drive the penalty solver:
 
 * ``"scalar"`` (default) - the reference pure-Python rollout.  One
   :meth:`~repro.core.rollout.PredictionModel.rollout_cost` call per
-  L-BFGS-B evaluation returns the cost and the 2N forward-difference
-  costs (each perturbed run restarts from the plan's state at its own
-  step), and the planner hands scipy that gradient (``jac=True``).  The
-  step rule and the budget are scipy's own 2-point ones, so every iterate
-  is bit for bit what scipy's internal differences produced
+  L-BFGS-B evaluation returns the cost and its exact gradient (the
+  rollout's hand-written reverse pass, see :mod:`repro.core.rollout`),
+  and the planner hands scipy that gradient, scaled to normalized
+  coordinates (``jac=True``).  At a kink hit exactly the gradient is the
+  one-sided derivative a forward difference would have probed, so the
+  neutral plan's inlet at T_c reads as clamped.  The budget still counts
+  2N+1 rollouts per evaluation, the price of the forward-difference
+  gradient it replaced, so a start gets as many evaluations as before
   (tests/core/test_mpc.py::TestScalarGradient).
 * ``"vectorized"`` - :class:`repro.core.rollout_vec.BatchPredictionModel`
   evaluates every multi-start candidate's central-difference stencil as
@@ -24,8 +27,10 @@ Two rollout backends drive the penalty solver:
   multi-start race runs through the lockstep driver of
   :mod:`repro.core.lbfgsb_lockstep` (the objective is block-separable, so
   minimizing the sum over the stacked candidates solves each start).
-  Several times faster per solve at the same budget; the scalar model
-  stays the semantic reference (see benchmarks/bench_mpc_solver.py).
+  It pays off on groups, where many scenarios' solves share each kernel
+  call (:class:`MPCPlannerVec`); one solve alone is faster on the scalar
+  path with its exact gradient (benchmarks/bench_mpc_solver.py).  The
+  scalar model stays the semantic reference.
 
 One function, :func:`_race`, runs that race for any number of planners.
 A vectorized :class:`MPCPlanner` is its one-planner case;
@@ -154,9 +159,8 @@ class MPCPlanner:
     #: Supported rollout backends.
     BACKENDS = ("scalar", "vectorized")
 
-    #: Finite-difference step in normalized coordinates: the scalar
-    #: path's forward step (backward where it would pass the upper bound)
-    #: and the vectorized path's central step.
+    #: The vectorized path's central-difference step, in normalized
+    #: coordinates (the scalar path takes the rollout's exact gradient).
     FD_EPS = 3e-3
 
     def __init__(
@@ -311,17 +315,15 @@ class MPCPlanner:
         the start it came from.
         """
         model = self._model
-        eps = self.FD_EPS
+        scale = np.repeat([self._cap_scale, self._inlet_scale], self._n)
 
         def objective(z: np.ndarray) -> tuple:
-            # scipy's 2-point step on [0, 1]: +eps, or -eps where that
-            # would leave the box; divide by the step as represented
-            z_step = z + np.where(z + eps > 1.0, -eps, eps)
             cap, inlet = self._denormalize(z)
-            cost, stepped = model.rollout_cost(
-                state, cap, inlet, preview, step, self._denormalize(z_step)
+            cost, d_cap, d_inlet = model.rollout_cost(
+                state, cap, inlet, preview, step, gradient=True
             )
-            return cost, (np.array(stepped) - cost) / (z_step - z)
+            # the exact gradient, in normalized coordinates
+            return cost, np.array(d_cap + d_inlet) * scale
 
         best = best_label = None
         iterations = 0
@@ -333,10 +335,10 @@ class MPCPlanner:
                 method="L-BFGS-B",
                 bounds=[(0.0, 1.0)] * (2 * self._n),
                 options={
-                    # ``budget`` counts rollouts, 2N+1 per evaluation (the
-                    # difference stencil); scipy's ``nfev > maxfun`` stop
-                    # then falls after the same evaluation as with its
-                    # own differences
+                    # ``budget`` counts rollouts at 2N+1 per evaluation,
+                    # the price of a forward-difference gradient: the
+                    # exact gradient keeps the evaluation count of the
+                    # difference solve it replaced
                     "maxfun": budget // (2 * self._n + 1),
                     "maxiter": MAXITER,
                     "ftol": FTOL,

@@ -62,7 +62,9 @@ from repro.utils.validation import check_count, check_positive
 #:    engine backend assigned to the cell (lockstep engine added).
 #: 4: OTEM cells may be lockstep-assigned (batched MPC); SolverStats
 #:    gained warm-start winner attribution (``wins_*``).
-CACHE_SCHEMA = 4
+#: 5: the scalar OTEM solve takes the rollout's exact gradient instead of
+#:    forward differences, so every scalar OTEM row changes.
+CACHE_SCHEMA = 5
 
 #: Error string marking cells skipped by a :func:`run_batch` ``cancel``
 #: hook (the sweep service matches on the ``"cancelled"`` prefix).

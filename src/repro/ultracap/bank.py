@@ -197,10 +197,11 @@ class UltracapBankVec(UltracapBank):
     the plants read as a per-column array; SoE is per-column state.  Every
     query is inherited from :class:`UltracapBank`; :meth:`apply_power`
     mirrors the scalar step expression-for-expression so each column is
-    bitwise-identical to a scalar bank run.
+    bitwise-identical to a scalar bank run.  Every column starts full
+    (SoE 100 %), as every route does; :meth:`reset` sets other SoEs.
     """
 
-    def __init__(self, params, initial_soe_percent: float = 100.0):
+    def __init__(self, params):
         params = list(params)
         self._p = SimpleNamespace(
             **{
@@ -208,7 +209,7 @@ class UltracapBankVec(UltracapBank):
                 for name in _COLUMN_FIELDS
             }
         )
-        self._soe = np.full(len(params), float(initial_soe_percent))
+        self._soe = np.full(len(params), 100.0)
 
     def reset(self, soe_percent) -> None:
         """Restore per-column initial SoE."""

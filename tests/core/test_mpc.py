@@ -129,44 +129,57 @@ class TestPlanQuality:
         assert plan.solver_iterations >= 0
 
 
-def _scipy_difference_solve(planner, state, preview):
-    """The scalar penalty solve with scipy's own forward differences.
+def _scipy_gradient_solve(planner, state, preview):
+    """The scalar penalty solve, spelled out with scipy.
 
-    Each start is ``optimize.minimize(L-BFGS-B)`` with ``eps=FD_EPS``, so
-    scipy evaluates the 2N+1-point stencil itself and counts every one of
-    its rollouts against the start's budget.  Returns what
-    ``MPCPlanner._solve_penalty`` returns: ``(z, nit, cost, label)``.
+    Each start is ``optimize.minimize(L-BFGS-B)`` handed the model's exact
+    gradient as a separate ``jac`` callable, chained to normalized
+    coordinates, at ``budget // (2N+1)`` evaluations.  Returns what
+    ``MPCPlanner._solve_penalty`` returns, ``(z, nit, cost, label)``, and
+    the evaluations scipy made.
     """
-    model, step = planner._model, planner.step_s
+    model, step, n = planner._model, planner.step_s, planner.horizon
 
-    def objective(z):
+    def rollout(z):
         cap, inlet = planner._denormalize(z)
-        return model.rollout_cost(state, cap, inlet, preview, step)
+        return PredictionModel.rollout_cost(
+            model, state, cap, inlet, preview, step, gradient=True
+        )
+
+    def jac(z):
+        _, d_cap, d_inlet = rollout(z)
+        return np.concatenate(
+            [
+                np.asarray(d_cap) * (planner._cap_hi - planner._cap_lo),
+                np.asarray(d_inlet) * (planner._inlet_hi - planner._inlet_lo),
+            ]
+        )
 
     best = best_label = None
-    iterations = 0
+    iterations = evaluations = 0
     for label, z0, budget in planner._starts(state[1]):
         result = optimize.minimize(
-            objective,
+            lambda z: rollout(z)[0],
             z0,
+            jac=jac,
             method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * (2 * planner.horizon),
+            bounds=[(0.0, 1.0)] * (2 * n),
             options={
-                "maxfun": budget,
+                "maxfun": budget // (2 * n + 1),
                 "maxiter": MAXITER,
-                "eps": MPCPlanner.FD_EPS,
                 "ftol": FTOL,
                 "gtol": GTOL,
             },
         )
         iterations += int(result.nit)
+        evaluations += int(result.nfev)
         if best is None or result.fun < best.fun:
             best, best_label = result, label
-    return best.x, iterations, float(best.fun), best_label
+    return (best.x, iterations, float(best.fun), best_label), evaluations
 
 
 #: (state, preview) pairs; under the heavy load the solutions put the
-#: ultracap command on its upper bound, where the forward step flips
+#: ultracap command on its upper bound
 GRADIENT_CASES = {
     "mild": ((309.0, 307.5, 72.0, 64.0), [18e3, 24e3, 31e3, 12e3, -6e3, 27e3]),
     "heavy": ((312.0, 311.0, 60.0, 95.0), [60e3, 80e3, 70e3, 90e3, 40e3, 75e3]),
@@ -174,8 +187,9 @@ GRADIENT_CASES = {
 
 
 class TestScalarGradient:
-    """The one-call difference gradient reproduces scipy's solve exactly,
-    with one ``rollout_cost`` call where scipy made 2N+1."""
+    """The scalar solve is scipy's L-BFGS-B on the model's exact gradient,
+    with one ``rollout_cost`` call per scipy evaluation.  (The test keeps
+    the name it had when the reference was scipy's own differences.)"""
 
     @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
     @pytest.mark.parametrize("budget", [150, 75, 10, 1])
@@ -187,20 +201,20 @@ class TestScalarGradient:
         model = planner._model
         calls = [0]
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return PredictionModel.rollout_cost(model, *args)
+            return PredictionModel.rollout_cost(model, *args, **kwargs)
 
         model.rollout_cost = counted
         state, preview = GRADIENT_CASES[case]
         preview = _pad_previews(np.resize(preview, horizon), horizon)[0]
         for solve in ("cold", "warm"):
-            want = _scipy_difference_solve(planner, state, preview)
-            scipy_calls, calls[0] = calls[0], 0
+            want, evaluations = _scipy_gradient_solve(planner, state, preview)
+            assert calls[0] == 0
             got = planner._solve_penalty(state, preview, planner.step_s)
             assert np.array_equal(got[0], want[0]), solve
             assert got[1:] == want[1:], solve
-            assert scipy_calls == (2 * horizon + 1) * calls[0]
+            assert calls[0] == evaluations
             calls[0] = 0
             plan = planner._commit(state, preview, planner.step_s, *got)
             p = plan.predicted

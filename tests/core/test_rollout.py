@@ -369,38 +369,38 @@ class TestMPCInputTypes:
 
 
 #: Cold then warm scalar ``MPCPlanner.plan`` (N=6, default budget), as hex
-#: floats, recorded with the NumPy-scalar rollout that preceded the
-#: plain-float loop.  L-BFGS-B's forward differences read every cost bit,
-#: so the iterates - and with them these values - move if one changes.
+#: floats, recorded with the exact reverse-pass gradient.  L-BFGS-B's
+#: iterates read every bit of the cost and the gradient, so these values
+#: move if either changes.
 PLAN_GOLDEN = {
     "cold": {
-        "solver_cost": "0x1.dc9936f2c56c1p+31",
-        "solver_iterations": 13,
+        "solver_cost": "0x1.dc98dec10f1edp+31",
+        "solver_iterations": 16,
         "cap_bus_w": [
-            "0x1.5ff8668763284p+14",
-            "0x1.be393627eab98p+14",
-            "0x1.15af5fffd4cd8p+15",
-            "0x1.035e07d4b49c4p+14",
-            "-0x1.652b14defd080p+9",
-            "0x1.ea2f1ebcd3524p+14",
+            "0x1.636ce0858ee5cp+14",
+            "0x1.c0e63a3cc0b28p+14",
+            "0x1.16ef6edb925a4p+15",
+            "0x1.03efcbecf9ac0p+14",
+            "-0x1.5c41632901440p+9",
+            "0x1.ecedb35c305f4p+14",
         ],
     },
     "warm": {
-        "solver_cost": "0x1.d6f771b1d9bcap+31",
-        "solver_iterations": 11,
+        "solver_cost": "0x1.d6fe74609a71ep+31",
+        "solver_iterations": 13,
         "cap_bus_w": [
-            "0x1.bee9c9862e140p+14",
-            "0x1.15fe9b1f05648p+15",
-            "0x1.01e11674be8bcp+14",
-            "-0x1.8fb7f7977c840p+9",
-            "0x1.eaf50b9d3e978p+14",
-            "0x1.60ec44d94be00p+14",
+            "0x1.c1554a09b9194p+14",
+            "0x1.172742f0b02bep+15",
+            "0x1.0462a70d28e58p+14",
+            "-0x1.50951cabd9880p+9",
+            "0x1.ed625dc676904p+14",
+            "0x1.5f88003b121d8p+14",
         ],
     },
     "stats": {
         "solves": 2,
-        "total_iterations": 24,
-        "last_cost": "0x1.d6f771b1d9bcap+31",
+        "total_iterations": 29,
+        "last_cost": "0x1.d6fe74609a71ep+31",
         "backend": "scalar",
         "wins_warm": 1,
         "wins_neutral": 0,
@@ -440,72 +440,85 @@ class TestScalarPlanGolden:
 
 
 # --------------------------------------------------------------------- #
-# one call, one base run and every single-input alternative
+# the exact gradient: the forward loop with a tape, then one reverse pass
+
+#: Central-difference steps: bus power [W] and inlet [K].
+FD_STEPS = (1.0, 1e-3)
 
 
-def _one_input_costs(model, state, cap, inlet, preview, alt_cap, alt_inlet):
-    """The alternatives' costs as separate calls, one input replaced each."""
-    costs = []
-    for k in range(len(cap)):
-        replaced = cap.copy()
-        replaced[k] = alt_cap[k]
-        costs.append(model.rollout_cost(state, replaced, inlet, preview, 5.0))
-    for k in range(len(inlet)):
-        replaced = inlet.copy()
-        replaced[k] = alt_inlet[k]
-        costs.append(model.rollout_cost(state, cap, replaced, preview, 5.0))
-    return costs
+def _differences(model, state, cap, inlet, preview):
+    """Difference estimates of ``rollout_cost``'s gradient per input.
 
-
-def _stepped(model, state, cap_w, inlet_k, preview_w, z_override=None):
-    """MPC-typed inputs plus the planner's forward-difference alternatives.
-
-    The alternatives step every normalized input by ``FD_EPS`` - backward
-    where a forward step would leave [0, 1] - exactly as
-    ``MPCPlanner._solve_penalty`` builds them.
+    Each input is moved by -h, -h/2, +h/2 and +h.  Returns
+    ``(central, spread)`` pairs of (cap block, inlet block): the central
+    difference, Richardson-extrapolated from h and h/2, and the larger of
+    two gaps - between the plain central differences at h and at h/2,
+    and between the extrapolated backward and forward differences.  Both
+    gaps are second order where the cost is smooth around the input; a
+    kink within the step opens at least one of them.
     """
-    planner = MPCPlanner(model, horizon=len(cap_w))
-    state, cap, inlet, preview = _mpc_inputs(model, state, cap_w, inlet_k, preview_w)
-    z = np.concatenate(
-        [
-            (cap - planner._cap_lo) / planner._cap_scale,
-            (inlet - planner._inlet_lo) / planner._inlet_scale,
-        ]
+    base = model.rollout_cost(state, cap, inlet, preview, 5.0)
+    central, spread = [], []
+    for which, h in enumerate(FD_STEPS):
+        est, gap = [], []
+        for k in range(len(cap)):
+            f = {}
+            for mult in (-1.0, -0.5, 0.5, 1.0):
+                moved = [list(cap), list(inlet)]
+                moved[which][k] += mult * h
+                f[mult] = model.rollout_cost(state, *moved, preview, 5.0)
+            wide = (f[1.0] - f[-1.0]) / (2.0 * h)
+            narrow = (f[0.5] - f[-0.5]) / h
+            left = (3.0 * base - 4.0 * f[-0.5] + f[-1.0]) / h
+            right = (4.0 * f[0.5] - 3.0 * base - f[1.0]) / h
+            est.append((4.0 * narrow - wide) / 3.0)
+            gap.append(max(abs(wide - narrow), abs(right - left)))
+        central.append(np.array(est))
+        spread.append(np.array(gap))
+    return central, spread
+
+
+def check_gradient(model, state, cap, inlet, preview, rel=1e-6):
+    """Assert the reverse pass matches central differences where smooth.
+
+    An input counts as away from kinks when its difference estimates
+    agree within ``rel / 2`` of its block's largest difference (see
+    :func:`_differences`).  There each component must match the central
+    difference within ``rel`` of that largest difference (a relative
+    gradient check per block: bus power, inlet).  Returns
+    ``(smooth, total)`` component counts.
+    """
+    cost, d_cap, d_inlet = model.rollout_cost(
+        state, cap, inlet, preview, 5.0, gradient=True
     )
-    if z_override is not None:
-        z = z_override
-        cap, inlet = planner._denormalize(z)
-    eps = MPCPlanner.FD_EPS
-    alt_cap, alt_inlet = planner._denormalize(z + np.where(z + eps > 1.0, -eps, eps))
-    return state, cap, inlet, preview, alt_cap, alt_inlet
+    assert cost == model.rollout_cost(state, cap, inlet, preview, 5.0)
+    smooth = total = 0
+    blocks = zip((d_cap, d_inlet), *_differences(model, state, cap, inlet, preview))
+    for got, fd, gap in blocks:
+        got = np.array(got)
+        top = np.max(np.abs(fd))
+        if top == 0.0:
+            assert not np.any(got)
+            continue
+        ok = gap <= rel / 2.0 * top
+        assert np.all(np.abs(got - fd)[ok] <= rel * top)
+        smooth += int(np.sum(ok))
+        total += fd.size
+    return smooth, total
 
 
-class TestRolloutSweep:
-    def _check(self, model, state, cap, inlet, preview, alt_cap, alt_inlet):
-        cost, alt_costs = model.rollout_cost(
-            state, cap, inlet, preview, 5.0, (alt_cap, alt_inlet)
-        )
-        assert cost == model.rollout_cost(state, cap, inlet, preview, 5.0)
-        assert alt_costs == _one_input_costs(
-            model, state, cap, inlet, preview, alt_cap, alt_inlet
-        )
-
+class TestRolloutGradient:
     @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
-    def test_branch_case_alternatives_match_separate_calls(self, model, name):
-        self._check(model, *_stepped(model, *BRANCH_CASES[name]))
+    def test_cost_bitwise_equals_plain_call(self, model, name):
+        args = _mpc_inputs(model, *BRANCH_CASES[name])
+        cost, d_cap, d_inlet = model.rollout_cost(*args, 5.0, gradient=True)
+        assert cost == model.rollout_cost(*args, 5.0)
+        assert len(d_cap) == len(d_inlet) == len(args[1])
+        assert all(type(v) is float for v in d_cap + d_inlet)
 
-    def test_branch_case_arbitrary_alternatives(self, model):
-        # alternatives far from the plan: other clamp and guard branches
-        for name in sorted(BRANCH_CASES):
-            state, cap, inlet, preview = _mpc_inputs(model, *BRANCH_CASES[name])
-            self._check(
-                model, state, cap, inlet, preview, -cap[::-1], inlet[::-1] + 7.0
-            )
-
-    def test_random_mpc_inputs_match_separate_calls(self, model):
+    def test_random_inputs_cost_bitwise_equals_plain_call(self, model):
         rng = np.random.default_rng(20161107)
-        flipped = absorbed = 0
-        for _ in range(150):
+        for _ in range(200):
             n = int(rng.integers(1, 13))
             state = (
                 rng.uniform(285.0, 320.0),
@@ -513,30 +526,81 @@ class TestRolloutSweep:
                 rng.uniform(0.0, 100.0),
                 rng.uniform(0.0, 105.0),
             )
-            z = rng.uniform(0.0, 1.0, 2 * n)
-            # inputs on the bounds: z = 1.0 takes the backward step
-            z[rng.random(2 * n) < 0.2] = 1.0
-            z[rng.random(2 * n) < 0.1] = 0.0
-            flipped += int(np.sum(z == 1.0))
-            args = _stepped(
+            args = _mpc_inputs(
                 model,
                 state,
-                np.zeros(n),
-                np.zeros(n),
+                rng.uniform(-90e3, 90e3, n),
+                rng.uniform(250.0, 340.0, n),
                 rng.uniform(-250e3, 250e3, n),
-                z_override=z,
             )
-            # an inlet above T_c is clamped to T_c whatever its step
-            absorbed += int(np.sum(args[2] > state[1]))
-            self._check(model, *args)
-        assert flipped and absorbed
+            cost = model.rollout_cost(*args, 5.0, gradient=True)[0]
+            assert cost == model.rollout_cost(*args, 5.0)
 
-    def test_clamp_absorbed_inlet_alternative_costs_the_plan(self, model):
-        state, cap, inlet, preview = _mpc_inputs(
-            model, (300.0, 295.0, 80.0, 60.0), [0.0] * 3, [311.0] * 3, [2e4] * 3
+    @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+    def test_matches_central_differences_near_branch_case(self, model, name):
+        # random points around each branch-covering horizon, off its kinks
+        # (its commands sit on several: zero bus power, inlet at T_c)
+        rng = np.random.default_rng(sorted(BRANCH_CASES).index(name))
+        smooth = total = 0
+        for _ in range(6):
+            state, cap, inlet, preview = _mpc_inputs(model, *BRANCH_CASES[name])
+            cap = cap + rng.uniform(-5e3, 5e3, cap.size)
+            inlet = inlet + rng.uniform(-3.0, 3.0, inlet.size)
+            counts = check_gradient(model, state, cap, inlet, preview)
+            smooth, total = smooth + counts[0], total + counts[1]
+        assert smooth >= 0.9 * total
+
+    def test_matches_central_differences_at_random_horizons(self, model):
+        rng = np.random.default_rng(20160314)
+        smooth = total = 0
+        for _ in range(30):
+            n = int(rng.integers(1, 13))
+            state = (
+                rng.uniform(290.0, 316.0),
+                rng.uniform(288.0, 314.0),
+                rng.uniform(15.0, 95.0),
+                rng.uniform(5.0, 100.0),
+            )
+            counts = check_gradient(
+                model,
+                state,
+                rng.uniform(-60e3, 60e3, n),
+                rng.uniform(288.15, 312.0, n),
+                rng.uniform(-60e3, 120e3, n),
+            )
+            smooth, total = smooth + counts[0], total + counts[1]
+        assert smooth >= 0.9 * total
+
+    def test_neutral_plan_inlet_tie_has_zero_derivative(self, model):
+        """The neutral plan commands the inlet at exactly T_c.  A forward
+        difference raises it, and the C3 clamp holds it at T_c, so the tie
+        counts as clamped: no step-0 inlet derivative."""
+        planner = MPCPlanner(model, horizon=6)
+        state = (306.0, 304.25, 70.0, 80.0)
+        cap, inlet = planner._denormalize(planner._initial_guess(state[1]))
+        assert inlet[0] == state[1]
+        _, _, d_inlet = model.rollout_cost(
+            state, cap, inlet, np.full(6, 20e3), 5.0, gradient=True
         )
-        cost, alt_costs = model.rollout_cost(
-            state, cap, inlet, preview, 5.0, (cap, inlet + 0.5)
+        assert d_inlet[0] == 0.0
+        # below T_c the command is free and cooling has a price
+        lower = inlet.copy()
+        lower[0] -= 0.5
+        _, _, d_lower = model.rollout_cost(
+            state, cap, lower, np.full(6, 20e3), 5.0, gradient=True
         )
-        # both inlets sit above T_c, which the C3 clamp holds them to
-        assert alt_costs[3:] == [cost] * 3
+        assert d_lower[0] != 0.0
+
+    def test_upper_bound_bus_command_is_not_clipped(self, model):
+        """A bus command of exactly ``cap_pmax`` (z = 1, where the forward
+        difference steps down) keeps its derivative; beyond it, zero."""
+        state, inlet, preview = (305.0, 303.0, 80.0, 90.0), [300.0] * 3, [20e3] * 3
+
+        def d_cap(command):
+            _, grad, _ = model.rollout_cost(
+                state, [command] * 3, inlet, preview, 5.0, gradient=True
+            )
+            return grad
+
+        assert all(d != 0.0 for d in d_cap(model.cap_pmax))
+        assert d_cap(model.cap_pmax + 1.0) == [0.0] * 3

@@ -2,11 +2,11 @@
 
 The kernel-level suite (tests/core/test_rollout_vec.py) pins the rollout
 arithmetic to ~1e-14; this test closes the loop at the system level.  The
-two backends take different optimizer trajectories (joint batched
-central-difference race vs per-start serial forward differences), so the
-plans are not bitwise identical - but they must land on the same physics:
-route metrics agree within a few percent, and the thermal envelope within
-a fraction of a kelvin.
+two backends take different optimizer trajectories (a joint batched race
+on central differences vs per-start serial solves on the rollout's exact
+reverse-pass gradient), so the plans are not bitwise identical - but they
+must land on the same physics: route metrics agree within a few percent,
+and the thermal envelope within a fraction of a kelvin.
 """
 
 import pytest
