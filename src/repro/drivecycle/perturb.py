@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.drivecycle.cycle import DriveCycle
-from repro.utils.validation import check_in_range
+from repro.utils.validation import check_in_range, check_positive
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, period_s: int, dt: float) -> np.ndarray:
@@ -54,11 +54,13 @@ def perturbed(
     ripple_sigma_mps:
         Standard deviation of the micro-ripple [m/s].
     max_accel_ms2:
-        Physical acceleration cap re-imposed after perturbation.
+        Physical acceleration cap re-imposed after perturbation [m/s^2];
+        a finite positive number.
     """
     check_in_range(speed_scale_sigma, 0.0, 0.5, "speed_scale_sigma")
     check_in_range(stop_jitter_s, 0.0, 120.0, "stop_jitter_s")
     check_in_range(ripple_sigma_mps, 0.0, 5.0, "ripple_sigma_mps")
+    check_positive(max_accel_ms2, "max_accel_ms2")
     rng = np.random.default_rng(seed)
     speed = cycle.speed_mps.copy()
     n = speed.size
@@ -70,19 +72,14 @@ def perturbed(
 
     # 2. stop jitter: rebuild the trace with stretched/compressed stops
     stopped = speed <= DriveCycle.STOP_SPEED_MPS
+    edges = (np.flatnonzero(stopped[1:] != stopped[:-1]) + 1).tolist()
     pieces = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and stopped[j] == stopped[i]:
-            j += 1
+    for i, j in zip([0, *edges], [*edges, n]):
         segment = speed[i:j]
         if stopped[i] and i > 0 and j < n:
             delta = int(round(rng.uniform(-stop_jitter_s, stop_jitter_s) / dt))
-            new_len = max(1, segment.size + delta)
-            segment = np.zeros(new_len)
+            segment = np.zeros(max(1, segment.size + delta))
         pieces.append(segment)
-        i = j
     speed = np.concatenate(pieces)
 
     # 3. micro-ripple on moving samples only
@@ -95,14 +92,17 @@ def perturbed(
     speed[0] = 0.0
     speed[-1] = 0.0
     cap = max_accel_ms2 * dt
-    for k in range(1, speed.size):  # forward pass caps accelerations
-        if speed[k] > speed[k - 1] + cap:
-            speed[k] = speed[k - 1] + cap
-    for k in range(speed.size - 2, -1, -1):  # backward pass caps decelerations
-        if speed[k] > speed[k + 1] + cap:
-            speed[k] = speed[k + 1] + cap
+    # plain floats: indexing an array element by element costs more than
+    # the comparison itself
+    v = speed.tolist()
+    for k in range(1, len(v)):  # forward pass caps accelerations
+        if v[k] > v[k - 1] + cap:
+            v[k] = v[k - 1] + cap
+    for k in range(len(v) - 2, -1, -1):  # backward pass caps decelerations
+        if v[k] > v[k + 1] + cap:
+            v[k] = v[k + 1] + cap
 
-    return DriveCycle(f"{cycle.name}~{seed}", speed, dt)
+    return DriveCycle(f"{cycle.name}~{seed}", np.array(v), dt)
 
 
 def ensemble(cycle: DriveCycle, members: int, **kwargs) -> list:

@@ -340,7 +340,9 @@ def run_batch(
     store:
         A :class:`repro.store.ExperimentStore`: cells whose fingerprint is
         already stored are served from it (across processes, sessions and
-        service restarts) and fresh results are stored.  ``None``
+        service restarts) and fresh results are stored: each lockstep
+        group with one ``put`` (one transaction) before its cells are
+        reported, each scalar cell alone as soon as it finishes.  ``None``
         (default) disables caching.
     timeout_s:
         Best-effort per-cell wall-clock budget (scalar pool mode only): a
@@ -399,8 +401,6 @@ def run_batch(
         cached: bool = False,
     ) -> None:
         """Record cell ``index`` (a payload or an error) and report it."""
-        if payload is not None and not cached and store is not None:
-            store.put(keys[index], payload)
         # every CellPayload field is the BatchCell field of the same name
         computed = (
             {}
@@ -418,6 +418,13 @@ def run_batch(
         cells[index] = cell
         if on_cell_done is not None:
             on_cell_done(cell)
+
+    def save(payloads: dict) -> None:
+        """Store ``{index: payload}`` in one ``put``, then complete each."""
+        if store is not None:
+            store.put({keys[i]: payload for i, payload in payloads.items()})
+        for i, payload in payloads.items():
+            complete(i, payload)
 
     def served(index: int) -> bool:
         """Serve cell ``index`` from the store under its engine's key."""
@@ -460,8 +467,12 @@ def run_batch(
                     scalar_pending.append(i)
             continue
         per_cell_s = (time.perf_counter() - t0) / len(indices)
-        for i, result in zip(indices, results):
-            complete(i, _payload(result, per_cell_s, "lockstep"))
+        save(
+            {
+                i: _payload(result, per_cell_s, "lockstep")
+                for i, result in zip(indices, results)
+            }
+        )
     scalar_pending.sort()
 
     # the scalar cells, in grid order, in-process or on the process pool
@@ -490,7 +501,10 @@ def run_batch(
                     payload, error = None, f"timeout: exceeded {timeout_s:g} s budget"
                 except concurrent.futures.process.BrokenProcessPool as exc:
                     payload, error = None, f"worker died: {exc}"
-            complete(i, payload, error)
+            if error is None:
+                save({i: payload})  # alone, as soon as it finishes
+            else:
+                complete(i, error=error)
 
     n_lockstep = backends.count("lockstep")
     if not n_lockstep:

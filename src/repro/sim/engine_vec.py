@@ -147,6 +147,12 @@ def lockstep_groups(scenarios) -> list[list[int]]:
     return [indices for indices in groups.values() if len(indices) >= 2]
 
 
+def route_key(scenario: Scenario) -> tuple:
+    """The fields :func:`build_request` reads: scenarios that share this
+    key drive the same power request."""
+    return (scenario.cycle, scenario.repeat, scenario.perturb_seed, scenario.vehicle)
+
+
 def build_request(scenario: Scenario) -> PowerRequest:
     """The power-request trace ``scenario`` implies (as in ``run_scenario``)."""
     cycle = get_cycle(scenario.cycle, repeat=scenario.repeat)
@@ -307,8 +313,9 @@ def run_lockstep_group(
 def run_lockstep(scenarios) -> list[SimulationResult]:
     """Run any mix of lockstep-supported scenarios, grouping automatically.
 
-    Scenarios are bucketed by :func:`lockstep_key` plus sample period; each
-    bucket advances as one batch.  Returns results index-aligned with the
+    Each distinct :func:`route_key` builds its request once.  Scenarios
+    are bucketed by :func:`lockstep_key` plus sample period; each bucket
+    advances as one batch.  Returns results index-aligned with the
     input.  Raises ``ValueError`` if any scenario is not lockstep-capable
     (callers decide the fallback - see ``repro.sim.batch``).
     """
@@ -325,7 +332,15 @@ def run_lockstep(scenarios) -> list[SimulationResult]:
                 f"methodology {s.methodology!r} has no batched policy; "
                 "run it on the scalar engine"
             )
-    requests = [build_request(s) for s in scenarios]
+    # one request per distinct route: a bank-size or methodology axis
+    # repeats each route, and the group only reads its requests
+    routes: dict[tuple, PowerRequest] = {}
+    requests = []
+    for s in scenarios:
+        key = route_key(s)
+        if key not in routes:
+            routes[key] = build_request(s)
+        requests.append(routes[key])
     groups: dict[tuple, list[int]] = {}
     for i, (s, r) in enumerate(zip(scenarios, requests)):
         groups.setdefault((*lockstep_key(s), r.dt), []).append(i)

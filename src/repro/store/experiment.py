@@ -11,8 +11,10 @@ restart - is served from disk instead of recomputing.  Design points:
   and stale entries are simply never looked up again;
 * **one tier** - everything lives in ``index.sqlite3``: the ``results``
   table holds one row per cell, its payload (metrics + solver stats) as
-  canonical JSON.  A write is one transaction, so readers never observe
-  a partial entry, and a hit is one ``SELECT``;
+  canonical JSON.  A ``put`` writes a mapping of cells (the batch
+  runner's finished lockstep group, or one scalar cell) in one
+  ``executemany`` transaction, so readers never observe a partial entry
+  or a partial group, and a hit is one ``SELECT``;
 * **corruption quarantine** - a row whose JSON or fields fail to decode
   is copied (key + raw text) into the ``quarantine`` table and deleted;
   the lookup reports a miss, so the caller recomputes instead of raising;
@@ -126,32 +128,22 @@ class ExperimentStore:
     # ------------------------------------------------------------------ #
     # cell payloads
 
-    def put(self, key: str, payload) -> None:
-        """Store (upsert) one cell payload in a single transaction.
+    def put(self, payloads: dict) -> None:
+        """Store (upsert) ``{key: CellPayload}`` in one transaction.
 
-        ``payload`` is a :class:`repro.sim.batch.CellPayload`; the import
-        is deferred to keep ``repro.store`` importable on its own.
+        The batch runner puts each finished lockstep group in one call
+        and each scalar cell alone, so a group costs one connection and
+        one commit.  Every payload is encoded before the connection
+        opens: a payload that fails to encode stores none of them, and
+        an empty mapping opens no connection.
         """
-        from repro.sim.batch import CACHE_SCHEMA
-
-        doc = {
-            "schema": CACHE_SCHEMA,
-            "controller_name": payload.controller_name,
-            "cycle_name": payload.cycle_name,
-            "wall_s": payload.wall_s,
-            "engine_backend": payload.engine_backend,
-            "metrics": dataclasses.asdict(payload.metrics),
-            "solver": (
-                dataclasses.asdict(payload.solver)
-                if payload.solver is not None
-                else None
-            ),
-        }
-        text = json.dumps(doc, sort_keys=True)
+        rows = [(key, _encode_payload(p)) for key, p in payloads.items()]
+        if not rows:
+            return
         with self._connect() as con:
-            con.execute(
+            con.executemany(
                 "INSERT OR REPLACE INTO results (key, payload_json) VALUES (?, ?)",
-                (key, text),
+                rows,
             )
 
     def get(self, key: str):
@@ -289,6 +281,29 @@ class ExperimentStore:
             misses=self.misses,
             quarantined=self.quarantined,
         )
+
+
+def _encode_payload(payload) -> str:
+    """The ``payload_json`` of one :class:`~repro.sim.batch.CellPayload`.
+
+    The import is deferred to keep ``repro.store`` importable on its own.
+    """
+    from repro.sim.batch import CACHE_SCHEMA
+
+    doc = {
+        "schema": CACHE_SCHEMA,
+        "controller_name": payload.controller_name,
+        "cycle_name": payload.cycle_name,
+        "wall_s": payload.wall_s,
+        "engine_backend": payload.engine_backend,
+        "metrics": dataclasses.asdict(payload.metrics),
+        "solver": (
+            dataclasses.asdict(payload.solver)
+            if payload.solver is not None
+            else None
+        ),
+    }
+    return json.dumps(doc, sort_keys=True)
 
 
 def _decode_payload(text: str):

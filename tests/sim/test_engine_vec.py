@@ -23,10 +23,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.sim.engine_vec as engine_vec
+from repro.sim.batch import scenario_grid
 from repro.sim.engine_vec import (
     LOCKSTEP_METHODOLOGIES,
     lockstep_key,
     lockstep_supported,
+    route_key,
     run_lockstep,
     run_lockstep_group,
 )
@@ -141,6 +144,51 @@ class TestGrouping:
         ]
         for scenario, result in zip(scenarios, results):
             assert_column_equivalent(run_scenario(scenario), result)
+
+    def test_one_request_per_distinct_route(self, monkeypatch):
+        """A bank or methodology axis repeats each route; run_lockstep
+        builds each route's request once, and a cell that differs in
+        ``repeat`` or ``vehicle`` gets its own.  Sharing a request changes
+        no bit of any column."""
+        grid = scenario_grid(
+            Scenario(cycle="nycc"),
+            methodology=("parallel", "dual"),
+            ucap_farads=(5_000.0, 25_000.0),
+            perturb_seed=(0, 1, 2),
+        )
+        heavier = dataclasses.replace(
+            grid[0].vehicle, mass_kg=grid[0].vehicle.mass_kg + 200.0
+        )
+        scenarios = grid + [
+            dataclasses.replace(grid[0], repeat=2),
+            dataclasses.replace(grid[0], vehicle=heavier),
+        ]
+        built = []
+        build = engine_vec.build_request
+
+        def spy(scenario):
+            built.append(route_key(scenario))
+            return build(scenario)
+
+        monkeypatch.setattr(engine_vec, "build_request", spy)
+        results = run_lockstep(scenarios)
+        assert len(built) == 3 + 2
+        assert set(built) == {route_key(s) for s in scenarios}
+
+        monkeypatch.undo()  # the reference builds one request per cell
+        for methodology in ("parallel", "dual"):
+            indices = [
+                i for i, s in enumerate(scenarios) if s.methodology == methodology
+            ]
+            group = [scenarios[i] for i in indices]
+            requests = [build(s) for s in group]
+            for i, ref in zip(indices, run_lockstep_group(group, requests)):
+                assert results[i].metrics == ref.metrics
+                for name in CHANNELS:
+                    assert (
+                        results[i].trace.channel(name).tobytes()
+                        == ref.trace.channel(name).tobytes()
+                    ), name
 
     def test_singleton_group_is_fine(self):
         scenario = Scenario(methodology="cooling", cycle="nycc")

@@ -43,7 +43,7 @@ class TestRoundTrip:
     def test_payload_roundtrip_is_exact(self, tmp_path):
         store = ExperimentStore(tmp_path)
         payload = _payload()
-        store.put("k1", payload)
+        store.put({"k1": payload})
         loaded = store.get("k1")
         # floats survive the JSON encoding bit-for-bit (repr round-trip)
         assert loaded == payload
@@ -65,24 +65,104 @@ class TestRoundTrip:
         store = ExperimentStore(tmp_path)
         payload = _payload(scenario)
         assert payload.solver is not None
-        store.put("otem", payload)
+        store.put({"otem": payload})
         assert store.get("otem").solver == payload.solver
 
     def test_atomic_write_stores_nothing_on_failure(self, tmp_path):
         store = ExperimentStore(tmp_path)
         unserializable = dataclasses.replace(_payload(), wall_s=object())
         with pytest.raises(TypeError):
-            store.put("k1", unserializable)
+            store.put({"k1": unserializable})
         assert len(store) == 0
         assert store.get("k1") is None
 
     def test_contains_and_len(self, tmp_path):
         store = ExperimentStore(tmp_path)
         assert len(store) == 0
-        store.put("k1", _payload())
+        store.put({"k1": _payload()})
         assert len(store) == 1
-        store.put("k1", _payload())  # an upsert, not a second cell
+        store.put({"k1": _payload()})  # an upsert, not a second cell
         assert len(store) == 1
+
+
+def _traced(monkeypatch, store) -> tuple:
+    """Record every statement ``store`` runs and every connection it opens."""
+    statements, connections = [], []
+    connect = store._connect
+
+    def traced_connect():
+        con = connect()
+        con.set_trace_callback(statements.append)
+        connections.append(con)
+        return con
+
+    monkeypatch.setattr(store, "_connect", traced_connect)
+    return statements, connections
+
+
+class TestPutMany:
+    """A put writes its whole mapping in one transaction, or nothing."""
+
+    def test_three_cells_one_insert_batch_one_commit(self, tmp_path, monkeypatch):
+        store = ExperimentStore(tmp_path)
+        payload = _payload()
+        statements, connections = _traced(monkeypatch, store)
+        store.put({f"k{i}": payload for i in range(3)})
+        assert len(connections) == 1
+        assert [sql.split()[0] for sql in statements] == [
+            "BEGIN",
+            "INSERT",
+            "INSERT",
+            "INSERT",
+            "COMMIT",
+        ], statements
+        assert len(store) == 3
+        assert all(store.get(f"k{i}") == payload for i in range(3))
+
+    def test_unserializable_payload_stores_none_of_three(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        good = _payload()
+        bad = dataclasses.replace(good, wall_s=object())
+        with pytest.raises(TypeError):
+            store.put({"k0": good, "k1": bad, "k2": good})
+        assert len(store) == 0
+        assert store.get("k0") is None and store.get("k2") is None
+
+    def test_empty_put_opens_no_connection(self, tmp_path, monkeypatch):
+        store = ExperimentStore(tmp_path)
+        statements, connections = _traced(monkeypatch, store)
+        store.put({})
+        assert connections == [] and statements == []
+
+    def test_run_batch_puts_each_lockstep_group_once(self, tmp_path, monkeypatch):
+        """One put per lockstep group and one per scalar cell; a computed
+        cell is stored before its completion is reported."""
+        store = ExperimentStore(tmp_path)
+        grid = GRID + [Scenario(methodology="cooling", cycle="nycc")]
+        puts = []
+        put = store.put
+
+        def spy(payloads):
+            puts.append(set(payloads))
+            put(payloads)
+
+        monkeypatch.setattr(store, "put", spy)
+        stored_when_done = []
+        result = run_batch(
+            grid,
+            store=store,
+            on_cell_done=lambda cell: stored_when_done.append(len(store)),
+        )
+        assert result.ok and [c.engine_backend for c in result.cells] == [
+            "lockstep"
+        ] * 4 + ["scalar"]
+        keys = [
+            scenario_fingerprint(s, engine_backend=c.engine_backend)
+            for s, c in zip(grid, result.cells)
+        ]
+        # GRID's lockstep groups are its parallel and its dual cells
+        assert puts == [{keys[0], keys[1]}, {keys[2], keys[3]}, {keys[4]}]
+        assert stored_when_done == [2, 2, 4, 4, 5]
 
 
 class TestIndexWrites:
@@ -119,16 +199,8 @@ CREATE TABLE IF NOT EXISTS sweeps (
     def test_hit_runs_only_selects(self, tmp_path, monkeypatch):
         store = ExperimentStore(tmp_path)
         payload = _payload()
-        store.put("k1", payload)
-        statements = []
-        connect = store._connect
-
-        def traced_connect():
-            con = connect()
-            con.set_trace_callback(statements.append)
-            return con
-
-        monkeypatch.setattr(store, "_connect", traced_connect)
+        store.put({"k1": payload})
+        statements, _ = _traced(monkeypatch, store)
         assert store.get("k1") == payload
         assert statements
         assert all(sql.startswith("SELECT") for sql in statements), statements
@@ -138,7 +210,7 @@ CREATE TABLE IF NOT EXISTS sweeps (
             con.executescript(self.LEGACY_CELLS_DDL)
         store = ExperimentStore(tmp_path)
         payload = _payload()
-        store.put("k1", payload)
+        store.put({"k1": payload})
         assert store.get("k1") == payload
         assert store.hits == 1 and len(store) == 1
 
@@ -182,7 +254,7 @@ CREATE TABLE IF NOT EXISTS sweeps (
         assert store.get(key) is None
         assert store.misses == 1 and store.quarantined == 0
         assert len(store) == 0
-        store.put(key, payload)
+        store.put({key: payload})
         assert store.get(key) == payload
         assert store.get_sweep("old") == record
         assert store.get_rows("old") == []
@@ -207,7 +279,7 @@ class TestCorruption:
 
     def test_truncated_blob_quarantined(self, tmp_path):
         store = ExperimentStore(tmp_path)
-        store.put("k1", _payload())
+        store.put({"k1": _payload()})
         with sqlite3.connect(tmp_path / INDEX_DB) as con:
             (text,) = con.execute("SELECT payload_json FROM results").fetchone()
         truncated = text[: len(text) // 2]
@@ -222,7 +294,7 @@ class TestCorruption:
     def test_garbage_blob_quarantined(self, tmp_path):
         """Valid JSON whose fields are not a payload is corrupt too."""
         store = ExperimentStore(tmp_path)
-        store.put("k1", _payload())
+        store.put({"k1": _payload()})
         _damage(store, "k1", '{"not": "a payload"}')
         assert store.get("k1") is None
         assert store.quarantined == 1
@@ -401,7 +473,7 @@ class TestSweepRecords:
 class TestStats:
     def test_stats_shape(self, tmp_path):
         store = ExperimentStore(tmp_path)
-        store.put("k1", _payload())
+        store.put({"k1": _payload()})
         store.get("k1")
         store.get("missing")
         stats = store.stats()
