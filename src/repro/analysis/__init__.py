@@ -37,12 +37,7 @@ from repro.analysis.sensitivity import (
     check_orderings,
     default_cases,
 )
-from repro.analysis.export import (
-    write_fig1_csv,
-    write_fig6_csv,
-    write_fig7_csv,
-    write_trace_csv,
-)
+from repro.analysis.export import write_trace_csv
 
 __all__ = [
     "Fig1Data",
@@ -64,8 +59,5 @@ __all__ = [
     "SensitivityCase",
     "check_orderings",
     "default_cases",
-    "write_fig1_csv",
-    "write_fig6_csv",
-    "write_fig7_csv",
     "write_trace_csv",
 ]

@@ -1,15 +1,14 @@
-"""CSV export of traces and figure data.
+"""CSV export of simulation traces (``repro export``).
 
-The library deliberately has no plotting dependency; these exporters write
-the exact series the paper's figures plot so downstream users can render
-them with whatever tooling they have.
+The library deliberately has no plotting dependency; the exporter writes
+every recorded channel so downstream users can render it with whatever
+tooling they have.
 """
 
 from __future__ import annotations
 
 import csv
 
-from repro.analysis.figures import Fig1Data, Fig6Data, Fig7Data
 from repro.sim.trace import CHANNELS, Trace
 
 
@@ -20,50 +19,3 @@ def write_trace_csv(trace: Trace, path: str):
         writer.writerow(CHANNELS)
         for i in range(len(trace)):
             writer.writerow([float(trace.channel(name)[i]) for name in CHANNELS])
-
-
-def write_fig1_csv(data: Fig1Data, path: str):
-    """Fig. 1 series: time plus one temperature column per bank size."""
-    header = ["time_s"] + [f"temp_k_{int(size)}F" for size in data.sizes_f]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(data.time_s.size):
-            writer.writerow(
-                [float(data.time_s[i])] + [float(t[i]) for t in data.temps_k]
-            )
-
-
-def write_fig6_csv(data: Fig6Data, path: str):
-    """Fig. 6 series: time plus one temperature column per methodology."""
-    methods = sorted(data.temps_k)
-    header = ["time_s"] + [f"temp_k_{m}" for m in methods]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(data.time_s.size):
-            writer.writerow(
-                [float(data.time_s[i])]
-                + [float(data.temps_k[m][i]) for m in methods]
-            )
-
-
-def write_fig7_csv(data: Fig7Data, path: str):
-    """Fig. 7 series: the TEB-preparation overlay signals."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["time_s", "request_w", "cap_soe_percent", "battery_temp_k", "teb",
-             "upcoming_demand_w"]
-        )
-        for i in range(data.time_s.size):
-            writer.writerow(
-                [
-                    float(data.time_s[i]),
-                    float(data.request_w[i]),
-                    float(data.cap_soe_percent[i]),
-                    float(data.battery_temp_k[i]),
-                    float(data.teb[i]),
-                    float(data.upcoming_demand_w[i]),
-                ]
-            )

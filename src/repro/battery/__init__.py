@@ -18,8 +18,6 @@ Public API
     Full pack: electrical + thermal + aging state, stepped by the simulator.
 ``PackConfig`` / ``DEFAULT_PACK``
     Series/parallel layout; default 96s30p (~32 kWh).
-``project_lifetime`` / ``LifetimeProjection``
-    Routes-to-end-of-life with aging feedback (the paper's BLT metric).
 """
 
 from repro.battery.params import NCR18650A, CellParams
@@ -27,11 +25,6 @@ from repro.battery.electrical import BatteryElectrical
 from repro.battery.thermal import heat_generation_w
 from repro.battery.aging import AgingModel
 from repro.battery.pack import DEFAULT_PACK, BatteryPack, PackConfig, PackState
-from repro.battery.lifetime import (
-    LifetimeProjection,
-    blt_improvement_percent,
-    project_lifetime,
-)
 
 __all__ = [
     "NCR18650A",
@@ -43,7 +36,4 @@ __all__ = [
     "PackConfig",
     "PackState",
     "DEFAULT_PACK",
-    "LifetimeProjection",
-    "blt_improvement_percent",
-    "project_lifetime",
 ]

@@ -69,19 +69,6 @@ class AgingModel:
         """Zero the accumulated loss."""
         self._loss_percent = 0.0
 
-    def lifetime_scale(self, reference_loss_percent: float) -> float:
-        """BLT improvement factor vs a reference loss over the same usage.
-
-        A methodology that accumulates half the loss of the reference over
-        the same route doubles the battery lifetime, so the factor is
-        ``reference / own``.
-        """
-        if reference_loss_percent <= 0:
-            raise ValueError("reference loss must be positive")
-        if self._loss_percent <= 0:
-            return float("inf")
-        return reference_loss_percent / self._loss_percent
-
 
 def blt_equivalent_routes(loss_percent_per_route: float) -> float:
     """Number of identical routes until end-of-life (20% loss)."""

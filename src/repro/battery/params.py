@@ -82,30 +82,5 @@ class CellParams:
         check_in_range(self.res_temp_k, 0.0, 10_000.0, "res_temp_k")
 
 
-    def aged(self, loss_percent: float) -> "CellParams":
-        """Parameters of this cell after ``loss_percent`` capacity fade.
-
-        Aging shrinks usable capacity proportionally and thickens the SEI
-        layer, growing the internal resistance; the standard first-order
-        coupling is ~1.5-2x resistance at the 20% end-of-life point, i.e.
-        about +4% resistance per percent of capacity lost.  The feedback
-        matters because a faded cell runs hotter at the same load, which
-        accelerates further fading (used by ``repro.battery.lifetime``).
-        """
-        from dataclasses import replace
-
-        loss = check_in_range(loss_percent, 0.0, 100.0, "loss_percent")
-        capacity_scale = 1.0 - loss / 100.0
-        resistance_scale = 1.0 + 0.04 * loss
-        if capacity_scale <= 0.0:
-            raise ValueError("cell fully degraded; no capacity left")
-        return replace(
-            self,
-            capacity_ah=self.capacity_ah * capacity_scale,
-            res_exp_a=self.res_exp_a * resistance_scale,
-            res_base=self.res_base * resistance_scale,
-        )
-
-
 #: Panasonic-NCR18650A-class cell (the cell the paper's Tesla pack uses).
 NCR18650A = CellParams()

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(run)
 
     compare = sub.add_parser("compare", help="run all methodologies on one route")
-    _add_scenario_args(compare, with_methodology=False)
+    _add_scenario_args(compare, methodology=False)
 
     table1 = sub.add_parser("table1", help="regenerate the paper's Table I")
     table1.add_argument("--repeat", type=int, default=2, help="cycle repetitions")
@@ -256,8 +256,8 @@ def _add_grid_args(parser: argparse.ArgumentParser):
     )
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser, with_methodology: bool = True):
-    if with_methodology:
+def _add_scenario_args(parser: argparse.ArgumentParser, methodology: bool = True):
+    if methodology:
         parser.add_argument(
             "--methodology",
             "-m",

@@ -18,7 +18,7 @@ where they do not.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -104,8 +104,6 @@ class Decision:
     inlet_temp_k:
         Commanded coolant inlet temperature T_i [K]; only meaningful when
         ``cooling_active``.
-    info:
-        Controller-specific diagnostics recorded into the trace.
     """
 
     cap_bus_w: float = 0.0
@@ -113,7 +111,6 @@ class Decision:
     recharge_power_w: float = 0.0
     cooling_active: bool = False
     inlet_temp_k: float = 298.0
-    info: dict = field(default_factory=dict)
 
 
 @runtime_checkable

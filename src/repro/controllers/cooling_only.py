@@ -66,7 +66,6 @@ class CoolingOnlyController:
         return Decision(
             cooling_active=self._cooling,
             inlet_temp_k=self._coolant.min_inlet_temp_k,
-            info={"thermostat_on": self._cooling},
         )
 
     def reset(self):

@@ -101,7 +101,6 @@ class DualThresholdController:
             dual_mode=mode,
             recharge_power_w=recharge,
             cooling_active=False,
-            info={"mode": mode.name.lower()},
         )
 
     def reset(self):

@@ -97,7 +97,6 @@ class HybridHeuristicController:
             cap_bus_w=cap_bus,
             cooling_active=self._cooling,
             inlet_temp_k=self._coolant.min_inlet_temp_k,
-            info={"ema_w": self._ema_w, "thermostat_on": self._cooling},
         )
 
     def reset(self):

@@ -194,11 +194,6 @@ class OTEMController:
             cap_bus_w=cap_cmd,
             cooling_active=True,
             inlet_temp_k=inlet_cmd if cooling else obs.coolant_temp_k,
-            info={
-                "replanned": due,
-                "solver_cost": self._plan.solver_cost,
-                "solver_iterations": self._plan.solver_iterations,
-            },
         )
 
     def reset(self):

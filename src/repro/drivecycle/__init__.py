@@ -17,14 +17,14 @@ Public API
     Names of all built-in cycles.
 ``SegmentSpec`` / ``synthesize``
     The synthesis engine used by the library (also usable for custom cycles).
-``perturbed`` / ``ensemble``
+``perturbed``
     Deterministic traffic-variation variants for robustness studies.
 """
 
 from repro.drivecycle.cycle import CycleStats, DriveCycle
 from repro.drivecycle.synth import SegmentSpec, synthesize
 from repro.drivecycle.library import available_cycles, get_cycle
-from repro.drivecycle.perturb import ensemble, perturbed
+from repro.drivecycle.perturb import perturbed
 
 __all__ = [
     "CycleStats",
@@ -33,6 +33,5 @@ __all__ = [
     "synthesize",
     "available_cycles",
     "get_cycle",
-    "ensemble",
     "perturbed",
 ]

@@ -103,10 +103,3 @@ def perturbed(
             v[k] = v[k + 1] + cap
 
     return DriveCycle(f"{cycle.name}~{seed}", np.array(v), dt)
-
-
-def ensemble(cycle: DriveCycle, members: int, **kwargs) -> list:
-    """``members`` deterministic variants of ``cycle`` (seeds 0..members-1)."""
-    if members < 1:
-        raise ValueError("members must be >= 1")
-    return [perturbed(cycle, seed, **kwargs) for seed in range(members)]

@@ -24,6 +24,7 @@ compute wall time).
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
 import time
@@ -33,6 +34,27 @@ from repro.sim.batch import cell_row, run_batch
 from repro.service.spec import SweepSpec
 from repro.store import ExperimentStore
 from repro.utils.validation import check_count, check_positive
+
+
+def _field_matches(value, wanted) -> bool:
+    """Whether a row field equals a filter value taken from a URL query.
+
+    The two match as strings (``methodology=dual``, ``fallback=None``) or,
+    when ``wanted`` parses as a JSON number, ``null`` or bool, as values:
+    ``ucap_farads=25000`` and ``25e3`` select the ``25000.0`` rows.  A bool
+    never matches a number.
+    """
+    wanted = str(wanted)
+    if str(value) == wanted:
+        return True
+    try:
+        parsed = json.loads(wanted)
+    except ValueError:
+        return False
+    if isinstance(parsed, (str, list, dict)):
+        return False
+    return isinstance(parsed, bool) == isinstance(value, bool) and parsed == value
+
 
 #: Lifecycle states of a sweep job.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "interrupted")
@@ -197,8 +219,8 @@ class JobManager:
     def rows(self, sweep_id: str, filters: dict | None = None) -> dict | None:
         """Rows payload of a sweep (live partial rows or stored final rows).
 
-        ``filters`` select rows whose field equals the given value (values
-        are compared as strings, matching URL query semantics).
+        ``filters`` select rows whose field equals the given value (see
+        :func:`_field_matches`).
         """
         record = self.get(sweep_id)
         if record is None:
@@ -214,7 +236,7 @@ class JobManager:
             rows = [
                 r
                 for r in rows
-                if all(str(r.get(k)) == str(v) for k, v in filters.items())
+                if all(_field_matches(r.get(k), v) for k, v in filters.items())
             ]
         return {
             "sweep_id": sweep_id,

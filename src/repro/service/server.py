@@ -7,7 +7,8 @@ Endpoints (all JSON unless noted):
 * ``GET /sweeps/<id>`` - status + progress of one sweep.
 * ``GET /sweeps/<id>/rows`` - tidy rows (live partial or stored final);
   query parameters filter by row-field equality, e.g.
-  ``?methodology=otem&cycle=nycc``.
+  ``?methodology=otem&cycle=nycc`` (numbers match as numbers, so
+  ``?ucap_farads=25000`` selects the ``25000.0`` rows).
 * ``DELETE /sweeps/<id>`` - cancel a queued/running sweep.
 * ``GET /healthz`` - liveness.
 * ``GET /metrics`` - Prometheus-style text exposition: job states, cell

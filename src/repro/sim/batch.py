@@ -49,6 +49,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy
+import scipy
+
 from repro.core.mpc import SolverStats
 from repro.sim.engine_vec import lockstep_groups, run_lockstep
 from repro.sim.metrics import SummaryMetrics
@@ -64,7 +67,9 @@ from repro.utils.validation import check_count, check_positive
 #:    gained warm-start winner attribution (``wins_*``).
 #: 5: the scalar OTEM solve takes the rollout's exact gradient instead of
 #:    forward differences, so every scalar OTEM row changes.
-CACHE_SCHEMA = 5
+#: 6: fingerprints hash the NumPy and SciPy versions instead of the
+#:    package version, so rows stored under another toolchain miss.
+CACHE_SCHEMA = 6
 
 #: Error string marking cells skipped by a :func:`run_batch` ``cancel``
 #: hook (the sweep service matches on the ``"cancelled"`` prefix).
@@ -80,20 +85,21 @@ def scenario_fingerprint(scenario: Scenario, engine_backend: str = "scalar") -> 
 
     Recursively serializes the scenario's dataclass tree (pack, vehicle,
     coolant, weights, MPC knobs included) into canonical JSON and hashes
-    it together with the cache schema, the package version, and the engine
-    backend the cell is assigned to, so any parameter change - however
-    deep - yields a different key.  The backend is part of the key because
-    lockstep results match scalar ones only to ~1e-15 relative (transcen-
-    dental SIMD kernels), and a cache must never blur which engine
-    produced a number.  Assignment is decided from the full input grid
+    it together with the cache schema, the NumPy and SciPy versions, and
+    the engine backend the cell is assigned to, so any parameter change -
+    however deep - yields a different key.  The toolchain is part of the
+    key because SciPy's L-BFGS-B (driven through its private ``setulb`` on
+    the lockstep path) and NumPy's kernels are part of every result.  The
+    backend is part of the key because lockstep results match scalar ones
+    only to ~1e-15 relative (transcendental SIMD kernels), and a cache
+    must never blur which engine produced a number.  Assignment is decided from the full input grid
     *before* any cache lookup, so fingerprints are deterministic for a
     given ``run_batch`` call regardless of cache state.
     """
-    import repro  # late: repro/__init__ may still be executing at import time
-
     payload = {
         "schema": CACHE_SCHEMA,
-        "version": repro.__version__,
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
         "engine_backend": engine_backend,
         "scenario": dataclasses.asdict(scenario),
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.battery.pack import DEFAULT_PACK, PackConfig
 from repro.battery.params import CellParams
@@ -105,14 +105,6 @@ class Scenario:
                 f"unknown rollout_backend {self.rollout_backend!r}; "
                 f"choose from {MPCPlanner.BACKENDS}"
             )
-
-    def with_methodology(self, methodology: str) -> "Scenario":
-        """Copy with a different methodology (comparison sweeps)."""
-        return replace(self, methodology=methodology)
-
-    def with_ucap(self, farads: float) -> "Scenario":
-        """Copy with a different bank size (Table I sweep)."""
-        return replace(self, ucap_farads=farads)
 
     def cap_params(self) -> UltracapParams:
         """The bank parameter set this scenario implies."""

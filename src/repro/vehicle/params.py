@@ -7,7 +7,7 @@ parameters are needed by the backward model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.utils.validation import check_in_range, check_positive
 
@@ -64,10 +64,6 @@ class VehicleParams:
         check_positive(self.max_motor_power_w, "max_motor_power_w")
         check_positive(self.max_regen_power_w, "max_regen_power_w")
         check_in_range(self.regen_fraction, 0.0, 1.0, "regen_fraction")
-
-    def with_mass(self, mass_kg: float) -> "VehicleParams":
-        """Return a copy with a different total mass (payload studies)."""
-        return replace(self, mass_kg=mass_kg)
 
 
 #: Default preset: Tesla-Model-S-class sedan (mass, Cd, frontal area per the

@@ -3,15 +3,8 @@
 import csv
 
 import numpy as np
-import pytest
 
-from repro.analysis.export import (
-    write_fig1_csv,
-    write_fig6_csv,
-    write_fig7_csv,
-    write_trace_csv,
-)
-from repro.analysis.figures import Fig1Data, Fig6Data, Fig7Data
+from repro.analysis.export import write_trace_csv
 from repro.sim.trace import CHANNELS, Trace
 
 
@@ -38,55 +31,3 @@ class TestTraceCsv:
         write_trace_csv(make_trace(3), str(path))
         rows = read_csv(path)
         assert float(rows[2][0]) == 1.0
-
-
-class TestFig1Csv:
-    def test_columns_per_size(self, tmp_path):
-        data = Fig1Data(
-            sizes_f=(5_000, 25_000),
-            time_s=np.arange(3, dtype=float),
-            temps_k=(np.full(3, 300.0), np.full(3, 299.0)),
-            safe_limit_k=313.15,
-            violation_s=(10.0, 0.0),
-        )
-        path = tmp_path / "fig1.csv"
-        write_fig1_csv(data, str(path))
-        rows = read_csv(path)
-        assert rows[0] == ["time_s", "temp_k_5000F", "temp_k_25000F"]
-        assert len(rows) == 4
-        assert float(rows[1][1]) == 300.0
-
-
-class TestFig6Csv:
-    def test_columns_per_methodology(self, tmp_path):
-        data = Fig6Data(
-            time_s=np.arange(2, dtype=float),
-            temps_k={"otem": np.full(2, 300.0), "dual": np.full(2, 305.0)},
-            peak_k={"otem": 300.0, "dual": 305.0},
-            mean_k={"otem": 300.0, "dual": 305.0},
-        )
-        path = tmp_path / "fig6.csv"
-        write_fig6_csv(data, str(path))
-        rows = read_csv(path)
-        assert rows[0] == ["time_s", "temp_k_dual", "temp_k_otem"]
-        assert float(rows[1][1]) == 305.0
-
-
-class TestFig7Csv:
-    def test_overlay_signals(self, tmp_path):
-        n = 4
-        data = Fig7Data(
-            time_s=np.arange(n, dtype=float),
-            battery_temp_k=np.full(n, 300.0),
-            cap_soe_percent=np.full(n, 80.0),
-            request_w=np.full(n, 10_000.0),
-            teb=np.full(n, 0.7),
-            upcoming_demand_w=np.full(n, 9_000.0),
-            preparation_score=0.3,
-        )
-        path = tmp_path / "fig7.csv"
-        write_fig7_csv(data, str(path))
-        rows = read_csv(path)
-        assert len(rows) == n + 1
-        assert rows[0][4] == "teb"
-        assert float(rows[1][4]) == pytest.approx(0.7)

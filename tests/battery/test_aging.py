@@ -78,17 +78,6 @@ class TestAccumulation:
 
 
 class TestLifetime:
-    def test_lifetime_scale(self, aging):
-        aging.step(2.0, 308.15, 100.0)
-        assert aging.lifetime_scale(2 * aging.loss_percent) == pytest.approx(2.0)
-
-    def test_lifetime_scale_rejects_bad_reference(self, aging):
-        with pytest.raises(ValueError):
-            aging.lifetime_scale(0.0)
-
-    def test_fresh_model_has_infinite_scale(self, aging):
-        assert aging.lifetime_scale(1.0) == float("inf")
-
     def test_blt_routes(self):
         assert blt_equivalent_routes(0.1) == pytest.approx(
             END_OF_LIFE_LOSS_PERCENT / 0.1

@@ -7,7 +7,7 @@ import pytest
 
 from repro.drivecycle.cycle import DriveCycle
 from repro.drivecycle.library import available_cycles, get_cycle
-from repro.drivecycle.perturb import ensemble, perturbed
+from repro.drivecycle.perturb import perturbed
 
 
 @pytest.fixture(scope="module")
@@ -79,23 +79,6 @@ class TestPerturbed:
 
         pr = Powertrain().power_request(perturbed(base, 1))
         assert np.all(np.isfinite(pr.power_w))
-
-
-class TestEnsemble:
-    def test_member_count(self, base):
-        members = ensemble(base, 4)
-        assert len(members) == 4
-        assert members[0].name.endswith("~0")
-
-    def test_rejects_zero_members(self, base):
-        with pytest.raises(ValueError):
-            ensemble(base, 0)
-
-    def test_members_distinct(self, base):
-        members = ensemble(base, 3)
-        lengths = {len(m) for m in members}
-        speeds = {float(np.sum(m.speed_mps)) for m in members}
-        assert len(speeds) == 3 or len(lengths) > 1
 
 
 #: Seeds of the golden digests below.

@@ -58,6 +58,21 @@ class TestJobManager:
         assert all(r["methodology"] == "dual" for r in rows)
         assert manager.rows(sweep_id, {"methodology": "nope"})["rows"] == []
 
+    def test_rows_filter_compares_numbers_as_numbers(self, manager):
+        """A query string's ``25000`` selects the rows holding ``25000.0``."""
+        sweep_id = manager.submit(SPEC)
+        wait_terminal(manager, sweep_id)
+        for text in ("25000", "25000.0", "25e3"):
+            rows = manager.rows(sweep_id, {"ucap_farads": text})["rows"]
+            assert [r["ucap_farads"] for r in rows] == [25_000.0, 25_000.0], text
+        rows = manager.rows(sweep_id, {"methodology": "dual", "ucap_farads": "5000"})
+        assert [(r["methodology"], r["ucap_farads"]) for r in rows["rows"]] == [
+            ("dual", 5_000.0)
+        ]
+        assert manager.rows(sweep_id, {"ucap_farads": "abc"})["rows"] == []
+        assert manager.rows(sweep_id, {"fallback": "null"})["rows"] != []
+        assert manager.rows(sweep_id, {"ucap_farads": "true"})["rows"] == []
+
     def test_rows_never_expose_cached_flag(self, manager):
         sweep_id = manager.submit(SPEC)
         wait_terminal(manager, sweep_id)
@@ -216,6 +231,8 @@ class TestHTTP:
         payload = client.rows(accepted["sweep_id"])
         assert payload["complete"] and len(payload["rows"]) == 4
         filtered = client.rows(accepted["sweep_id"], methodology="dual")
+        assert len(filtered["rows"]) == 2
+        filtered = client.rows(accepted["sweep_id"], ucap_farads=25000)
         assert len(filtered["rows"]) == 2
         assert accepted["sweep_id"] in [s["sweep_id"] for s in client.list()]
 

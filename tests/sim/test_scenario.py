@@ -64,15 +64,6 @@ class TestScenario:
         s = Scenario(mpc_horizon=1, mpc_step_s=0.5, mpc_max_evals=1)
         assert (s.mpc_horizon, s.mpc_step_s, s.mpc_max_evals) == (1, 0.5, 1)
 
-    def test_with_methodology(self):
-        s = Scenario().with_methodology("dual")
-        assert s.methodology == "dual"
-        assert s.cycle == "us06"
-
-    def test_with_ucap(self):
-        s = Scenario().with_ucap(5_000.0)
-        assert s.ucap_farads == 5_000.0
-
     def test_cap_params_resistance_scaled(self):
         small = Scenario(ucap_farads=5_000.0).cap_params()
         large = Scenario(ucap_farads=25_000.0).cap_params()

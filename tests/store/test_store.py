@@ -8,6 +8,7 @@ import sqlite3
 
 import numpy as np
 import pytest
+import scipy
 
 import repro.sim.batch as batch_mod
 from repro.sim.batch import (
@@ -341,8 +342,9 @@ class TestCorruption:
 
 
 class TestSchemaInvalidation:
-    """The fingerprint embeds the schema and the engine backend, so a bump
-    or a backend switch makes every old key unreachable."""
+    """The fingerprint embeds the schema, the NumPy and SciPy versions and
+    the engine backend, so a bump, another toolchain or a backend switch
+    makes every old key unreachable."""
 
     def test_schema_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
         store = ExperimentStore(tmp_path)
@@ -350,6 +352,16 @@ class TestSchemaInvalidation:
         monkeypatch.setattr("repro.sim.batch.CACHE_SCHEMA", 99)
         stale = run_batch(GRID[:1], store=store)
         assert stale.cache_hits == 0 and stale.cache_misses == 1
+
+    def test_other_scipy_version_misses_every_cell(self, tmp_path, monkeypatch):
+        """Rows stored under one SciPy are never served under another."""
+        store = ExperimentStore(tmp_path)
+        first = run_batch(GRID, store=store)
+        assert first.cache_misses == len(GRID)
+        assert run_batch(GRID, store=store).cache_hits == len(GRID)
+        monkeypatch.setattr(scipy, "__version__", scipy.__version__ + ".other")
+        stale = run_batch(GRID, store=store)
+        assert stale.cache_hits == 0 and stale.cache_misses == len(GRID)
 
     def test_backend_switch_never_serves_stale_rows(self, tmp_path):
         """Same cell, different engine: a group-mate joining or leaving

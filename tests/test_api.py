@@ -32,6 +32,8 @@ SUBPACKAGES = [
     "repro.sim",
     "repro.analysis",
     "repro.utils",
+    "repro.service",
+    "repro.store",
 ]
 
 

@@ -36,14 +36,3 @@ class TestValidation:
     def test_rejects_negative_aux(self):
         with pytest.raises(ValueError):
             VehicleParams(auxiliary_power_w=-10.0)
-
-
-class TestWithMass:
-    def test_changes_only_mass(self):
-        heavier = MODEL_S_LIKE.with_mass(2500.0)
-        assert heavier.mass_kg == 2500.0
-        assert heavier.drag_coefficient == MODEL_S_LIKE.drag_coefficient
-
-    def test_original_unchanged(self):
-        MODEL_S_LIKE.with_mass(2500.0)
-        assert MODEL_S_LIKE.mass_kg == 2100.0
