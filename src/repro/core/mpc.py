@@ -22,9 +22,11 @@ Two rollout backends drive the penalty solver:
   gradient it replaced, so a start gets as many evaluations as before
   (tests/core/test_mpc.py::TestScalarGradient).
 * ``"vectorized"`` - :class:`repro.core.rollout_vec.BatchPredictionModel`
-  evaluates every multi-start candidate's central-difference stencil as
-  one batched kernel call per L-BFGS-B ``fun+jac`` round, and the
-  multi-start race runs through the lockstep driver of
+  evaluates every multi-start candidate as a base row of one batched
+  kernel call per L-BFGS-B ``fun+jac`` round; each base row carries its
+  central-difference stencil, whose rows share the base row's
+  trajectory up to the step they perturb.  The multi-start race runs
+  through the lockstep driver of
   :mod:`repro.core.lbfgsb_lockstep` (the objective is block-separable, so
   minimizing the sum over the stacked candidates solves each start).
   It pays off on groups, where many scenarios' solves share each kernel
@@ -36,7 +38,7 @@ One function, :func:`_race`, runs that race for any number of planners.
 A vectorized :class:`MPCPlanner` is its one-planner case;
 :class:`MPCPlannerVec` takes S independent vectorized planners (the
 lockstep OTEM columns' own) and runs them in lockstep, every pending
-scenario's stencil stacked into one kernel call per round.  Each
+scenario's starts stacked as base rows of one kernel call per round.  Each
 scenario's iterate sequence is exactly what its own
 ``MPCPlanner(rollout_backend="vectorized")`` would produce (same starts,
 same budgets, same solver protocol) - the batching changes when
@@ -201,6 +203,9 @@ class MPCPlanner:
         self._cap_scale = self._cap_hi - self._cap_lo
         self._inlet_scale = self._inlet_hi - self._inlet_lo
         self._maxfun = max_function_evals
+        # the normalized decision box, built once: scipy rebuilds it from a
+        # list of pairs on every minimize call
+        self._unit_box = optimize.Bounds(np.zeros(2 * horizon), np.ones(2 * horizon))
         self._last_z: np.ndarray | None = None
         self._solves = 0
         self._total_iterations = 0
@@ -333,7 +338,7 @@ class MPCPlanner:
                 z0,
                 jac=True,
                 method="L-BFGS-B",
-                bounds=[(0.0, 1.0)] * (2 * self._n),
+                bounds=self._unit_box,
                 options={
                     # ``budget`` counts rollouts at 2N+1 per evaluation,
                     # the price of a forward-difference gradient: the
@@ -396,7 +401,7 @@ class MPCPlanner:
             objective,
             z0,
             method="SLSQP",
-            bounds=[(0.0, 1.0)] * (2 * n),
+            bounds=self._unit_box,
             constraints=[{"type": "ineq", "fun": constraints}],
             options={"maxiter": max(20, self._maxfun // 10), "ftol": 1e-9},
         )
@@ -467,10 +472,12 @@ def _race(planners, states, previews, step) -> list:
     Every planner races its :meth:`MPCPlanner._starts` as one stacked
     L-BFGS-B problem whose objective is the sum of the per-start costs
     (the starts share no variables, so minimizing the sum solves each).
-    A ``fun+jac`` round evaluates the central-difference stencil of every
-    pending problem's starts - ``2 * (4N+1)`` rows per problem - in a
-    single :meth:`~repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`
-    call, each row with its own state, preview and bank energy.
+    A ``fun+jac`` round evaluates every pending problem's starts - two
+    base rows per problem, each with its own state, preview and bank
+    energy - and their central-difference stencils in a single
+    :meth:`~repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`
+    call.  A stencil row joins the kernel at the step it perturbs, so a
+    start costs ``N + 4(N + ... + 1)`` row-steps, not ``(4N+1) N``.
 
     Parameters
     ----------
@@ -511,17 +518,22 @@ def _race(planners, states, previews, step) -> list:
         # than cold ones, as on the scalar backend.
         rounds.append(max(4, int(math.ceil(sum(budgets) / (s * (dim + 1))))))
     s = len(all_starts[0])  # always 2 (warm or cold race)
-    rows = 2 * dim + 1  # base + forward + backward stencil per block
-    offsets = np.zeros((rows, dim))
-    idx_d = np.arange(dim)
-    offsets[1 + idx_d, idx_d] = eps
-    offsets[1 + dim + idx_d, idx_d] = -eps
     x0s = np.stack([np.concatenate(st) for st in all_starts])
 
-    def kernel(blocks: np.ndarray, scen_idx: np.ndarray) -> np.ndarray:
-        """Stacked costs for candidate rows tagged with planner ids."""
-        cap = p0._cap_lo + blocks[:, :n] * p0._cap_scale
-        inlet = p0._inlet_lo + blocks[:, n:] * p0._inlet_scale
+    def kernel(blocks: np.ndarray, scen_idx: np.ndarray, stencil: bool = False):
+        """Stacked costs for candidate rows tagged with planner ids, with
+        their central-difference stencils if asked."""
+        z_cap, z_inlet = blocks[:, :n], blocks[:, n:]
+        cap = p0._cap_lo + z_cap * p0._cap_scale
+        inlet = p0._inlet_lo + z_inlet * p0._inlet_scale
+        alt = None
+        if stencil:
+            alt = (
+                p0._cap_lo + (z_cap + eps) * p0._cap_scale,
+                p0._cap_lo + (z_cap - eps) * p0._cap_scale,
+                p0._inlet_lo + (z_inlet + eps) * p0._inlet_scale,
+                p0._inlet_lo + (z_inlet - eps) * p0._inlet_scale,
+            )
         return vec.rollout_costs_stacked(
             states[scen_idx],
             cap,
@@ -529,6 +541,7 @@ def _race(planners, states, previews, step) -> list:
             previews[scen_idx],
             step,
             ecap=ecap[scen_idx],
+            stencil=alt,
         )
 
     m = len(planners)
@@ -538,21 +551,20 @@ def _race(planners, states, previews, step) -> list:
 
     def evaluate(batch: np.ndarray, idx: np.ndarray) -> tuple:
         b = batch.shape[0]
-        stencil = batch.reshape(b, s, 1, dim) + offsets
-        scen_idx = np.repeat(idx, s * rows)
-        costs = kernel(stencil.reshape(b * s * rows, dim), scen_idx)
-        costs = costs.reshape(b, s, rows)
+        costs, alt = kernel(batch.reshape(b * s, dim), np.repeat(idx, s), True)
+        costs = costs.reshape(b, s)
+        # (cap, inlet) x (b * s) x N central differences, reordered to
+        # each problem's [start 0 cap, start 0 inlet, start 1 cap, ...]
+        grads = (alt[0::2] - alt[1::2]) / (2.0 * eps)
+        grads = grads.transpose(1, 0, 2).reshape(b, s * dim)
         f = np.empty(b)
-        grads = np.empty((b, s * dim))
         for r in range(b):
             j = int(idx[r])
-            base = costs[r, :, 0].copy()
+            base = costs[r].copy()
             if seen_first[j] is None:
                 seen_first[j] = base  # the start points' own costs
             seen_z[j], seen_base[j] = batch[r].copy(), base
-            grad = (costs[r, :, 1 : 1 + dim] - costs[r, :, 1 + dim :]) / (2.0 * eps)
             f[r] = float(base.sum())
-            grads[r] = grad.reshape(s * dim)
         return f, grads
 
     results = minimize_lockstep(evaluate, x0s, rounds)
@@ -594,9 +606,11 @@ class MPCPlannerVec:
     this twin hands all S planners to one :func:`_race`, which drives
     their solves simultaneously through the reverse-communication
     L-BFGS-B driver (:mod:`repro.core.lbfgsb_lockstep`), stacking every
-    pending scenario's multi-start central-difference stencil into a
-    *single* kernel call per round via
-    :meth:`repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`.
+    pending scenario's multi-start candidates as base rows of a *single*
+    kernel call per round via
+    :meth:`repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`;
+    each base row carries its central-difference stencil, evaluated from
+    the base row's shared trajectory prefix.
 
     Equivalence contract: scenario ``j``'s plans are identical to what
     ``planners[j]`` would produce through :meth:`MPCPlanner.plan` for the

@@ -92,14 +92,19 @@ def perturbed(
     speed[0] = 0.0
     speed[-1] = 0.0
     cap = max_accel_ms2 * dt
-    # plain floats: indexing an array element by element costs more than
-    # the comparison itself
-    v = speed.tolist()
-    for k in range(1, len(v)):  # forward pass caps accelerations
-        if v[k] > v[k - 1] + cap:
-            v[k] = v[k - 1] + cap
-    for k in range(len(v) - 2, -1, -1):  # backward pass caps decelerations
-        if v[k] > v[k + 1] + cap:
-            v[k] = v[k + 1] + cap
+    # the passes' own comparisons, over the whole trace at once: where no
+    # sample exceeds its neighbour by more than the cap, neither pass
+    # changes a sample (the default cap never binds on the built-in cycles)
+    if np.any(speed[1:] > speed[:-1] + cap) or np.any(speed[:-1] > speed[1:] + cap):
+        # plain floats: indexing an array element by element costs more
+        # than the comparison itself
+        v = speed.tolist()
+        for k in range(1, len(v)):  # forward pass caps accelerations
+            if v[k] > v[k - 1] + cap:
+                v[k] = v[k - 1] + cap
+        for k in range(len(v) - 2, -1, -1):  # backward pass caps decelerations
+            if v[k] > v[k + 1] + cap:
+                v[k] = v[k + 1] + cap
+        speed = np.array(v)
 
-    return DriveCycle(f"{cycle.name}~{seed}", np.array(v), dt)
+    return DriveCycle(f"{cycle.name}~{seed}", speed, dt)
