@@ -27,7 +27,7 @@ from repro.store import ExperimentStore
 #: all three Table I methodologies, on the short NYCC route with a reduced
 #: solver budget so the whole bench stays within a CI smoke job.
 SWEEP = scenario_grid(
-    Scenario(cycle="nycc", repeat=1, mpc_max_evals=60),
+    Scenario(cycle="nycc", repeat=1, mpc_max_evals=2),
     ucap_farads=(5_000.0, 25_000.0),
     methodology=("parallel", "dual", "otem"),
 )

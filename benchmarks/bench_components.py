@@ -39,7 +39,8 @@ def make_model():
 
 
 def test_bench_rollout_cost(benchmark):
-    """One 12-step horizon evaluation (the optimizer calls this ~150x/replan)."""
+    """One 12-step horizon evaluation (a cold replan makes up to 12, two
+    starts at the default 6 evaluations each, with ``gradient=True``)."""
     model = make_model()
     state = (305.0, 303.0, 80.0, 70.0)
     cap = [5_000.0] * 12

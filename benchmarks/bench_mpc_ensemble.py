@@ -38,7 +38,7 @@ KNOBS = dict(
     rollout_backend="vectorized",
     mpc_horizon=6,
     mpc_step_s=30.0,
-    mpc_max_evals=40,
+    mpc_max_evals=3,
 )
 
 

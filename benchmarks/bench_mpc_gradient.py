@@ -1,21 +1,26 @@
 """Scalar MPC gradient: scipy's forward differences vs the exact reverse pass.
 
 Solves the same cold horizon problems (N=12, default weights, default
-budget) from seeded mid-route states two ways, each a two-start L-BFGS-B
-race over :meth:`MPCPlanner._starts`:
+budget of ``e`` evaluations per start) from seeded mid-route states two
+ways, each a two-start L-BFGS-B race over :meth:`MPCPlanner._starts`:
 
 * ``forward_difference`` - scipy's own 2-point differences at
-  ``MPCPlanner.FD_EPS``, every stencil rollout charged to the budget (the
-  scalar solve before the reverse pass);
-* ``exact`` - the rollout's reverse-pass gradient at ``budget // (2N+1)``
-  evaluations (the scalar solve as ``MPCPlanner`` runs it; the bench
-  checks it returns what ``_solve_penalty`` returns).
+  ``MPCPlanner.FD_EPS``, every stencil rollout charged to the budget, so
+  a start gets ``e * (2N+1)`` function calls (the scalar solve before the
+  reverse pass);
+* ``exact`` - the rollout's reverse-pass gradient at ``e`` evaluations
+  (the scalar solve as ``MPCPlanner`` runs it; the bench checks it
+  returns what ``_solve_penalty`` returns).
 
 The two solves of each state run back to back in interleaved repeats.
 Records into ``BENCH_mpc.json`` (key ``gradient``) the median over states
 of each side's solve time, the mean final cost, and how the starts ended:
 converged, stopped by the evaluation budget, or abnormal (scipy's
 ``status`` 0 / 1 / 2).  No threshold: the record is the measurement.
+
+A second bench records the budget frontier (key ``frontier``): the exact
+solve of the same states at each of :data:`FRONTIER` evaluations per
+start, and Table I's four OTEM cells at each budget.
 """
 
 from __future__ import annotations
@@ -26,9 +31,18 @@ import numpy as np
 from scipy import optimize
 
 from benchmarks.bench_mpc_solver import HORIZON, _make_planner
-from benchmarks.conftest import interleaved, run_once, spread
+from benchmarks.conftest import (
+    BATCH_WORKERS,
+    REPEAT_SWEEP,
+    interleaved,
+    run_once,
+    spread,
+)
+from repro.analysis.tables import TABLE1_SIZES_F
 from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER
-from repro.core.mpc import MPCPlanner
+from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner
+from repro.sim.batch import run_batch
+from repro.sim.scenario import Scenario
 from repro.utils.perf import provenance, record_bench
 
 #: Seeded horizon problems (state and preview per seed).
@@ -39,6 +53,9 @@ REPEATS = 3
 
 #: scipy's L-BFGS-B ``status`` codes.
 ENDS = {0: "converged", 1: "budget_stop", 2: "abnormal"}
+
+#: Evaluations per start the frontier sweeps, the default first.
+FRONTIER = (DEFAULT_MAX_EVALS, 9, 12, 15, 18)
 
 
 def _problems() -> list:
@@ -79,10 +96,10 @@ def _solve(planner: MPCPlanner, state, preview, exact: bool) -> tuple:
         options = {"maxiter": MAXITER, "ftol": FTOL, "gtol": GTOL}
         if exact:
             fun, jac = cost_and_gradient, True
-            options["maxfun"] = budget // (2 * n + 1)
+            options["maxfun"] = budget
         else:
             fun, jac = cost, None
-            options.update(maxfun=budget, eps=MPCPlanner.FD_EPS)
+            options.update(maxfun=budget * (2 * n + 1), eps=MPCPlanner.FD_EPS)
         result = optimize.minimize(
             fun,
             z0,
@@ -150,7 +167,7 @@ def test_mpc_gradient_exact_vs_forward_difference(benchmark):
                 "solver": {
                     "horizon": HORIZON,
                     "method": "penalty",
-                    "max_function_evals": 150,
+                    "max_function_evals": DEFAULT_MAX_EVALS,
                     "weights": "default",
                     "fd_eps": MPCPlanner.FD_EPS,
                 },
@@ -171,3 +188,92 @@ def test_mpc_gradient_exact_vs_forward_difference(benchmark):
             f"mean cost {side['mean_cost']:.6g}, starts {side['starts']}"
         )
     print(f"per-state time ratio {ratios['median']:.2f}x -> {path}")
+
+
+def _table1_otem(evals: int) -> dict:
+    """Table I's OTEM cells at ``evals`` evaluations per start, per size."""
+    batch = run_batch(
+        [
+            Scenario(
+                cycle="us06",
+                repeat=REPEAT_SWEEP,
+                ucap_farads=size,
+                mpc_max_evals=evals,
+            )
+            for size in TABLE1_SIZES_F
+        ],
+        workers=BATCH_WORKERS,
+    ).raise_on_failure()
+    return {
+        f"{cell.scenario.ucap_farads:.0f}": {
+            "qloss_percent": cell.metrics.qloss_percent,
+            "average_power_w": cell.metrics.average_power_w,
+        }
+        for cell in batch.cells
+    }
+
+
+def test_mpc_budget_frontier(benchmark):
+    """Solve quality, termination and time against the budget, and what
+    each budget does to Table I's OTEM column.  No threshold."""
+    problems = _problems()
+    planners = {evals: _make_planner("scalar", evals) for evals in FRONTIER}
+    times = {evals: [] for evals in FRONTIER}
+    results = {evals: [] for evals in FRONTIER}
+    for state, preview in problems:
+        state_times, last = interleaved(
+            {
+                evals: lambda p=p: _solve(p, state, preview, True)
+                for evals, p in planners.items()
+            },
+            REPEATS,
+        )
+        for evals in FRONTIER:
+            times[evals].append(statistics.median(state_times[evals]))
+            results[evals].append(last[evals])
+
+    def table1_otem_frontier():
+        return {evals: _table1_otem(evals) for evals in FRONTIER}
+
+    table1 = run_once(benchmark, table1_otem_frontier)
+    frontier = {
+        str(evals): {
+            **_side(times[evals], results[evals]),
+            "table1_otem": table1[evals],
+        }
+        for evals in FRONTIER
+    }
+    path = record_bench(
+        "mpc",
+        {
+            "frontier": {
+                "solver": {
+                    "horizon": HORIZON,
+                    "method": "penalty",
+                    "gradient": "exact",
+                    "weights": "default",
+                },
+                "unit": "L-BFGS-B evaluations per start",
+                "default": DEFAULT_MAX_EVALS,
+                "states": STATES,
+                "repeats": REPEATS,
+                "table1": {"cycle": "us06", "repeat": REPEAT_SWEEP},
+                "budgets": frontier,
+                "provenance": provenance(),
+            }
+        },
+    )
+
+    print()
+    for evals, row in frontier.items():
+        cells = row["table1_otem"]
+        print(
+            f"{evals:>3} evals: {row['solve_s']['median'] * 1e3:6.1f} ms median "
+            f"solve, mean cost {row['mean_cost']:.6g}, starts {row['starts']}; "
+            "Table I OTEM qloss / kW "
+            + ", ".join(
+                f"{c['qloss_percent']:.4g} / {c['average_power_w'] / 1e3:.2f}"
+                for c in cells.values()
+            )
+        )
+    print(f"-> {path}")

@@ -22,7 +22,7 @@ from benchmarks.conftest import interleaved, run_once, spread
 from repro.battery.pack import DEFAULT_PACK, BatteryPack
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.cost import CostWeights
-from repro.core.mpc import MPCPlanner
+from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner
 from repro.core.rollout import PredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
 from repro.ultracap.bank import UltracapBank
@@ -42,7 +42,7 @@ PREVIEW = np.full(HORIZON, 20_000.0)
 REPEATS = 21
 
 
-def _make_planner(backend: str) -> MPCPlanner:
+def _make_planner(backend: str, evals: int = DEFAULT_MAX_EVALS) -> MPCPlanner:
     model = PredictionModel(
         DEFAULT_PACK,
         UltracapParams(),
@@ -51,7 +51,9 @@ def _make_planner(backend: str) -> MPCPlanner:
         default_cap_converter(UltracapBank(UltracapParams())),
         CostWeights(),
     )
-    return MPCPlanner(model, horizon=HORIZON, rollout_backend=backend)
+    return MPCPlanner(
+        model, horizon=HORIZON, max_function_evals=evals, rollout_backend=backend
+    )
 
 
 def _cold(planner: MPCPlanner):
@@ -115,7 +117,7 @@ def test_mpc_solver_vectorized_speedup(benchmark):
             "solver": {
                 "horizon": HORIZON,
                 "method": "penalty",
-                "max_function_evals": 150,
+                "max_function_evals": DEFAULT_MAX_EVALS,
                 "weights": "default",
             },
             "state": list(STATE),

@@ -29,7 +29,7 @@ from repro.store import ExperimentStore
 #: The bench_batch smoke grid plus a perturbation ensemble: all three
 #: Table I methodologies at both ends of the ucap range on NYCC.
 SWEEP = scenario_grid(
-    Scenario(cycle="nycc", repeat=1, mpc_max_evals=60),
+    Scenario(cycle="nycc", repeat=1, mpc_max_evals=2),
     ucap_farads=(5_000.0, 25_000.0),
     methodology=("parallel", "dual", "otem"),
 )

@@ -17,10 +17,7 @@ Two rollout backends drive the penalty solver:
   and the planner hands scipy that gradient, scaled to normalized
   coordinates (``jac=True``).  At a kink hit exactly the gradient is the
   one-sided derivative a forward difference would have probed, so the
-  neutral plan's inlet at T_c reads as clamped.  The budget still counts
-  2N+1 rollouts per evaluation, the price of the forward-difference
-  gradient it replaced, so a start gets as many evaluations as before
-  (tests/core/test_mpc.py::TestScalarGradient).
+  neutral plan's inlet at T_c reads as clamped.
 * ``"vectorized"`` - :class:`repro.core.rollout_vec.BatchPredictionModel`
   evaluates every multi-start candidate as a base row of one batched
   kernel call per L-BFGS-B ``fun+jac`` round; each base row carries its
@@ -33,6 +30,10 @@ Two rollout backends drive the penalty solver:
   call (:class:`MPCPlannerVec`); one solve alone is faster on the scalar
   path with its exact gradient (benchmarks/bench_mpc_solver.py).  The
   scalar model stays the semantic reference.
+
+The solver budget, ``max_function_evals``, counts L-BFGS-B evaluations
+per start (:data:`DEFAULT_MAX_EVALS` by default): scipy's ``maxfun`` on the
+scalar backend, the lockstep race's rounds on the vectorized one.
 
 One function, :func:`_race`, runs that race for any number of planners.
 A vectorized :class:`MPCPlanner` is its one-planner case;
@@ -58,6 +59,10 @@ from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER, minimize_lockstep
 from repro.core.rollout import PredictionModel, RolloutResult
 from repro.core.rollout_vec import BatchPredictionModel
 from repro.utils.validation import check_count, check_positive
+
+#: L-BFGS-B evaluations per start of a penalty solve, the default of
+#: ``MPCPlanner``, ``OTEMController`` and ``Scenario.mpc_max_evals``.
+DEFAULT_MAX_EVALS = 6
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,10 @@ class MPCPlanner:
     step_s:
         Horizon step duration [s] (the paper's sampling period, Eq. 17).
     max_function_evals:
-        Budget per solve (speed/quality knob, used by the ablation bench).
+        L-BFGS-B evaluations per start (speed/quality knob): a cold solve
+        races two starts at this budget, a warm solve gives its
+        diversifier half of it.  SLSQP takes it as an iteration cap, at
+        least 20.
     method:
         ``"penalty"`` (default): multi-start L-BFGS-B with the state
         constraints as quadratic hinges inside the objective - fast and
@@ -170,7 +178,7 @@ class MPCPlanner:
         model: PredictionModel,
         horizon: int = 12,
         step_s: float = 5.0,
-        max_function_evals: int = 150,
+        max_function_evals: int = DEFAULT_MAX_EVALS,
         method: str = "penalty",
         rollout_backend: str = "scalar",
     ):
@@ -340,11 +348,7 @@ class MPCPlanner:
                 method="L-BFGS-B",
                 bounds=self._unit_box,
                 options={
-                    # ``budget`` counts rollouts at 2N+1 per evaluation,
-                    # the price of a forward-difference gradient: the
-                    # exact gradient keeps the evaluation count of the
-                    # difference solve it replaced
-                    "maxfun": budget // (2 * self._n + 1),
+                    "maxfun": budget,
                     "maxiter": MAXITER,
                     "ftol": FTOL,
                     "gtol": GTOL,
@@ -403,7 +407,7 @@ class MPCPlanner:
             method="SLSQP",
             bounds=self._unit_box,
             constraints=[{"type": "ineq", "fun": constraints}],
-            options={"maxiter": max(20, self._maxfun // 10), "ftol": 1e-9},
+            options={"maxiter": max(20, self._maxfun), "ftol": 1e-9},
         )
         return result.x, int(result.nit), float(result.fun), label
 
@@ -506,17 +510,10 @@ def _race(planners, states, previews, step) -> list:
         labels, starts, budgets = zip(*p._starts(states[j, 1]))
         all_starts.append(starts)
         all_labels.append(labels)
-        s = len(starts)
-        # budget parity with the scalar path: there a gradient is charged
-        # 2N+1 evaluations of the budget (its stencil's rollouts), so a
-        # start with budget b gets b/(2N+1) fun+jac evaluations.  The
-        # stacked solve advances every start per round, so the round
-        # count is the scalar *total* spread over the s stacked blocks:
-        # sum(budgets)/(s*(2N+1)).  A cold solve (both seeds at full
-        # budget) gets maxfun/(2N+1) rounds; a warm solve (the diversifier
-        # at half budget) gets ~3/4 of that - warm replans are cheaper
-        # than cold ones, as on the scalar backend.
-        rounds.append(max(4, int(math.ceil(sum(budgets) / (s * (dim + 1))))))
+        # a round advances every start at once, so the race runs the
+        # starts' mean budget: a warm race (the diversifier at half
+        # budget) gets ~3/4 of a cold race's rounds
+        rounds.append(max(4, math.ceil(sum(budgets) / len(starts))))
     s = len(all_starts[0])  # always 2 (warm or cold race)
     x0s = np.stack([np.concatenate(st) for st in all_starts])
 

@@ -15,7 +15,7 @@ from repro.battery.pack import DEFAULT_PACK, BatteryPack, PackConfig
 from repro.controllers.base import Architecture, Decision, Observation
 from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
 from repro.core.cost import CostWeights
-from repro.core.mpc import MPCPlanner, SolverStats
+from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner, SolverStats
 from repro.core.rollout import PredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
 from repro.ultracap.bank import UltracapBank
@@ -64,7 +64,8 @@ class OTEMController:
     mpc_step_s:
         Coarse horizon step duration [s].
     max_function_evals:
-        Solver budget per replan.
+        L-BFGS-B evaluations per start of each replan's solve (see
+        :class:`repro.core.mpc.MPCPlanner`).
     preview_mode:
         ``"perfect"`` reads the window from the route (the paper's
         assumption: power requests predicted from the drive route);
@@ -99,7 +100,7 @@ class OTEMController:
         weights: CostWeights | None = None,
         horizon: int = 12,
         mpc_step_s: float = 5.0,
-        max_function_evals: int = 150,
+        max_function_evals: int = DEFAULT_MAX_EVALS,
         preview_mode: str = "perfect",
         mpc_method: str = "penalty",
         rollout_backend: str = "scalar",

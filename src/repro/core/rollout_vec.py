@@ -35,7 +35,6 @@ stays the semantic reference; this module only exists to make it fast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,36 +47,6 @@ from repro.utils.units import GAS_CONSTANT
 #: of rows the per-step join and re-slicing cost more than the shorter
 #: steps save (the two schedules break even near 10 given rows at N = 12).
 PREFIX_MIN_ROWS = 12
-
-
-@dataclass(frozen=True)
-class BatchRolloutResult:
-    """Detailed outcome of M predicted trajectories (array analogue of
-    :class:`repro.core.rollout.RolloutResult`).
-
-    Attributes
-    ----------
-    cost / objective / penalty / terminal:
-        Per-candidate totals, shape ``(M,)``.
-    temps_k / coolant_k / socs / soes:
-        Predicted state trajectories, shape ``(M, N+1)`` (including the
-        initial state).
-    cooling_j / qloss_percent / hees_j:
-        Per-candidate horizon totals of the three Eq. 19 ingredients,
-        shape ``(M,)``.
-    """
-
-    cost: np.ndarray
-    objective: np.ndarray
-    penalty: np.ndarray
-    terminal: np.ndarray
-    temps_k: np.ndarray
-    coolant_k: np.ndarray
-    socs: np.ndarray
-    soes: np.ndarray
-    cooling_j: np.ndarray
-    qloss_percent: np.ndarray
-    hees_j: np.ndarray
 
 
 class BatchPredictionModel(PredictionModel):
@@ -142,18 +111,7 @@ class BatchPredictionModel(PredictionModel):
             Total cost (Eq. 19 + penalties + terminal) per candidate,
             shape ``(M,)``.
         """
-        return self._rollout_batch(state, cap_bus, inlet, preview_w, dt, False)
-
-    def rollout_batch(
-        self,
-        state: tuple,
-        cap_bus: np.ndarray,
-        inlet: np.ndarray,
-        preview_w: np.ndarray,
-        dt: float,
-    ) -> BatchRolloutResult:
-        """Detailed batched trajectories (equivalence tests, diagnostics)."""
-        return self._rollout_batch(state, cap_bus, inlet, preview_w, dt, True)
+        return self._rollout_batch(state, cap_bus, inlet, preview_w, dt)
 
     def rollout_costs_stacked(
         self,
@@ -204,12 +162,10 @@ class BatchPredictionModel(PredictionModel):
             pair ``(cost, alt)`` where ``alt[v, i, k]`` is stencil row
             ``(v, i, k)``'s cost, shape ``(4, M, N)``.
         """
-        return self._rollout_batch(
-            states, cap_bus, inlet, previews, dt, False, ecap, stencil
-        )
+        return self._rollout_batch(states, cap_bus, inlet, previews, dt, ecap, stencil)
 
     def _rollout_batch(
-        self, state, cap_bus, inlet, preview_w, dt, detailed, ecap=None, stencil=None
+        self, state, cap_bus, inlet, preview_w, dt, ecap=None, stencil=None
     ):
         w = self.w
         gas = GAS_CONSTANT
@@ -266,15 +222,6 @@ class BatchPredictionModel(PredictionModel):
             ends = range(5 * m, rows + 1, 4 * m)
         else:
             ends = [rows] * n
-        if detailed:
-            cooling_j = np.zeros(m)
-            qloss = np.zeros(m)
-            hees_j = np.zeros(m)
-            temps = np.empty((n + 1, m))
-            coolants = np.empty((n + 1, m))
-            socs = np.empty((n + 1, m))
-            soes = np.empty((n + 1, m))
-            temps[0], coolants[0], socs[0], soes[0] = carried[:4]
 
         # hoisted scalar constants; every fold below is algebraically
         # identical to the scalar rollout (float-ulp differences only, the
@@ -312,16 +259,14 @@ class BatchPredictionModel(PredictionModel):
         tb_b1, tb_b2 = a22 * inv_det, -a12 * inv_det
         tc_b1, tc_b2 = -a21 * inv_det, a11 * inv_det
         cc_dt_tc = cch / dt - wc2 / 2.0  # b2's tc coefficient, folded
-        # hinge weights as one matvec: over_t, under_soc, under_soe,
-        # over_soe, over_p rows of the scratch buffer below.  BLAS rounds
-        # each kernel row's dot product by the column it occupies, so the
-        # matvec always spans all kernel rows: while only a prefix is
-        # active, through a full-width copy with zeros beyond it.
+        # hinge weights of the over_t, under_soc, under_soe, over_soe and
+        # over_p rows of the scratch buffer below.  The weighted hinges
+        # are summed elementwise, never by a BLAS call, which would round
+        # a row's sum by the column it occupies
         hinge_w = np.array(
             [w.hinge_temp, w.hinge_soc, w.hinge_soe, w.hinge_soe, w.hinge_power]
-        )
+        )[:, None]
         hinge_flat = np.empty(5 * rows)
-        hinge_full = np.zeros((5, rows)) if ends[0] < rows else None
 
         active = m
         tb, tc, soc, soe, objective, penalty = carried[:, :active]
@@ -417,17 +362,8 @@ class BatchPredictionModel(PredictionModel):
             np.subtract(bat_port, bat_max_port, out=hinges[4])
             np.maximum(hinges, 0.0, out=hinges)
             np.multiply(hinges, hinges, out=hinges)
-            if e < rows:
-                hinge_full[:, :e] = hinges
-                hinges = hinge_full
-            penalty += (hinge_w @ hinges)[:e]
-
-            if detailed:
-                cooling_j += p_cool_j
-                qloss += q_inc
-                hees_j += de_hees
-                temps[k + 1], coolants[k + 1] = tb, tc
-                socs[k + 1], soes[k + 1] = soc, soe
+            np.multiply(hinges, hinge_w, out=hinges)
+            penalty += hinges.sum(axis=0)
 
         # --- terminal restoration costs ---
         tb, _, soc, soe, objective, penalty = carried
@@ -471,21 +407,7 @@ class BatchPredictionModel(PredictionModel):
         if stencil is not None:
             cost = cost.reshape(reps, m)
             return cost[0], cost[1:].reshape(n, 4, m).transpose(1, 2, 0)
-        if not detailed:
-            return cost
-        return BatchRolloutResult(
-            cost=cost,
-            objective=objective,
-            penalty=penalty,
-            terminal=terminal,
-            temps_k=temps.T.copy(),
-            coolant_k=coolants.T.copy(),
-            socs=socs.T.copy(),
-            soes=soes.T.copy(),
-            cooling_j=cooling_j,
-            qloss_percent=qloss,
-            hees_j=hees_j,
-        )
+        return cost
 
 
 def _step_major(

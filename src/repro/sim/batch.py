@@ -69,7 +69,10 @@ from repro.utils.validation import check_count, check_positive
 #:    forward differences, so every scalar OTEM row changes.
 #: 6: fingerprints hash the NumPy and SciPy versions instead of the
 #:    package version, so rows stored under another toolchain miss.
-CACHE_SCHEMA = 6
+#: 7: ``mpc_max_evals`` counts L-BFGS-B evaluations per start instead of
+#:    rollouts, so a stored row of the same value was solved at another
+#:    budget.
+CACHE_SCHEMA = 7
 
 #: Error string marking cells skipped by a :func:`run_batch` ``cancel``
 #: hook (the sweep service matches on the ``"cancelled"`` prefix).

@@ -22,7 +22,7 @@ from repro.controllers.dual_threshold import DualThresholdController
 from repro.controllers.parallel_passive import ParallelPassiveController
 from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
 from repro.core.cost import CostWeights
-from repro.core.mpc import MPCPlanner
+from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner
 from repro.core.otem import OTEMController
 from repro.drivecycle.library import get_cycle
 from repro.sim.engine import SimulationResult, Simulator
@@ -62,7 +62,8 @@ class Scenario:
     weights:
         OTEM objective weights (ignored by baselines).
     mpc_horizon / mpc_step_s / mpc_max_evals:
-        OTEM planner knobs (ignored by baselines).
+        OTEM planner knobs (ignored by baselines); ``mpc_max_evals``
+        counts L-BFGS-B evaluations per start.
     rollout_backend:
         MPC rollout implementation, ``"scalar"`` (reference) or
         ``"vectorized"`` (batched NumPy kernel, several times faster per
@@ -85,7 +86,7 @@ class Scenario:
     weights: CostWeights = field(default_factory=CostWeights)
     mpc_horizon: int = 12
     mpc_step_s: float = 5.0
-    mpc_max_evals: int = 150
+    mpc_max_evals: int = DEFAULT_MAX_EVALS
     rollout_backend: str = "scalar"
     perturb_seed: int | None = None
 

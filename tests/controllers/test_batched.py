@@ -167,7 +167,7 @@ def test_every_twin_returns_a_decision(methodology):
             methodology=methodology,
             ucap_farads=farads,
             mpc_horizon=2,
-            mpc_max_evals=5,
+            mpc_max_evals=1,
             rollout_backend="vectorized",
         )
         for farads in (5_000.0, 25_000.0)

@@ -58,7 +58,7 @@ class TestNoisyObservations:
 
     def test_noisy_otem_survives_route(self, short_request):
         controller = NoisyObservations(
-            OTEMController(horizon=6, max_function_evals=40),
+            OTEMController(horizon=6, max_function_evals=3),
             temp_sigma_k=1.0,
             seed=0,
         )
@@ -102,12 +102,12 @@ class TestCoolingFailure:
     def test_otem_falls_back_to_ultracap(self, short_request):
         """With a dead cooler, OTEM leans (at least) as hard on the bank."""
         healthy = Simulator(
-            OTEMController(horizon=6, max_function_evals=40),
+            OTEMController(horizon=6, max_function_evals=3),
             initial_temp_k=308.0,
         ).run(short_request)
         failed = Simulator(
             CoolingFailure(
-                OTEMController(horizon=6, max_function_evals=40), fail_at_s=0.0
+                OTEMController(horizon=6, max_function_evals=3), fail_at_s=0.0
             ),
             initial_temp_k=308.0,
         ).run(short_request)

@@ -7,8 +7,8 @@ from scipy import optimize
 from repro.battery.pack import DEFAULT_PACK, BatteryPack
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.cost import CostWeights
-from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER
-from repro.core.mpc import MPCPlanner, MPCPlannerVec, _pad_previews
+from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER, minimize_lockstep
+from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner, MPCPlannerVec, _pad_previews
 from repro.core.rollout import PredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
 from repro.ultracap.bank import UltracapBank
@@ -134,7 +134,7 @@ def _scipy_gradient_solve(planner, state, preview):
 
     Each start is ``optimize.minimize(L-BFGS-B)`` handed the model's exact
     gradient as a separate ``jac`` callable, chained to normalized
-    coordinates, at ``budget // (2N+1)`` evaluations.  Returns what
+    coordinates, at ``budget`` evaluations.  Returns what
     ``MPCPlanner._solve_penalty`` returns, ``(z, nit, cost, label)``, and
     the evaluations scipy made.
     """
@@ -165,7 +165,7 @@ def _scipy_gradient_solve(planner, state, preview):
             method="L-BFGS-B",
             bounds=[(0.0, 1.0)] * (2 * n),
             options={
-                "maxfun": budget // (2 * n + 1),
+                "maxfun": budget,
                 "maxiter": MAXITER,
                 "ftol": FTOL,
                 "gtol": GTOL,
@@ -186,13 +186,42 @@ GRADIENT_CASES = {
 }
 
 
+class TestBudget:
+    """``max_function_evals`` counts L-BFGS-B evaluations per start, and
+    its default is written once."""
+
+    def test_every_entry_point_takes_the_one_default(self):
+        from repro.core.otem import OTEMController
+        from repro.sim.scenario import Scenario
+
+        assert Scenario().mpc_max_evals == DEFAULT_MAX_EVALS
+        assert OTEMController().planner._maxfun == DEFAULT_MAX_EVALS
+        assert make_planner()._maxfun == DEFAULT_MAX_EVALS
+
+    def test_default_race_runs_six_rounds_cold_and_five_warm(self, monkeypatch):
+        import repro.core.mpc as mpc
+
+        rounds = []
+
+        def spy(evaluate, x0s, maxfuns):
+            rounds.append(list(maxfuns))
+            return minimize_lockstep(evaluate, x0s, maxfuns)
+
+        monkeypatch.setattr(mpc, "minimize_lockstep", spy)
+        planner = MPCPlanner(make_model(), rollout_backend="vectorized")
+        state, preview = (309.0, 307.5, 72.0, 64.0), np.full(12, 20e3)
+        planner.plan(state, preview)
+        planner.plan(state, preview)
+        assert rounds == [[6], [5]]
+
+
 class TestScalarGradient:
     """The scalar solve is scipy's L-BFGS-B on the model's exact gradient,
     with one ``rollout_cost`` call per scipy evaluation.  (The test keeps
     the name it had when the reference was scipy's own differences.)"""
 
     @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
-    @pytest.mark.parametrize("budget", [150, 75, 10, 1])
+    @pytest.mark.parametrize("budget", [150, 75, 10, 6, 3, 1])
     @pytest.mark.parametrize("horizon", [1, 6, 12])
     def test_cold_and_warm_solves_match_scipy_differences(
         self, horizon, budget, case
@@ -308,7 +337,7 @@ class TestBatchedPlanner:
 
     HORIZON = 6
     STEP = 30.0
-    EVALS = 30
+    EVALS = 2
 
     STATES = np.array(
         [

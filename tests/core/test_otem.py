@@ -23,7 +23,7 @@ def make_obs(step=0, temp_k=298.0, soe=100.0, soc=95.0, power=15_000.0, preview_
 
 @pytest.fixture()
 def otem():
-    return OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=60)
+    return OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=4)
 
 
 class TestInterface:
@@ -105,7 +105,7 @@ class TestLastWindow:
     ROUTE = np.linspace(-10_000.0, 60_000.0, 40)
 
     def test_perfect_preview_zero_pads_past_route_end(self):
-        otem = OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=20)
+        otem = OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=1)
         seen = _planned_previews(otem, self.ROUTE, range(30, 40))
         padded = np.concatenate([self.ROUTE[35:], np.zeros(25)])
         assert sorted(seen) == [30, 35]
@@ -115,7 +115,7 @@ class TestLastWindow:
         otem = OTEMController(
             horizon=6,
             mpc_step_s=5.0,
-            max_function_evals=20,
+            max_function_evals=1,
             preview_mode="persistence",
         )
         seen = _planned_previews(otem, self.ROUTE, range(30, 40))
@@ -162,7 +162,7 @@ class TestBehaviour:
         assert stats.total_iterations >= 1
 
     def test_large_peak_in_preview_prepares_cap_discharge(self):
-        otem = OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=120)
+        otem = OTEMController(horizon=6, mpc_step_s=5.0, max_function_evals=9)
         preview = np.concatenate([np.full(10, 5_000.0), np.full(20, 90_000.0)])
         obs = Observation(
             step_index=0,

@@ -410,8 +410,9 @@ PLAN_GOLDEN = {
 
 
 def _cold_and_warm_plans(model):
-    """Hex-float record of a cold then a warm scalar solve (N=6)."""
-    planner = MPCPlanner(model, horizon=6)
+    """Hex-float record of a cold then a warm scalar solve (N=6, 11
+    evaluations per start)."""
+    planner = MPCPlanner(model, horizon=6, max_function_evals=11)
     state = tuple(np.array([309.0, 307.5, 72.0, 64.0]))
     preview = np.array([18e3, 24e3, 31e3, 12e3, -6e3, 27e3])
     got = {}

@@ -19,7 +19,7 @@ def results():
     out = {}
     for m in ("parallel", "cooling", "dual", "otem"):
         out[m] = run_scenario(
-            Scenario(methodology=m, cycle="us06", repeat=REPEAT, mpc_max_evals=100)
+            Scenario(methodology=m, cycle="us06", repeat=REPEAT, mpc_max_evals=4)
         )
     return out
 

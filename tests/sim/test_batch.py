@@ -65,7 +65,7 @@ class TestFingerprint:
             {"repeat": 2},
             {"ucap_farads": 5_000.0},
             {"initial_temp_k": 310.0},
-            {"mpc_max_evals": 10},
+            {"mpc_max_evals": 1},
             {"rollout_backend": "vectorized"},
             {"perturb_seed": 1},
         ):
@@ -265,7 +265,7 @@ class TestSolverStatsPlumbing:
             cycle="nycc",
             mpc_horizon=4,
             mpc_step_s=30.0,
-            mpc_max_evals=10,
+            mpc_max_evals=1,
         )
         batch = run_batch([scenario])
         cell = batch.cells[0]
@@ -283,7 +283,7 @@ class TestSolverStatsPlumbing:
             cycle="nycc",
             mpc_horizon=4,
             mpc_step_s=30.0,
-            mpc_max_evals=10,
+            mpc_max_evals=1,
             rollout_backend="vectorized",
         )
         batch = run_batch([scenario])
@@ -346,7 +346,7 @@ class TestLockstepRouting:
             cycle="nycc",
             mpc_horizon=4,
             mpc_step_s=30.0,
-            mpc_max_evals=10,
+            mpc_max_evals=1,
         )
         grid = [GRID[0], GRID[1], otem, dataclasses.replace(otem, ucap_farads=5_000.0)]
         batch = run_batch(grid)
@@ -421,7 +421,7 @@ OTEM_VEC = Scenario(
     rollout_backend="vectorized",
     mpc_horizon=4,
     mpc_step_s=30.0,
-    mpc_max_evals=10,
+    mpc_max_evals=1,
 )
 
 

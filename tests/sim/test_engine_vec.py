@@ -239,7 +239,7 @@ class TestGrouping:
         for change in (
             {"mpc_horizon": 4},
             {"mpc_step_s": 30.0},
-            {"mpc_max_evals": 10},
+            {"mpc_max_evals": 1},
         ):
             assert lockstep_key(a) != lockstep_key(
                 dataclasses.replace(a, **change)
@@ -263,7 +263,7 @@ class TestOTEMLockstep:
         rollout_backend="vectorized",
         mpc_horizon=4,
         mpc_step_s=30.0,
-        mpc_max_evals=20,
+        mpc_max_evals=2,
     )
 
     def test_heterogeneous_group_matches_scalar_engine(self):

@@ -15,7 +15,7 @@ from repro.sim.scenario import Scenario, run_scenario
 
 #: NYCC at a reduced solver budget (the batch bench's setting): a real
 #: multi-replan route that keeps the test inside a few seconds.
-_KNOBS = dict(methodology="otem", cycle="nycc", mpc_max_evals=60)
+_KNOBS = dict(methodology="otem", cycle="nycc", mpc_max_evals=2)
 
 
 @pytest.fixture(scope="module")

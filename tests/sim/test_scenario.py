@@ -105,7 +105,7 @@ class TestRunScenario:
 
     def test_otem_runs(self):
         result = run_scenario(
-            Scenario(methodology="otem", cycle="nycc", mpc_max_evals=40)
+            Scenario(methodology="otem", cycle="nycc", mpc_max_evals=1)
         )
         assert result.controller_name == "OTEM"
         assert result.metrics.unmet_energy_j < 1e5

@@ -61,7 +61,7 @@ class TestRoundTrip:
             cycle="nycc",
             mpc_horizon=4,
             mpc_step_s=30.0,
-            mpc_max_evals=10,
+            mpc_max_evals=1,
         )
         store = ExperimentStore(tmp_path)
         payload = _payload(scenario)
@@ -398,7 +398,7 @@ class TestRunBatchIntegration:
                 cycle="nycc",
                 mpc_horizon=4,
                 mpc_step_s=30.0,
-                mpc_max_evals=10,
+                mpc_max_evals=1,
             )
         ]
         first = run_batch(grid, store=store)
