@@ -20,7 +20,9 @@ converged, stopped by the evaluation budget, or abnormal (scipy's
 
 A second bench records the budget frontier (key ``frontier``): the exact
 solve of the same states at each of :data:`FRONTIER` evaluations per
-start, and Table I's four OTEM cells at each budget.
+start, with the spread over states of each state's solve time divided by
+its time at the default budget, and Table I's four OTEM cells at each
+budget.
 """
 
 from __future__ import annotations
@@ -236,9 +238,16 @@ def test_mpc_budget_frontier(benchmark):
         return {evals: _table1_otem(evals) for evals in FRONTIER}
 
     table1 = run_once(benchmark, table1_otem_frontier)
+    # each state's time over its own time at the default budget: the
+    # budgets ran interleaved per state, so the ratio cancels most of the
+    # host's load swing that moves the absolute times between runs
+    base = times[DEFAULT_MAX_EVALS]
     frontier = {
         str(evals): {
             **_side(times[evals], results[evals]),
+            "solve_ratio_to_default": spread(
+                [t / t0 for t, t0 in zip(times[evals], base)]
+            ),
             "table1_otem": table1[evals],
         }
         for evals in FRONTIER
@@ -269,7 +278,8 @@ def test_mpc_budget_frontier(benchmark):
         cells = row["table1_otem"]
         print(
             f"{evals:>3} evals: {row['solve_s']['median'] * 1e3:6.1f} ms median "
-            f"solve, mean cost {row['mean_cost']:.6g}, starts {row['starts']}; "
+            f"solve ({row['solve_ratio_to_default']['median']:.2f}x the "
+            f"default's), mean cost {row['mean_cost']:.6g}, starts {row['starts']}; "
             "Table I OTEM qloss / kW "
             + ", ".join(
                 f"{c['qloss_percent']:.4g} / {c['average_power_w'] / 1e3:.2f}"

@@ -7,6 +7,9 @@ of them *simultaneously*: every piece of state (SoC, SoE, temperatures,
 thermostat latches) is a struct-of-arrays column vector and each timestep is
 one NumPy pass over the whole batch, so the Python interpreter executes one
 loop iteration per *timestep* instead of one per timestep per scenario.
+That loop is the scalar engine's: :func:`run_lockstep_group` hands
+:func:`repro.sim.engine.drive` a ``(t_max, m)`` route, the column twins
+below, ``CoolingLoop.step_batch`` and ``(t_max, m)`` channel buffers.
 
 Equivalence contract
 --------------------
@@ -28,10 +31,10 @@ the twins inherit.  Shared as well are the scalar step-result types (one
 array entry per column), the :class:`~repro.hees.converter.DCDCConverter`,
 the re-strung bank constants (:func:`repro.hees.parallel.restrung_bank`)
 and the Eq. 17 solve (:func:`repro.cooling.loop.solve_eq17`).  The
-controller interface is shared too: each step the engine builds the
-scalar engine's :class:`~repro.controllers.base.Observation` with one
-array entry per column (its preview is the rest of each column's route,
-one row per column) and the twin returns a
+controller interface is shared too: the one step loop builds the
+:class:`~repro.controllers.base.Observation` with one array entry per
+column (its preview is the rest of each column's route, one row per
+column) and the twin returns a
 :class:`~repro.controllers.base.Decision` of columns and broadcasting
 scalars; a switch position is a :class:`~repro.hees.dual.DualMode` code
 in both engines.  Each batched policy is built from the scalar controller
@@ -73,14 +76,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.battery.pack import BatteryPackVec
-from repro.controllers.base import Architecture, Observation
+from repro.controllers.base import Architecture
 from repro.controllers.batched import BATCHED_CONTROLLERS, BatchedOTEM
 from repro.cooling.loop import CoolingLoop
 from repro.drivecycle.library import get_cycle
 from repro.hees.dual import DualHEESVec
 from repro.hees.hybrid import HybridHEESVec
 from repro.hees.parallel import ParallelHEESVec
-from repro.sim.engine import SimulationResult, step_channels
+from repro.sim.engine import SimulationResult, drive
 from repro.sim.metrics import compute_metrics
 from repro.sim.scenario import Scenario, build_controller
 from repro.sim.trace import CHANNELS, Trace
@@ -178,12 +181,9 @@ def run_lockstep_group(
 
     All scenarios must share :func:`lockstep_key` and their requests must
     share ``dt`` (use :func:`run_lockstep` to group arbitrary sets).
-    Each step runs the scalar engine's sequence on whole columns - the
-    same :class:`~repro.controllers.base.Observation` and
-    :class:`~repro.controllers.base.Decision`, holding columns - and
-    records through the same :func:`repro.sim.engine.step_channels` map
-    into ``(t_max, m)`` channel buffers.  Returns one
-    :class:`SimulationResult` per scenario, index-aligned.
+    :func:`repro.sim.engine.drive` runs the scalar engine's step loop on
+    whole columns and records into ``(t_max, m)`` channel buffers.
+    Returns one :class:`SimulationResult` per scenario, index-aligned.
     """
     if not scenarios:
         return []
@@ -215,7 +215,6 @@ def run_lockstep_group(
         twin = BATCHED_CONTROLLERS[first.methodology]
         controller = twin(build_controller(first))
     controller.reset(m)
-    arch = controller.architecture
 
     pack = BatteryPackVec(
         first.pack,
@@ -223,72 +222,18 @@ def run_lockstep_group(
         initial_temp_k=np.array([s.initial_temp_k for s in scenarios]),
     )
     bank = UltracapBankVec([s.cap_params() for s in scenarios])
-    plant = _PLANT_TWINS[arch](pack, bank)
+    plant = _PLANT_TWINS[controller.architecture](pack, bank)
     loop = CoolingLoop(first.coolant, first.pack.heat_capacity_j_per_k)
-
-    coolant_temp = pack.temp_k.copy()
-    passive = not controller.uses_cooling
 
     buf = {name: np.empty((t_max, m)) for name in CHANNELS}
 
-    for k in range(t_max):
-        p_e = power[k]
-        # the preview is the rest of each column's route, one row per
-        # column (time along the last axis, as on the scalar engine)
-        obs = Observation(
-            step_index=k,
-            time_s=k * dt,
-            dt=dt,
-            power_request_w=p_e,
-            preview_w=power[k:].T,
-            battery_soc_percent=pack.soc_percent,
-            battery_temp_k=pack.temp_k,
-            coolant_temp_k=coolant_temp,
-            cap_soe_percent=bank.soe_percent,
-        )
-        decision = controller.control(obs)
-
-        # price the cooling command before the plant step (the cooler
-        # draws from the HEES bus); per-column thermostats may disagree
-        cooling_on = decision.cooling_active
-        inlet = np.where(
-            cooling_on,
-            loop.clamp_inlet(decision.inlet_temp_k, coolant_temp),
-            coolant_temp,
-        )
-        cooling_power = np.where(
-            cooling_on,
-            loop.cooler_power_w(inlet, coolant_temp)
-            + first.coolant.pump_power_w,
-            0.0,
-        )
-
-        total_request = p_e + cooling_power
-
-        if arch is Architecture.PARALLEL:
-            step = plant.step(total_request, dt)
-        elif arch is Architecture.HYBRID:
-            step = plant.step(total_request, decision.cap_bus_w, dt)
-        else:
-            step = plant.step(
-                total_request, decision.dual_mode, decision.recharge_power_w, dt
-            )
-
-        thermal = loop.step_batch(
-            pack.temp_k,
-            coolant_temp,
-            inlet,
-            step.battery_heat_w,
-            dt,
-            cooling_active=cooling_on,
-            passive_ambient=passive,
-        )
-        pack.set_temperature(thermal.battery_temp_k)
-        coolant_temp = thermal.coolant_temp_k
-
-        channels = step_channels(k * dt, p_e, step, thermal, pack, bank, coolant_temp)
+    def record(k, channels):
         for name, value in channels.items():
             buf[name][k] = value
+
+    drive(
+        controller, plant, loop, power, dt, pack.temp_k.copy(), loop.step_batch, record
+    )
 
     stats_fn = getattr(controller, "solver_stats", None)
     solver_stats = stats_fn() if callable(stats_fn) else None
