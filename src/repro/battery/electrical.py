@@ -85,10 +85,13 @@ class BatteryElectrical:
         res = self.internal_resistance(soc_percent, temp_k)
         return voc - np.asarray(current_a, dtype=float) * res
 
-    def current_for_power(
-        self, power_w: float, soc_percent: float, temp_k: float
-    ) -> float:
+    def current_for_power(self, power_w: float, voc: float, res: float) -> float:
         """Cell current [A] that delivers ``power_w`` at the terminals.
+
+        ``voc`` and ``res`` are the cell's open-circuit voltage [V] and
+        internal resistance [Ohm] at its state (:meth:`open_circuit_voltage`,
+        :meth:`internal_resistance`): the caller reads them once and reuses
+        them for the step's terminal power and heat.
 
         Solves ``I (Voc - I R) = P`` for the physical (smaller-|I|) root.
         Positive power discharges, negative charges.  If the demanded power
@@ -96,8 +99,6 @@ class BatteryElectrical:
         current is capped at the maximum-power point ``Voc / (2R)`` - the
         plant cannot deliver more regardless of the controller's request.
         """
-        voc = float(self.open_circuit_voltage(soc_percent))
-        res = float(self.internal_resistance(soc_percent, temp_k))
         if abs(power_w) < 1e-12:
             return 0.0
         disc = voc * voc - 4.0 * res * power_w

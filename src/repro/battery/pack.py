@@ -22,7 +22,6 @@ import numpy as np
 from repro.battery.aging import AgingModel
 from repro.battery.electrical import BatteryElectrical
 from repro.battery.params import CellParams, NCR18650A
-from repro.battery.thermal import heat_generation_w
 from repro.utils.units import ah_to_coulomb
 from repro.utils.validation import check_in_range, check_positive
 
@@ -114,8 +113,6 @@ class PackStepResult:
     ----------
     cell_current_a:
         Per-cell current [A] (positive = discharge).
-    pack_current_a:
-        Total pack current [A].
     terminal_power_w:
         Power actually delivered at the pack terminals [W] (may be below the
         request if the current limit clipped it).
@@ -127,11 +124,11 @@ class PackStepResult:
     loss_increment_percent:
         Capacity loss added this step [%] (Eq. 5).
     clipped:
-        True when the current limit reduced the delivered power.
+        True when the cell-current rating or a C4 SoC bound cut the current
+        (the parallel plant hands the residual to the bank).
     """
 
     cell_current_a: float
-    pack_current_a: float
     terminal_power_w: float
     heat_w: float
     chem_energy_j: float
@@ -258,9 +255,13 @@ class BatteryPack:
         state = self._state
         per_cell_power = terminal_power_w / cfg.cell_count
 
-        cell_i = self._electrical.current_for_power(
-            per_cell_power, state.soc_percent, state.temp_k
+        # Voc(SoC) and R(SoC, T) once: current, terminal power and heat
+        # all read the same pair
+        voc = float(self._electrical.open_circuit_voltage(state.soc_percent))
+        res = float(
+            self._electrical.internal_resistance(state.soc_percent, state.temp_k)
         )
+        cell_i = self._electrical.current_for_power(per_cell_power, voc, res)
         clipped = False
         limit = cfg.cell.max_current_a
         if cell_i > limit:
@@ -274,22 +275,12 @@ class BatteryPack:
         if state.soc_percent >= self.SOC_MAX and cell_i < 0:
             cell_i, clipped = 0.0, True
 
-        voc = float(self._electrical.open_circuit_voltage(state.soc_percent))
-        res = float(
-            self._electrical.internal_resistance(state.soc_percent, state.temp_k)
-        )
         v_term = voc - cell_i * res
         realized_power = cell_i * v_term * cfg.cell_count
 
-        heat_cell = float(
-            heat_generation_w(
-                cell_i,
-                state.soc_percent,
-                state.temp_k,
-                cfg.cell,
-                electrical=self._electrical,
-            )
-        )
+        # Eq. 4 (repro.battery.thermal.heat_generation_w) from the same R
+        entropic = cell_i * state.temp_k * cfg.cell.entropy_coeff_v_per_k
+        heat_cell = cell_i * cell_i * res + entropic
         heat = max(0.0, heat_cell) * cfg.cell_count
 
         chem_energy = voc * cell_i * dt * cfg.cell_count
@@ -300,7 +291,6 @@ class BatteryPack:
 
         return PackStepResult(
             cell_current_a=cell_i,
-            pack_current_a=cell_i * cfg.parallel,
             terminal_power_w=realized_power,
             heat_w=heat,
             chem_energy_j=chem_energy,
@@ -388,7 +378,6 @@ class BatteryPackVec(BatteryPack):
 
         return PackStepResult(
             cell_current_a=cell_i,
-            pack_current_a=cell_i * cfg.parallel,
             terminal_power_w=realized_power,
             heat_w=heat,
             chem_energy_j=chem_energy,

@@ -431,9 +431,14 @@ def cmd_batch(args, out) -> int:
 
     from repro.store import ExperimentStore
 
+    try:
+        grid = _spec_from_args(args).scenarios()
+    except ValueError as exc:  # refused whole, as the sweep service refuses it
+        print(f"FAILED: {exc}", file=out)
+        return 1
     store = None if args.no_cache else ExperimentStore(args.store_dir)
     result = run_batch(
-        _spec_from_args(args).scenarios(),
+        grid,
         workers=args.workers,
         store=store,
         timeout_s=args.timeout,

@@ -104,7 +104,6 @@ class DualHEES(RestrungHEES):
         circuit_loss = 0.0
         cap_energy = 0.0
         cap_power = 0.0
-        cap_current = 0.0
 
         if cap_request > 0:
             # bank discharges through its series resistance into the load
@@ -114,9 +113,8 @@ class DualHEES(RestrungHEES):
             cap = bank.apply_power(v_c * i_c, dt)
             cap_energy = cap.energy_j
             cap_power = cap.power_w
-            # re-derive the current in the re-strung configuration (the bank
-            # reports current at its module voltage, which is not the level
-            # this architecture connects at)
+            # the current actually flowing in the re-strung configuration
+            # after any bank-side clipping
             cap_current = cap.power_w / v_c if v_c > 1e-6 else 0.0
             circuit_loss += (cap_current**2) * self._rc * dt
             delivered_by_cap = cap.power_w - (cap_current**2) * self._rc
@@ -150,7 +148,6 @@ class DualHEES(RestrungHEES):
         unmet = max(0.0, request_w - delivered) if request_w > 0 else 0.0
 
         return HEESStepResult(
-            requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,
             ultracap_power_w=cap_power,
@@ -161,7 +158,6 @@ class DualHEES(RestrungHEES):
             converter_loss_j=circuit_loss,
             loss_increment_percent=bat.loss_increment_percent,
             unmet_power_w=unmet,
-            notes={"mode": mode.name.lower(), "cap_current_a": float(cap_current)},
         )
 
 
@@ -264,7 +260,6 @@ class DualHEESVec(DualHEES):
         )
 
         return HEESStepResult(
-            requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,
             ultracap_power_w=cap_power,

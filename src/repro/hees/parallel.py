@@ -159,7 +159,6 @@ class ParallelHEES(RestrungHEES):
         circuit_loss = (i_c_real**2) * r_c * dt
 
         return HEESStepResult(
-            requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,
             ultracap_power_w=cap.power_w,
@@ -170,7 +169,6 @@ class ParallelHEES(RestrungHEES):
             converter_loss_j=circuit_loss,
             loss_increment_percent=bat.loss_increment_percent,
             unmet_power_w=unmet,
-            notes={"load_voltage_v": float(v_l)},
         )
 
 
@@ -231,7 +229,6 @@ class ParallelHEESVec(ParallelHEES):
         circuit_loss = (i_c_real**2) * r_c * dt
 
         return HEESStepResult(
-            requested_power_w=request_w,
             delivered_power_w=delivered,
             battery_power_w=bat.terminal_power_w,
             ultracap_power_w=cap.power_w,

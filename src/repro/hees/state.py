@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -10,13 +10,11 @@ class HEESStepResult:
     """Uniform outcome of one HEES step, for any architecture.
 
     The scalar plants fill every field with a float; their lockstep twins
-    (``ParallelHEESVec`` & co.) fill it with one array entry per column
-    and leave ``notes`` empty (the engines record no notes).
+    (``ParallelHEESVec`` & co.) fill it with one array entry per column.
+    Every field is one the engines record (``repro.sim.engine.drive``).
 
     Attributes
     ----------
-    requested_power_w:
-        Bus power the EV asked for [W].
     delivered_power_w:
         Bus power actually delivered [W] (current limits / depleted storage
         can leave a shortfall).
@@ -40,11 +38,8 @@ class HEESStepResult:
     unmet_power_w:
         Shortfall between request and delivery [W] (>= 0 for discharge
         requests).
-    notes:
-        Architecture-specific annotations (e.g. dual-mode name).
     """
 
-    requested_power_w: float
     delivered_power_w: float
     battery_power_w: float
     ultracap_power_w: float
@@ -55,9 +50,3 @@ class HEESStepResult:
     converter_loss_j: float
     loss_increment_percent: float
     unmet_power_w: float = 0.0
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def hees_energy_j(self) -> float:
-        """dE_bat + dE_cap, the HEES term of the paper's cost Eq. 19 [J]."""
-        return self.chem_energy_j + self.cap_energy_j

@@ -24,7 +24,7 @@ from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
 from repro.core.cost import CostWeights
 from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner
 from repro.core.otem import OTEMController
-from repro.drivecycle.library import get_cycle
+from repro.drivecycle.library import available_cycles, get_cycle
 from repro.sim.engine import SimulationResult, Simulator
 from repro.ultracap.params import UltracapParams, bank_of_farads
 from repro.utils.validation import check_count, check_positive
@@ -69,8 +69,8 @@ class Scenario:
         ``"vectorized"`` (batched NumPy kernel, several times faster per
         solve; ignored by baselines).
     perturb_seed:
-        When not ``None``, the route is the deterministic traffic-perturbed
-        variant of ``cycle`` with this seed (see
+        When not ``None`` (an integer >= 0), the route is the deterministic
+        traffic-perturbed variant of ``cycle`` with this seed (see
         :func:`repro.drivecycle.perturb.perturbed`) - Monte-Carlo ensembles
         become plain scenario grids.
     """
@@ -96,6 +96,12 @@ class Scenario:
                 f"unknown methodology {self.methodology!r}; "
                 f"choose from {METHODOLOGIES}"
             )
+        if self.cycle not in available_cycles():
+            raise ValueError(
+                f"unknown cycle {self.cycle!r}; choose from {available_cycles()}"
+            )
+        if self.perturb_seed is not None:
+            check_count(self.perturb_seed, "perturb_seed", minimum=0)
         check_positive(self.ucap_farads, "ucap_farads")
         check_positive(self.initial_temp_k, "initial_temp_k")
         check_positive(self.mpc_step_s, "mpc_step_s")

@@ -22,27 +22,22 @@ from repro.utils.validation import check_in_range
 class UltracapStepResult:
     """Outcome of one step of the bank.
 
-    :class:`UltracapBank` fills each field with a float (``clipped`` with a
-    bool); :class:`UltracapBankVec` with one array entry per column.
+    :class:`UltracapBank` fills each field with a float;
+    :class:`UltracapBankVec` with one array entry per column.  A clip shows
+    as ``power_w`` below the request.
 
     Attributes
     ----------
     power_w:
         Power actually transferred at the bank terminals [W]
-        (positive = discharge).
-    current_a:
-        Bank current [A] at the step's mean voltage.
+        (positive = discharge), after the C5/C7 clips.
     energy_j:
         Energy removed from the bank this step [J]; this is the ``dE_cap``
         of the paper's Eq. 19 (negative while recharging).
-    clipped:
-        True when a power or SoE limit reduced the transfer.
     """
 
     power_w: float
-    current_a: float
     energy_j: float
-    clipped: bool
 
 
 class UltracapBank:
@@ -143,7 +138,6 @@ class UltracapBank:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self._p
-        requested = power_w
         power = float(np.clip(power_w, -p.max_power_w, p.max_power_w))
         if power > 0:
             deliverable = self.available_j()
@@ -153,18 +147,8 @@ class UltracapBank:
         elif power < 0:
             power = -min(-power, self.headroom_j() / dt)
         energy = power * dt
-        new_energy_j = self.energy_j - energy
-        mean_voltage = 0.5 * (
-            self.voltage() + self.voltage(100.0 * new_energy_j / p.energy_capacity_j)
-        )
-        current = power / mean_voltage if mean_voltage > 1e-9 else 0.0
-        self._soe = 100.0 * new_energy_j / p.energy_capacity_j
-        return UltracapStepResult(
-            power_w=power,
-            current_a=current,
-            energy_j=energy,
-            clipped=abs(power - requested) > 1e-9,
-        )
+        self._soe = 100.0 * (self.energy_j - energy) / p.energy_capacity_j
+        return UltracapStepResult(power_w=power, energy_j=energy)
 
     def reset(self, soe_percent: float = 100.0):
         """Restore initial conditions."""
@@ -227,13 +211,12 @@ class UltracapBankVec(UltracapBank):
 
         ``active`` (optional boolean mask) restricts the update to a subset
         of columns: inactive columns keep their exact SoE bit pattern and
-        report zero power/current/energy - the lockstep equivalent of the
+        report zero power and energy - the lockstep equivalent of the
         scalar plants *not calling* ``apply_power`` on a branch.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self._p
-        requested = power_w
         power = np.clip(power_w, -p.max_power_w, p.max_power_w)
         deliverable = self.available_j()
         if tap_reserve:
@@ -245,25 +228,11 @@ class UltracapBankVec(UltracapBank):
             power < 0, -np.minimum(-power, self.headroom_j() / dt), power
         )
         energy = power * dt
-        new_energy_j = self.energy_j - energy
-        mean_voltage = 0.5 * (
-            self.voltage() + self.voltage(100.0 * new_energy_j / p.energy_capacity_j)
-        )
-        current = np.where(
-            mean_voltage > 1e-9,
-            power / np.maximum(mean_voltage, 1e-30),
-            0.0,
-        )
-        new_soe = 100.0 * new_energy_j / p.energy_capacity_j
-        clipped = np.abs(power - requested) > 1e-9
+        new_soe = 100.0 * (self.energy_j - energy) / p.energy_capacity_j
         if active is None:
             self._soe = new_soe
         else:
             self._soe = np.where(active, new_soe, self._soe)
             power = np.where(active, power, 0.0)
-            current = np.where(active, current, 0.0)
             energy = np.where(active, energy, 0.0)
-            clipped = clipped & active
-        return UltracapStepResult(
-            power_w=power, current_a=current, energy_j=energy, clipped=clipped
-        )
+        return UltracapStepResult(power_w=power, energy_j=energy)

@@ -51,8 +51,3 @@ class TestHeatGeneration:
         assert out.shape == (3,)
         assert np.all(np.diff(out) > 0)
 
-    def test_shared_electrical_model(self):
-        model = BatteryElectrical(NCR18650A)
-        a = heat_generation_w(3.0, 50.0, 298.15, electrical=model)
-        b = heat_generation_w(3.0, 50.0, 298.15)
-        assert a == pytest.approx(float(b))

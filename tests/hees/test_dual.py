@@ -19,10 +19,6 @@ class TestBatteryMode:
         assert result.battery_power_w == pytest.approx(30_000.0, rel=1e-6)
         assert result.ultracap_power_w == 0.0
 
-    def test_mode_recorded(self, plant):
-        result = plant.step(10_000.0, DualMode.BATTERY, 0.0, 1.0)
-        assert result.notes["mode"] == "battery"
-
     def test_no_cap_change(self, plant):
         soe0 = plant.bank.soe_percent
         plant.step(30_000.0, DualMode.BATTERY, 0.0, 1.0)

@@ -66,11 +66,6 @@ class TestCircuitSplit:
         assert result.delivered_power_w == pytest.approx(50_000.0, rel=0.02)
         assert result.unmet_power_w < 1_000.0
 
-    def test_load_voltage_recorded(self, plant):
-        result = plant.step(20_000.0, 1.0)
-        v_l = result.notes["load_voltage_v"]
-        assert 300.0 < v_l < plant.effective_rated_voltage_v
-
     def test_regen_charges_both(self, plant):
         plant.pack.state.soc_percent = 70.0
         plant.sync_soe_to_battery()

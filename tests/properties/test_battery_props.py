@@ -33,10 +33,10 @@ class TestElectricalInvariants:
 
     @given(soc, temp, power)
     def test_current_for_power_balances(self, s, t, p):
-        i = model.current_for_power(p, s, t)
-        v = float(model.terminal_voltage(s, i, t))
         voc = float(model.open_circuit_voltage(s))
         r = float(model.internal_resistance(s, t))
+        i = model.current_for_power(p, voc, r)
+        v = float(model.terminal_voltage(s, i, t))
         if p <= voc * voc / (4 * r):  # within max-power point
             assert i * v == approx_rel(p, 1e-6)
 

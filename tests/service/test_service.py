@@ -274,6 +274,20 @@ class TestHTTP:
             assert err.value.status == 400
             assert message in str(err.value)
 
+    def test_unrunnable_route_is_a_400(self, client):
+        """Refused at submit, not when a cell tries to build the route."""
+        for spec, message in (
+            ({"axes": {"cycle": ["nycc", "bogus"]}}, "unknown cycle 'bogus'"),
+            ({"base": {"cycle": 5}}, "unknown cycle 5"),
+            ({"base": {"perturb_seed": "3"}}, "perturb_seed must be an integer"),
+            ({"base": {"perturb_seed": -1}}, "perturb_seed must be an integer"),
+            ({"base": {"perturb_seed": True}}, "perturb_seed must be an integer"),
+        ):
+            with pytest.raises(ServiceError) as err:
+                client.submit(spec)
+            assert err.value.status == 400
+            assert message in str(err.value)
+
     def test_bad_execution_knob_is_a_400(self, client):
         """Refused at submit, not after the job starts and dies in run_batch."""
         for spec, message in (

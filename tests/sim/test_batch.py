@@ -34,6 +34,17 @@ SINGLETONS = scenario_grid(
 )
 
 
+def _unrunnable(scenario):
+    """``scenario`` on a route that cannot be built, so its cell crashes.
+
+    ``Scenario`` refuses an unknown cycle when it is constructed; the field
+    is set past that check, so the failure happens where the cell runs.
+    """
+    bad = dataclasses.replace(scenario)
+    object.__setattr__(bad, "cycle", "no-such-cycle")
+    return bad
+
+
 class TestScenarioGrid:
     def test_cross_product_last_axis_fastest(self):
         combos = [(s.methodology, s.ucap_farads) for s in GRID]
@@ -121,7 +132,7 @@ class TestParallelRun:
         assert [c.index for c in parallel.cells] == [0, 1, 2, 3]
 
     def test_worker_crash_isolated_to_its_cell(self):
-        bad = dataclasses.replace(GRID[1], cycle="no-such-cycle")
+        bad = _unrunnable(GRID[1])
         batch = run_batch([GRID[0], bad, GRID[2]], workers=2)
         assert not batch.ok
         assert [c.ok for c in batch.cells] == [True, False, True]
@@ -132,7 +143,7 @@ class TestParallelRun:
             batch.raise_on_failure()
 
     def test_serial_path_isolates_crashes_too(self):
-        bad = dataclasses.replace(GRID[0], cycle="no-such-cycle")
+        bad = _unrunnable(GRID[0])
         batch = run_batch([bad, GRID[3]], workers=0)
         assert [c.ok for c in batch.cells] == [False, True]
 
@@ -183,7 +194,7 @@ class TestCache:
 
     def test_failures_are_not_cached(self, tmp_path):
         store = ExperimentStore(tmp_path)
-        bad = [dataclasses.replace(GRID[0], cycle="no-such-cycle")]
+        bad = [_unrunnable(GRID[0])]
         run_batch(bad, store=store)
         rerun = run_batch(bad, store=store)
         assert rerun.cache_hits == 0
@@ -382,7 +393,7 @@ class TestLockstepRouting:
     def test_group_failure_reroutes_cells_to_scalar(self):
         """A broken cell poisons its whole lockstep group; every member is
         re-run on the crash-isolated scalar path instead."""
-        bad = dataclasses.replace(GRID[1], cycle="no-such-cycle")
+        bad = _unrunnable(GRID[1])
         batch = run_batch([GRID[0], bad])
         assert [c.ok for c in batch.cells] == [True, False]
         assert "no-such-cycle" in batch.cells[1].error
@@ -579,7 +590,7 @@ class TestProgressCallback:
         assert sorted(c.index for c in seen) == [0, 1, 2, 3]
 
     def test_failed_cells_still_reported(self):
-        bad = dataclasses.replace(GRID[0], cycle="no-such-cycle")
+        bad = _unrunnable(GRID[0])
         seen = []
         run_batch([bad, GRID[1]], workers=0, on_cell_done=seen.append)
         assert [c.ok for c in sorted(seen, key=lambda c: c.index)] == [False, True]

@@ -17,6 +17,23 @@ class TestScenario:
         with pytest.raises(ValueError, match="unknown methodology"):
             Scenario(methodology="magic")
 
+    @pytest.mark.parametrize("cycle", ["bogus", 5, None])
+    def test_rejects_unknown_cycle(self, cycle):
+        with pytest.raises(ValueError, match="unknown cycle"):
+            Scenario(cycle=cycle)
+        with pytest.raises(ValueError, match="unknown cycle"):
+            Scenario.from_dict({"cycle": cycle})
+
+    @pytest.mark.parametrize("seed", ["3", -1, 1.5, True])
+    def test_rejects_seed_that_is_not_an_integer_from_zero(self, seed):
+        with pytest.raises(ValueError, match="perturb_seed must be an integer >= 0"):
+            Scenario(perturb_seed=seed)
+        with pytest.raises(ValueError, match="perturb_seed"):
+            Scenario.from_dict({"perturb_seed": seed})
+
+    def test_accepts_seed_zero(self):
+        assert Scenario(perturb_seed=0).perturb_seed == 0
+
     def test_rejects_zero_repeat(self):
         with pytest.raises(ValueError):
             Scenario(repeat=0)

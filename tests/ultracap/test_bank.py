@@ -1,6 +1,5 @@
 """Ultracapacitor bank tests (Eq. 7-9, constraints C5/C7)."""
 
-import numpy as np
 import pytest
 
 from repro.ultracap.bank import UltracapBank
@@ -38,19 +37,16 @@ class TestDischarge:
         assert result.energy_j == pytest.approx(1e5)
         assert before - bank.energy_j == pytest.approx(1e5)
 
-    def test_current_sign(self, bank):
-        assert bank.apply_power(10_000.0, 1.0).current_a > 0
-
     def test_power_clipped_at_rating(self, bank):
         result = bank.apply_power(1e6, 1.0)
-        assert result.clipped
+        assert result.power_w < 1e6
         assert result.power_w == pytest.approx(bank.params.max_power_w)
 
     def test_stops_at_soe_floor(self, params):
         bank = UltracapBank(params, initial_soe_percent=21.0)
         result = bank.apply_power(params.max_power_w, 1e6)
         assert bank.soe_percent == pytest.approx(params.soe_min_percent)
-        assert result.clipped
+        assert result.power_w < params.max_power_w
 
     def test_reserve_tap_goes_below_floor(self, params):
         bank = UltracapBank(params, initial_soe_percent=21.0)
@@ -72,8 +68,7 @@ class TestCharge:
 
     def test_stops_at_full(self, bank):
         result = bank.apply_power(-10_000.0, 1.0)
-        assert result.power_w == 0.0
-        assert result.clipped
+        assert result.power_w == 0.0  # the -10 kW request is refused
         assert bank.soe_percent == pytest.approx(100.0)
 
     def test_roundtrip_is_lossless_at_bank_level(self, params):
@@ -132,13 +127,3 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             bank.apply_power(1_000.0, 0.0)
 
-    def test_mean_voltage_current_consistency(self, params):
-        bank = UltracapBank(params, initial_soe_percent=80.0)
-        result = bank.apply_power(5_000.0, 1.0)
-        # P = V_mean * I by construction
-        assert result.power_w == pytest.approx(
-            result.current_a
-            * 0.5
-            * (params.rated_voltage_v * np.sqrt(0.8) + bank.voltage())
-            , rel=1e-6
-        )
