@@ -107,13 +107,12 @@ class BatteryElectrical:
             return voc / (2.0 * res)
         return (voc - np.sqrt(disc)) / (2.0 * res)
 
-    def max_discharge_power(self, soc_percent, temp_k):
+    def max_discharge_power(self, voc, res):
         """Largest terminal power [W] deliverable at the current-limit (C6).
 
-        This is the power at ``I = max_current_a`` (the rating limit), not
-        the theoretical maximum-power point, which would destroy the cell.
+        ``voc`` and ``res`` as in :meth:`current_for_power`.  This is the
+        power at ``I = max_current_a`` (the rating limit), not the
+        theoretical maximum-power point, which would destroy the cell.
         """
         i_max = self._p.max_current_a
-        voc = self.open_circuit_voltage(soc_percent)
-        res = self.internal_resistance(soc_percent, temp_k)
         return i_max * (voc - i_max * res)

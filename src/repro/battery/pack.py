@@ -210,6 +210,20 @@ class BatteryPack:
     # ------------------------------------------------------------------ #
     # pack-level electrical quantities
 
+    def cell_voc_res(self) -> tuple[float, float]:
+        """Cell Voc [V] (Eq. 2) and R [Ohm] (Eq. 3) at the current state.
+
+        A plant step reads this pair once and hands it to everything that
+        step needs of the pack: :meth:`apply_power`, the C6 ceiling
+        :meth:`max_discharge_power_w` and the plant's own pack-level
+        voltage and resistance.
+        """
+        soc = self._state.soc_percent
+        return (
+            self._electrical.open_circuit_voltage(soc),
+            self._electrical.internal_resistance(soc, self._state.temp_k),
+        )
+
     def open_circuit_voltage(self) -> float:
         """Pack open-circuit voltage [V] at the current SoC."""
         cell_voc = self._electrical.open_circuit_voltage(self._state.soc_percent)
@@ -222,26 +236,24 @@ class BatteryPack:
         )
         return cell_r * self._config.series / self._config.parallel
 
-    def max_discharge_power_w(self) -> float:
-        """Pack power ceiling [W] at the cell current limit (constraint C6)."""
-        per_cell = self._electrical.max_discharge_power(
-            self._state.soc_percent, self._state.temp_k
-        )
-        return np.maximum(0.0, per_cell) * self._config.cell_count
+    def max_discharge_power_w(self, voc, res) -> float:
+        """Pack power ceiling [W] at the cell current limit (constraint C6).
 
-    def discharge_headroom_j(self) -> float:
-        """Usable energy left above the SoC floor [J] (coarse, at nominal V)."""
-        usable_fraction = np.maximum(
-            0.0, (self._state.soc_percent - self.SOC_MIN) / 100.0
-        )
-        return usable_fraction * self._config.energy_kwh * 3.6e6
+        ``voc`` and ``res`` are the cell pair :meth:`cell_voc_res` read.
+        """
+        per_cell = self._electrical.max_discharge_power(voc, res)
+        return np.maximum(0.0, per_cell) * self._config.cell_count
 
     # ------------------------------------------------------------------ #
     # stepping
 
-    def apply_power(self, terminal_power_w: float, dt: float) -> PackStepResult:
+    def apply_power(
+        self, terminal_power_w: float, dt: float, voc: float, res: float
+    ) -> PackStepResult:
         """Draw ``terminal_power_w`` from the pack for ``dt`` seconds.
 
+        ``voc`` and ``res`` are the cell pair :meth:`cell_voc_res` read at
+        this state; current, terminal power and heat all derive from it.
         Positive power discharges, negative charges (regen or UC recharge
         routed into the battery is *not* expected here - the HEES router
         decides where regen goes).  Current is clipped at the cell rating;
@@ -255,12 +267,9 @@ class BatteryPack:
         state = self._state
         per_cell_power = terminal_power_w / cfg.cell_count
 
-        # Voc(SoC) and R(SoC, T) once: current, terminal power and heat
-        # all read the same pair
-        voc = float(self._electrical.open_circuit_voltage(state.soc_percent))
-        res = float(
-            self._electrical.internal_resistance(state.soc_percent, state.temp_k)
-        )
+        # plain floats: the scalar body runs faster on them than on NumPy
+        # scalars
+        voc, res = float(voc), float(res)
         cell_i = self._electrical.current_for_power(per_cell_power, voc, res)
         clipped = False
         limit = cfg.cell.max_current_a
@@ -330,18 +339,17 @@ class BatteryPackVec(BatteryPack):
         self._state = PackState(soc_percent=soc.copy(), temp_k=temp.copy())
         self._aging.reset()
 
-    def apply_power(self, terminal_power_w: np.ndarray, dt: float) -> PackStepResult:
+    def apply_power(
+        self, terminal_power_w: np.ndarray, dt: float, voc, res
+    ) -> PackStepResult:
         """Vectorized :meth:`BatteryPack.apply_power` over all columns."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         cfg = self._config
-        elec = self._electrical
         state = self._state
         soc, temp = state.soc_percent, state.temp_k
         per_cell_power = terminal_power_w / cfg.cell_count
 
-        voc = elec.open_circuit_voltage(soc)
-        res = elec.internal_resistance(soc, temp)
         # current_for_power, elementwise: physical root of I(Voc - I R) = P,
         # capped at the maximum-power point when the demand exceeds it
         disc = voc * voc - 4.0 * res * per_cell_power

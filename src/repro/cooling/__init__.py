@@ -11,7 +11,9 @@ Public API
     Loop physical parameters (heat-transfer coefficients, flow capacity
     rate, cooler efficiency, power ceiling).
 ``CoolingLoop``
-    Coupled (T_b, T_c) thermal integrator and cooler power accounting.
+    The C2/C3 inlet clamp and Eq. 16 cooler power (the engine prices
+    each command once, before the plant step) and the coupled (T_b, T_c)
+    Eq. 17 integrator at that applied inlet.
 ``MultiNodeCoolingLoop``
     Segmented pack model resolving the along-flow hot spot (Fig. 5 detail).
 """

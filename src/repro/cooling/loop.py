@@ -1,8 +1,11 @@
 """Coupled battery/coolant thermal integrator (Eq. 14-16, discretized Eq. 17).
 
 States: battery temperature ``T_b`` and in-pack coolant temperature ``T_c``.
-Control input: commanded coolant inlet temperature ``T_i`` (clamped so the
-cooler never heats, C2, and never exceeds its power ceiling, C3).
+Control input: the coolant inlet temperature ``T_i``.  The engine clamps
+the commanded inlet (:meth:`CoolingLoop.clamp_inlet`: the cooler never
+heats, C2, and never exceeds its power ceiling, C3) and prices it
+(:meth:`CoolingLoop.cooler_power_w`, Eq. 16) once per step, before the
+plant step; the loop's step only advances the temperatures.
 
 Discretization follows the paper's Eq. 17 (trapezoidal / Crank-Nicolson on
 the exchange terms), which stays stable at the multi-second control periods
@@ -27,7 +30,11 @@ from repro.utils.validation import check_positive
 
 @dataclass(frozen=True)
 class CoolingStepResult:
-    """Outcome of one thermal step.
+    """Outcome of one thermal step: the two new temperatures.
+
+    The applied inlet and the cooler and pump power are the engine's own
+    values (:func:`repro.sim.engine.drive` clamps and prices the command
+    before the plant step), so the step does not repeat them.
 
     Attributes
     ----------
@@ -35,24 +42,10 @@ class CoolingStepResult:
         New pack temperature T_b+ [K].
     coolant_temp_k:
         New in-pack coolant temperature T_c+ [K].
-    inlet_temp_k:
-        The inlet temperature actually applied after C2/C3 clamping [K].
-    cooler_power_w:
-        Electrical power consumed by the cooler this step [W] (Eq. 16).
-    pump_power_w:
-        Pump power [W] (constant while the loop runs).
     """
 
     battery_temp_k: float
     coolant_temp_k: float
-    inlet_temp_k: float
-    cooler_power_w: float
-    pump_power_w: float
-
-    @property
-    def total_power_w(self) -> float:
-        """Cooler plus pump electrical power [W]."""
-        return self.cooler_power_w + self.pump_power_w
 
 
 def solve_eq17(
@@ -88,6 +81,10 @@ def solve_eq17(
 class CoolingLoop:
     """Battery-pack cooling-loop dynamics.
 
+    :meth:`clamp_inlet` and :meth:`cooler_power_w` turn a command into
+    the applied inlet and its Eq. 16 price; :meth:`step` (floats) and
+    :meth:`step_batch` (columns) advance Eq. 17 at an applied inlet.
+
     Parameters
     ----------
     params:
@@ -117,9 +114,8 @@ class CoolingLoop:
         """C_b of Eq. 14 [J/K]."""
         return self._cb
 
-    # The two queries below are NumPy ufunc expressions: floats for
-    # :meth:`step`, per-column arrays for :meth:`step_batch` and the
-    # lockstep engine.
+    # The two queries below are NumPy ufunc expressions: floats for the
+    # scalar engine, per-column arrays for the lockstep engine.
 
     def clamp_inlet(self, inlet_temp_k: float, coolant_temp_k: float) -> float:
         """Apply constraints C2 (T_i <= T_o) and C3 (P_c <= P_c_max).
@@ -157,7 +153,8 @@ class CoolingLoop:
         battery_temp_k / coolant_temp_k:
             Current states.
         inlet_temp_k:
-            Commanded inlet temperature [K]; clamped per C2/C3.
+            Applied inlet temperature [K]: a command already passed
+            through :meth:`clamp_inlet`.
         pack_heat_w:
             Heat generated by the pack this step, Q_b of Eq. 14 [W].
         dt:
@@ -165,7 +162,7 @@ class CoolingLoop:
         cooling_active:
             When False (architectures without an active cooler), the flow
             term is dropped: the coolant merely recirculates and the pack
-            is adiabatic apart from the coolant mass (T_i = T_c, P = 0).
+            is adiabatic apart from the coolant mass.
         passive_ambient:
             True for architectures *without* an installed cooling system
             (air-exposed pack): adds surface convection
@@ -175,30 +172,14 @@ class CoolingLoop:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self._p
-
-        if cooling_active:
-            inlet = self.clamp_inlet(inlet_temp_k, coolant_temp_k)
-            wc = p.flow_capacity_rate_w_per_k
-            pump = p.pump_power_w
-        else:
-            inlet = coolant_temp_k
-            wc = 0.0
-            pump = 0.0
-
+        wc = p.flow_capacity_rate_w_per_k if cooling_active else 0.0
         h_amb = p.passive_h_w_per_k if passive_ambient else 0.0
-        tb_new, tc_new = solve_eq17(
-            battery_temp_k, coolant_temp_k, inlet, pack_heat_w, dt,
-            self._cb, p.coolant_heat_capacity_j_per_k,
-            p.h_battery_coolant_w_per_k, wc, h_amb, p.ambient_temp_k,
-        )
-
-        power = self.cooler_power_w(inlet, coolant_temp_k) if cooling_active else 0.0
         return CoolingStepResult(
-            battery_temp_k=tb_new,
-            coolant_temp_k=tc_new,
-            inlet_temp_k=inlet,
-            cooler_power_w=power,
-            pump_power_w=pump,
+            *solve_eq17(
+                battery_temp_k, coolant_temp_k, inlet_temp_k, pack_heat_w, dt,
+                self._cb, p.coolant_heat_capacity_j_per_k,
+                p.h_battery_coolant_w_per_k, wc, h_amb, p.ambient_temp_k,
+            )
         )
 
     def step_batch(
@@ -222,30 +203,14 @@ class CoolingLoop:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self._p
-
-        inlet = np.where(
-            cooling_active,
-            self.clamp_inlet(inlet_temp_k, coolant_temp_k),
-            coolant_temp_k,
-        )
         wc = np.where(cooling_active, p.flow_capacity_rate_w_per_k, 0.0)
-        pump = np.where(cooling_active, p.pump_power_w, 0.0)
         h_amb = p.passive_h_w_per_k if passive_ambient else 0.0
-        tb_new, tc_new = solve_eq17(
-            battery_temp_k, coolant_temp_k, inlet, pack_heat_w, dt,
-            self._cb, p.coolant_heat_capacity_j_per_k,
-            p.h_battery_coolant_w_per_k, wc, h_amb, p.ambient_temp_k,
-        )
-
-        power = np.where(
-            cooling_active, self.cooler_power_w(inlet, coolant_temp_k), 0.0
-        )
         return CoolingStepResult(
-            battery_temp_k=tb_new,
-            coolant_temp_k=tc_new,
-            inlet_temp_k=inlet,
-            cooler_power_w=power,
-            pump_power_w=pump,
+            *solve_eq17(
+                battery_temp_k, coolant_temp_k, inlet_temp_k, pack_heat_w, dt,
+                self._cb, p.coolant_heat_capacity_j_per_k,
+                p.h_battery_coolant_w_per_k, wc, h_amb, p.ambient_temp_k,
+            )
         )
 
     def equilibrium_battery_temp_k(self, pack_heat_w: float, inlet_temp_k: float) -> float:

@@ -295,8 +295,8 @@ class MPCPlanner:
 
         The clamp/hinge kinks can stall a single L-BFGS-B run, so every
         solve races two structured plans (see
-        tests/core/test_mpc.py::test_multistart_escapes_stall).  A cold
-        solve races the neutral plan against the full-cool plan, both at
+        tests/core/test_mpc.py::TestPlanQuality::test_multistart_escapes_stall).
+        A cold solve races the neutral plan against the full-cool plan, both at
         the full evaluation budget.  A warm solve races the shifted
         previous plan (full budget) against the neutral plan at half
         budget: the previous plan already carries the cooling schedule

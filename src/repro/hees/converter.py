@@ -68,28 +68,28 @@ class DCDCConverter:
         eta = p.eta_max - p.droop * sag**2
         return np.minimum(np.maximum(eta, p.eta_min), p.eta_max)
 
-    def port_power_for_bus(self, bus_power_w, port_voltage_v):
+    def port_power_for_bus(self, bus_power_w, eta):
         """Storage-side power needed to realize ``bus_power_w`` at the bus.
 
-        Positive = storage discharging into the bus (storage supplies
-        ``bus / eta``); negative = bus charging the storage (storage receives
-        ``bus * eta``); clipped at the converter rating on the port side.
-        Floats in, float out; per-column arrays in, array out.
+        ``eta`` is :meth:`efficiency` at the port's voltage: a plant step
+        evaluates it once per port and hands it to every transfer of that
+        port.  Positive = storage discharging into the bus (storage
+        supplies ``bus / eta``); negative = bus charging the storage
+        (storage receives ``bus * eta``); clipped at the converter rating
+        on the port side.  Floats in, float out; per-column arrays in,
+        array out.
         """
-        eta = self.efficiency(port_voltage_v)
         port = np.where(bus_power_w >= 0, bus_power_w / eta, bus_power_w * eta)
         rating = self._p.max_power_w
         return np.minimum(np.maximum(port, -rating), rating)
 
-    def bus_power_for_port(self, port_power_w, port_voltage_v):
-        """Bus-side power realized by ``port_power_w`` at the storage port."""
-        eta = self.efficiency(port_voltage_v)
+    def bus_power_for_port(self, port_power_w, eta):
+        """Bus-side power realized by ``port_power_w`` at the storage port.
+
+        ``eta`` as in :meth:`port_power_for_bus`; the transfer's loss is
+        ``port_power_w`` minus the result.
+        """
         rating = self._p.max_power_w
         port = np.minimum(np.maximum(port_power_w, -rating), rating)
         # [()] unwraps np.where's 0-d result for float inputs
         return np.where(port >= 0, port * eta, port / eta)[()]
-
-    def loss_w(self, port_power_w: float, port_voltage_v: float) -> float:
-        """Power dissipated in the converter [W] for a port-side flow."""
-        bus = self.bus_power_for_port(port_power_w, port_voltage_v)
-        return abs(port_power_w - bus) if port_power_w * bus >= 0 else abs(port_power_w) + abs(bus)

@@ -52,9 +52,9 @@ class DualHEES(RestrungHEES):
     #: that lands in the bank [-] (switch + wiring loss).
     ETA_PATH = 0.95
 
-    def _cap_deliverable_w(self, request_w: float, dt: float) -> float:
-        """Power the bank can push into the load at its current voltage."""
-        v_c = self.cap_voltage()
+    def _cap_deliverable_w(self, request_w: float, v_c: float, dt: float) -> float:
+        """Power the bank can push into the load at its voltage ``v_c``
+        (:meth:`cap_voltage`)."""
         max_point = v_c * v_c / (4.0 * self._rc)  # maximum-power-transfer point
         return np.minimum(
             request_w, np.minimum(max_point, self._bank.max_discharge_power_w(dt))
@@ -95,7 +95,8 @@ class DualHEES(RestrungHEES):
             # regen charges the bank first (switch position), excess to battery
             regen_to_cap = min(-request_w, bank.max_charge_power_w(dt))
         elif mode is DualMode.ULTRACAP:
-            cap_request = self._cap_deliverable_w(request_w, dt)
+            v_c = self.cap_voltage()
+            cap_request = self._cap_deliverable_w(request_w, v_c, dt)
         if mode is DualMode.RECHARGE and recharge_power_w > 0 and request_w >= 0:
             bank_charge = min(
                 recharge_power_w, max(0.0, bank.max_charge_power_w(dt) - regen_to_cap)
@@ -107,7 +108,7 @@ class DualHEES(RestrungHEES):
 
         if cap_request > 0:
             # bank discharges through its series resistance into the load
-            v_c = self.cap_voltage()
+            # (only the ULTRACAP branch sets a request, and v_c with it)
             disc = v_c * v_c - 4.0 * self._rc * cap_request
             i_c = (v_c - np.sqrt(max(disc, 0.0))) / (2.0 * self._rc)
             cap = bank.apply_power(v_c * i_c, dt)
@@ -140,7 +141,7 @@ class DualHEES(RestrungHEES):
         battery_request = (
             request_w + regen_to_cap - delivered_by_cap + battery_extra
         )
-        bat = pack.apply_power(battery_request, dt)
+        bat = pack.apply_power(battery_request, dt, *pack.cell_voc_res())
 
         delivered = (
             bat.terminal_power_w - battery_extra - regen_to_cap + delivered_by_cap
@@ -196,12 +197,13 @@ class DualHEESVec(DualHEES):
         eta_path = DualHEES.ETA_PATH
 
         max_charge = bank.max_charge_power_w(dt)
+        v_c = self.cap_voltage()
         regen_to_cap = np.where(
             request_w < 0, np.minimum(-request_w, max_charge), 0.0
         )
         cap_request = np.where(
             (request_w >= 0) & (mode == DualMode.ULTRACAP.value),
-            self._cap_deliverable_w(request_w, dt),
+            self._cap_deliverable_w(request_w, v_c, dt),
             0.0,
         )
         bank_charge = np.where(
@@ -219,7 +221,6 @@ class DualHEESVec(DualHEES):
         charging = bank_charge > 0
 
         # bank discharge through the series resistance into the load
-        v_c = self.cap_voltage()
         disc = v_c * v_c - 4.0 * r_c * cap_request
         i_c = (v_c - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * r_c)
         bank_power = np.where(discharging, v_c * i_c, 0.0)
@@ -250,7 +251,7 @@ class DualHEESVec(DualHEES):
         battery_request = (
             request_w + regen_to_cap - delivered_by_cap + battery_extra
         )
-        bat = pack.apply_power(battery_request, dt)
+        bat = pack.apply_power(battery_request, dt, *pack.cell_voc_res())
 
         delivered = (
             bat.terminal_power_w - battery_extra - regen_to_cap + delivered_by_cap

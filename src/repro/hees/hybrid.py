@@ -96,18 +96,17 @@ class HybridHEES:
         """Ultracap-port converter."""
         return self._cap_conv
 
-    def cap_bus_limits(self, dt: float) -> tuple[float, float]:
+    def cap_bus_limits(self, dt: float, eta: float) -> tuple[float, float]:
         """(min, max) feasible ultracap bus-power command for a ``dt`` step.
 
-        Max is discharge (bank energy, converter rating); min is charge
-        (negative; bank headroom, converter rating).  NumPy ufunc
-        expressions, so the lockstep twin inherits it: floats here, one
-        entry per column there.  ``eta`` never reaches zero - the converter
-        clips it at ``eta_min`` >= 0.3 - so the charge limits divide by it
-        unguarded.
+        ``eta`` is the ultracap-port efficiency at the bank's voltage, the
+        one the step's transfers take.  Max is discharge (bank energy,
+        converter rating); min is charge (negative; bank headroom,
+        converter rating).  NumPy ufunc expressions, so the lockstep twin
+        inherits it: floats here, one entry per column there.  ``eta``
+        never reaches zero - the converter clips it at ``eta_min`` >= 0.3 -
+        so the charge limits divide by it unguarded.
         """
-        v = self._bank.voltage()
-        eta = self._cap_conv.efficiency(v)
         rating = self._cap_conv.params.max_power_w
         discharge = np.minimum(self._bank.max_discharge_power_w(dt) * eta, rating * eta)
         charge = np.minimum(self._bank.max_charge_power_w(dt) / eta, rating / eta)
@@ -131,31 +130,36 @@ class HybridHEES:
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
 
-        lo, hi = self.cap_bus_limits(dt)
+        # one read of each state: the pack's cell pair, and each port's
+        # efficiency at its voltage (pack OCV, bank Eq. 8).  Neither
+        # storage moves before its own transfer, so every use below sees
+        # the state the step started from.
+        voc, res = pack.cell_voc_res()
+        eta_bat = self._bat_conv.efficiency(pack.config.series * voc)
+        eta_cap = self._cap_conv.efficiency(bank.voltage())
+
+        lo, hi = self.cap_bus_limits(dt, eta_cap)
         # charging the bank must never displace load delivery: the battery
         # has to cover request - cap_bus, so the charge command is limited
-        # to the battery's remaining bus-side headroom; the pack does not
-        # move before its own step, so this OCV also sets its port power
-        v_pack = pack.open_circuit_voltage()
+        # to the battery's remaining bus-side headroom
         bat_max_bus = self._bat_conv.bus_power_for_port(
-            pack.max_discharge_power_w(), v_pack
+            pack.max_discharge_power_w(voc, res), eta_bat
         )
         headroom = bat_max_bus - max(request_w, 0.0)
         lo = min(0.0, max(lo, -max(headroom, 0.0)))
         cap_bus = min(max(cap_bus_command_w, lo), hi)
 
-        v_cap = bank.voltage()
-        cap_port = self._cap_conv.port_power_for_bus(cap_bus, v_cap)
+        cap_port = self._cap_conv.port_power_for_bus(cap_bus, eta_cap)
         cap = bank.apply_power(cap_port, dt)
         # realized bus contribution after any bank-side clipping
-        cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, v_cap)
+        cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, eta_cap)
         cap_conv_loss = abs(cap.power_w - cap_bus_real)
         cap_power, cap_energy = cap.power_w, cap.energy_j
 
         battery_bus = request_w - cap_bus_real
-        bat_port = self._bat_conv.port_power_for_bus(battery_bus, v_pack)
-        bat = pack.apply_power(bat_port, dt)
-        bat_bus_real = self._bat_conv.bus_power_for_port(bat.terminal_power_w, v_pack)
+        bat_port = self._bat_conv.port_power_for_bus(battery_bus, eta_bat)
+        bat = pack.apply_power(bat_port, dt, voc, res)
+        bat_bus_real = self._bat_conv.bus_power_for_port(bat.terminal_power_w, eta_bat)
         bat_conv_loss = abs(bat.terminal_power_w - bat_bus_real)
 
         delivered = cap_bus_real + bat_bus_real
@@ -165,9 +169,9 @@ class HybridHEES:
         # the bank's reserve band (below the C5 floor, above the physical
         # hard floor) rather than starve the EV load
         if unmet > 1.0:
-            extra_port = self._cap_conv.port_power_for_bus(unmet, v_cap)
+            extra_port = self._cap_conv.port_power_for_bus(unmet, eta_cap)
             extra = bank.apply_power(extra_port, dt, tap_reserve=True)
-            extra_bus = self._cap_conv.bus_power_for_port(extra.power_w, v_cap)
+            extra_bus = self._cap_conv.bus_power_for_port(extra.power_w, eta_cap)
             cap_conv_loss += abs(extra.power_w - extra_bus)
             cap_power += extra.power_w
             cap_energy += extra.energy_j
@@ -226,26 +230,28 @@ class HybridHEESVec(HybridHEES):
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
 
-        lo, hi = self.cap_bus_limits(dt)
-        v_pack = pack.open_circuit_voltage()
+        voc, res = pack.cell_voc_res()
+        eta_bat = self._bat_conv.efficiency(pack.config.series * voc)
+        eta_cap = self._cap_conv.efficiency(bank.voltage())
+
+        lo, hi = self.cap_bus_limits(dt, eta_cap)
         bat_max_bus = self._bat_conv.bus_power_for_port(
-            pack.max_discharge_power_w(), v_pack
+            pack.max_discharge_power_w(voc, res), eta_bat
         )
         headroom = bat_max_bus - np.maximum(request_w, 0.0)
         lo = np.minimum(0.0, np.maximum(lo, -np.maximum(headroom, 0.0)))
         cap_bus = np.minimum(np.maximum(cap_bus_command_w, lo), hi)
 
-        v_cap = bank.voltage()
-        cap_port = self._cap_conv.port_power_for_bus(cap_bus, v_cap)
+        cap_port = self._cap_conv.port_power_for_bus(cap_bus, eta_cap)
         cap = bank.apply_power(cap_port, dt)
-        cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, v_cap)
+        cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, eta_cap)
         cap_conv_loss = np.abs(cap.power_w - cap_bus_real)
 
         battery_bus = request_w - cap_bus_real
-        bat_port = self._bat_conv.port_power_for_bus(battery_bus, v_pack)
-        bat = pack.apply_power(bat_port, dt)
+        bat_port = self._bat_conv.port_power_for_bus(battery_bus, eta_bat)
+        bat = pack.apply_power(bat_port, dt, voc, res)
         bat_bus_real = self._bat_conv.bus_power_for_port(
-            bat.terminal_power_w, v_pack
+            bat.terminal_power_w, eta_bat
         )
         bat_conv_loss = np.abs(bat.terminal_power_w - bat_bus_real)
 
@@ -258,10 +264,10 @@ class HybridHEESVec(HybridHEES):
         cap_energy = cap.energy_j
         em = unmet > 1.0
         if np.any(em):
-            extra_port = self._cap_conv.port_power_for_bus(unmet, v_cap)
+            extra_port = self._cap_conv.port_power_for_bus(unmet, eta_cap)
             extra = bank.apply_power(extra_port, dt, tap_reserve=True, active=em)
             extra_bus = self._cap_conv.bus_power_for_port(
-                extra.power_w, v_cap
+                extra.power_w, eta_cap
             )
             extra_bus = np.where(em, extra_bus, 0.0)
             cap_conv_loss = cap_conv_loss + np.where(

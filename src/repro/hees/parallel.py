@@ -77,11 +77,6 @@ class RestrungHEES:
         """The ultracapacitor bank."""
         return self._bank
 
-    @property
-    def effective_rated_voltage_v(self) -> float:
-        """Re-strung bank rated voltage [V] (= full pack OCV)."""
-        return self._vr_eff
-
     def cap_voltage(self) -> float:
         """Bank voltage in the re-strung configuration [V] (Eq. 8)."""
         return self._vr_eff * np.sqrt(np.maximum(self._bank.soe_percent, 0.0) / 100.0)
@@ -119,9 +114,11 @@ class ParallelHEES(RestrungHEES):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
+        cfg = pack.config
 
-        v_b = pack.open_circuit_voltage()
-        r_b = pack.internal_resistance()
+        voc, res = pack.cell_voc_res()
+        v_b = cfg.series * voc
+        r_b = res * cfg.series / cfg.parallel
         v_c = self.cap_voltage()
         r_c = self._rc
 
@@ -139,7 +136,7 @@ class ParallelHEES(RestrungHEES):
 
         # battery step at its realized terminal power (the pack re-derives
         # the same current and enforces its own limits)
-        bat = pack.apply_power(i_b * v_l, dt)
+        bat = pack.apply_power(i_b * v_l, dt, voc, res)
 
         # if the pack clipped, the capacitor covers the residual at the
         # (approximate) same load voltage
@@ -189,9 +186,11 @@ class ParallelHEESVec(ParallelHEES):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
+        cfg = pack.config
 
-        v_b = pack.open_circuit_voltage()
-        r_b = pack.internal_resistance()
+        voc, res = pack.cell_voc_res()
+        v_b = cfg.series * voc
+        r_b = res * cfg.series / cfg.parallel
         v_c = self.cap_voltage()
         r_c = self._rc
 
@@ -207,7 +206,7 @@ class ParallelHEESVec(ParallelHEES):
         i_b = (v_b - v_l) / r_b
         i_c = (v_c - v_l) / r_c
 
-        bat = pack.apply_power(i_b * v_l, dt)
+        bat = pack.apply_power(i_b * v_l, dt, voc, res)
 
         residual_i = np.where(
             v_l > 1e-6,

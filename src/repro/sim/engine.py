@@ -10,17 +10,22 @@ Per step it
 2. asks the controller for a :class:`Decision`,
 3. prices the cooling command (C2/C3 clamp, Eq. 16 cooler power plus the
    pump) and adds it to the bus request - the cooler and pump draw their
-   power from the HEES,
-4. steps the HEES plant the controller's ``architecture`` names,
+   power from the HEES.  This is the one place the command is clamped
+   and priced: the applied inlet feeds step 5 and the ``inlet_temp_k``
+   channel, the price the ``cooling_power_w`` channel,
+4. steps the HEES plant the controller's ``architecture`` names; the
+   plant reads each of its states once per step (the pack's cell Voc and
+   R, the bank voltage, each converter port's efficiency),
 5. advances the coupled battery/coolant temperatures (Eq. 14-15 via
-   Eq. 17),
+   Eq. 17) at the applied inlet, with the flow term on where cooling is
+   on,
 6. records the step's :data:`~repro.sim.trace.CHANNELS`.
 
 Each engine keeps only its setup (scalar or lockstep pack, bank and plant;
 controller or twin), its thermal step (``CoolingLoop.step`` or
-``step_batch``), its recorder and its result assembly.  ``Q_loss`` and
-``Energy`` accumulate exactly as Algorithm 1 lines 17-18, from the
-recorded channels.
+``step_batch``, which return just the two new temperatures), its recorder
+and its result assembly.  ``Q_loss`` and ``Energy`` accumulate exactly as
+Algorithm 1 lines 17-18, from the recorded channels.
 """
 
 from __future__ import annotations
@@ -117,8 +122,9 @@ def drive(controller, plant, loop, power, dt, coolant_temp, thermal_step, record
         )
         decision = controller.control(obs)
 
-        # price the cooling command before the plant step (the cooler
-        # draws from the HEES bus).  Columns take masks, since per-column
+        # clamp and price the cooling command once, before the plant step
+        # (the cooler draws from the HEES bus); the thermal step and the
+        # channels take these values.  Columns take masks, since per-column
         # thermostats may disagree; a float command keeps plain branches,
         # since np.where would hand the scalar plant 0-d arrays (~14 %
         # slower per scalar cell in bench_engine)
@@ -170,12 +176,12 @@ def drive(controller, plant, loop, power, dt, coolant_temp, thermal_step, record
                 "delivered_w": step.delivered_power_w,
                 "battery_power_w": step.battery_power_w,
                 "cap_power_w": step.ultracap_power_w,
-                "cooling_power_w": thermal.total_power_w,
+                "cooling_power_w": cooling_power,
                 "battery_soc_percent": pack.soc_percent,
                 "cap_soe_percent": bank.soe_percent,
                 "battery_temp_k": pack.temp_k,
                 "coolant_temp_k": coolant_temp,
-                "inlet_temp_k": thermal.inlet_temp_k,
+                "inlet_temp_k": inlet,
                 "heat_w": step.battery_heat_w,
                 "cell_current_a": step.battery_cell_current_a,
                 "chem_energy_j": step.chem_energy_j,

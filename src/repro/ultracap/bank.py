@@ -75,10 +75,9 @@ class UltracapBank:
     # (:class:`UltracapBankVec`) inherits them: a float here, one entry per
     # column there.
 
-    def voltage(self, soe_percent: float | None = None) -> float:
-        """Terminal voltage Vcap [V] (Eq. 8) at the given (or current) SoE."""
-        soe = self._soe if soe_percent is None else soe_percent
-        return self._p.rated_voltage_v * np.sqrt(np.maximum(soe, 0.0) / 100.0)
+    def voltage(self) -> float:
+        """Terminal voltage Vcap [V] (Eq. 8) at the current SoE."""
+        return self._p.rated_voltage_v * np.sqrt(np.maximum(self._soe, 0.0) / 100.0)
 
     def headroom_j(self) -> float:
         """Energy the bank can still absorb before hitting SoE-max [J]."""

@@ -125,22 +125,25 @@ class TestCurrentForPower:
         assert cold > warm
 
 
+def _c6(model, soc, temp):
+    """``max_discharge_power`` at the cell's own Voc and R."""
+    return model.max_discharge_power(
+        model.open_circuit_voltage(soc), model.internal_resistance(soc, temp)
+    )
+
+
 class TestMaxDischargePower:
     def test_positive_at_nominal(self, model):
-        assert model.max_discharge_power(50.0, 298.15) > 0
+        assert _c6(model, 50.0, 298.15) > 0
 
     def test_higher_when_warm(self, model):
-        assert model.max_discharge_power(50.0, 318.15) > model.max_discharge_power(
-            50.0, 278.15
-        )
+        assert _c6(model, 50.0, 318.15) > _c6(model, 50.0, 278.15)
 
     def test_higher_at_high_soc(self, model):
-        assert model.max_discharge_power(90.0, 298.15) > model.max_discharge_power(
-            25.0, 298.15
-        )
+        assert _c6(model, 90.0, 298.15) > _c6(model, 25.0, 298.15)
 
     def test_at_current_limit(self, model):
-        p = model.max_discharge_power(50.0, 298.15)
+        p = _c6(model, 50.0, 298.15)
         i = NCR18650A.max_current_a
         v = model.terminal_voltage(50.0, i, 298.15)
         assert p == pytest.approx(float(i * v))

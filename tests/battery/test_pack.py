@@ -49,71 +49,61 @@ class TestPackElectrical:
         cell_r = float(pack.electrical.internal_resistance(100.0, 298.0))
         assert pack.internal_resistance() == pytest.approx(cell_r * 96 / 30)
 
-    def test_discharge_headroom_full(self, pack):
-        # 80% of nominal energy above the 20% floor
-        assert pack.discharge_headroom_j() == pytest.approx(
-            0.8 * pack.config.energy_kwh * 3.6e6
-        )
-
-    def test_discharge_headroom_at_floor(self, pack):
-        pack.state.soc_percent = 20.0
-        assert pack.discharge_headroom_j() == 0.0
-
 
 class TestApplyPower:
     def test_discharge_reduces_soc(self, pack):
         before = pack.soc_percent
-        pack.apply_power(50_000.0, 10.0)
+        pack.apply_power(50_000.0, 10.0, *pack.cell_voc_res())
         assert pack.soc_percent < before
 
     def test_power_balance(self, pack):
-        result = pack.apply_power(50_000.0, 1.0)
+        result = pack.apply_power(50_000.0, 1.0, *pack.cell_voc_res())
         assert result.terminal_power_w == pytest.approx(50_000.0, rel=1e-6)
         assert not result.clipped
 
     def test_heat_positive_on_discharge(self, pack):
-        assert pack.apply_power(50_000.0, 1.0).heat_w > 0
+        assert pack.apply_power(50_000.0, 1.0, *pack.cell_voc_res()).heat_w > 0
 
     def test_chem_energy_exceeds_terminal_energy(self, pack):
         # chemistry supplies terminal power plus the I^2R loss
-        result = pack.apply_power(50_000.0, 1.0)
+        result = pack.apply_power(50_000.0, 1.0, *pack.cell_voc_res())
         assert result.chem_energy_j > result.terminal_power_w * 1.0
 
     def test_charge_negative_chem_energy(self, pack):
         pack.state.soc_percent = 50.0
-        result = pack.apply_power(-20_000.0, 1.0)
+        result = pack.apply_power(-20_000.0, 1.0, *pack.cell_voc_res())
         assert result.chem_energy_j < 0
         assert result.cell_current_a < 0
 
     def test_current_limit_clips(self, pack):
-        result = pack.apply_power(10_000_000.0, 1.0)
+        result = pack.apply_power(10_000_000.0, 1.0, *pack.cell_voc_res())
         assert result.clipped
         assert result.cell_current_a == pytest.approx(NCR18650A.max_current_a)
 
     def test_no_discharge_below_soc_floor(self, pack):
         pack.state.soc_percent = BatteryPack.SOC_MIN
-        result = pack.apply_power(10_000.0, 1.0)
+        result = pack.apply_power(10_000.0, 1.0, *pack.cell_voc_res())
         assert result.clipped
         assert result.cell_current_a == 0.0
 
     def test_no_charge_above_full(self, pack):
-        result = pack.apply_power(-10_000.0, 1.0)
+        result = pack.apply_power(-10_000.0, 1.0, *pack.cell_voc_res())
         assert result.clipped
         assert result.cell_current_a == 0.0
 
     def test_aging_accumulates(self, pack):
-        pack.apply_power(50_000.0, 10.0)
+        pack.apply_power(50_000.0, 10.0, *pack.cell_voc_res())
         assert pack.loss_percent > 0
 
     def test_rejects_nonpositive_dt(self, pack):
         with pytest.raises(ValueError):
-            pack.apply_power(1_000.0, 0.0)
+            pack.apply_power(1_000.0, 0.0, *pack.cell_voc_res())
 
     def test_hot_pack_delivers_power_more_efficiently(self):
         cold = BatteryPack(initial_temp_k=278.15)
         hot = BatteryPack(initial_temp_k=318.15)
-        rc = cold.apply_power(50_000.0, 1.0)
-        rh = hot.apply_power(50_000.0, 1.0)
+        rc = cold.apply_power(50_000.0, 1.0, *cold.cell_voc_res())
+        rh = hot.apply_power(50_000.0, 1.0, *hot.cell_voc_res())
         assert rh.heat_w < rc.heat_w
         assert rh.chem_energy_j < rc.chem_energy_j
 
@@ -154,7 +144,11 @@ STEP_CASES = (
 
 
 class TestReadOnceStep:
-    """The scalar step reads Voc and R once and derives current and heat from them."""
+    """A step reads Voc and R once and derives current and heat from them.
+
+    The caller reads the pair (:meth:`BatteryPack.cell_voc_res`) and hands
+    it to the step, which reads neither again.
+    """
 
     @pytest.mark.parametrize("case", STEP_CASES)
     def test_current_and_heat_from_one_read(self, case, monkeypatch):
@@ -184,7 +178,7 @@ class TestReadOnceStep:
 
             monkeypatch.setattr(elec, "open_circuit_voltage", count_voc)
             monkeypatch.setattr(elec, "internal_resistance", count_res)
-            result = pack.apply_power(power, dt)
+            result = pack.apply_power(power, dt, *pack.cell_voc_res())
             assert calls == {"voc": 1, "res": 1}
 
             i = result.cell_current_a
@@ -220,7 +214,7 @@ class TestLifecycle:
             pack.set_temperature(0.0)
 
     def test_reset(self, pack):
-        pack.apply_power(50_000.0, 100.0)
+        pack.apply_power(50_000.0, 100.0, *pack.cell_voc_res())
         pack.set_temperature(320.0)
         pack.reset()
         assert pack.soc_percent == 100.0
@@ -235,5 +229,5 @@ class TestLifecycle:
 
     def test_soc_never_negative_under_deep_drain(self, small_pack):
         for _ in range(10_000):
-            small_pack.apply_power(500.0, 10.0)
+            small_pack.apply_power(500.0, 10.0, *small_pack.cell_voc_res())
         assert small_pack.soc_percent >= 0.0

@@ -1,11 +1,19 @@
-"""Cooling-loop dynamics tests (Eq. 14-17)."""
+"""Cooling-loop dynamics tests (Eq. 14-17).
+
+The loop's step takes an applied inlet: the engine clamps the command
+(``clamp_inlet``) and prices it (``cooler_power_w``) once, before the
+plant step, so these tests clamp the same way and read the price either
+from those two queries or from a ``drive`` run's channels.
+"""
 
 import numpy as np
 import pytest
 
 from repro.battery.pack import DEFAULT_PACK
+from repro.controllers.cooling_only import CoolingOnlyController
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.cooling.loop import CoolingLoop
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture()
@@ -13,12 +21,36 @@ def loop():
     return CoolingLoop(DEFAULT_COOLANT, DEFAULT_PACK.heat_capacity_j_per_k)
 
 
-def run_loop(loop, tb, tc, inlet, heat, steps, dt=1.0, **kwargs):
+def run_loop(loop, tb, tc, inlet, heat, steps, dt=1.0, cooling_active=True, **kwargs):
+    """Step ``steps`` times at a commanded inlet, clamped as the engine does."""
     result = None
     for _ in range(steps):
-        result = loop.step(tb, tc, inlet, heat, dt, **kwargs)
+        applied = loop.clamp_inlet(inlet, tc) if cooling_active else tc
+        result = loop.step(
+            tb, tc, applied, heat, dt, cooling_active=cooling_active, **kwargs
+        )
         tb, tc = result.battery_temp_k, result.coolant_temp_k
     return tb, tc, result
+
+
+def cooling_only_run(request, temp_k):
+    """A cooling-only run's trace and, per step, whether it cooled."""
+    controller = CoolingOnlyController()
+    control, cooled = controller.control, []
+
+    def recording(obs):
+        decision = control(obs)
+        cooled.append(bool(decision.cooling_active))
+        return decision
+
+    controller.control = recording
+    trace = Simulator(controller, initial_temp_k=temp_k).run(request).trace
+    return trace, np.array(cooled)
+
+
+def coolant_before_each_step(trace, t0):
+    """In-pack coolant temperature at the start of each traced step."""
+    return np.concatenate(([t0], trace.coolant_temp_k[:-1]))
 
 
 class TestInletClamp:
@@ -104,21 +136,33 @@ class TestDynamics:
         tb, tc = 310.0, 310.0
         temps = []
         for _ in range(100):
-            r = loop.step(tb, tc, 288.15, 1_000.0, 10.0, cooling_active=True)
+            inlet = loop.clamp_inlet(288.15, tc)
+            r = loop.step(tb, tc, inlet, 1_000.0, 10.0, cooling_active=True)
             tb, tc = r.battery_temp_k, r.coolant_temp_k
             temps.append(tb)
         diffs = [temps[i + 1] - temps[i] for i in range(len(temps) - 1)]
         assert all(d <= 1e-9 for d in diffs)  # monotone approach, no ringing
 
-    def test_pump_power_reported_when_active(self, loop):
-        r = loop.step(300.0, 300.0, 295.0, 0.0, 1.0, cooling_active=True)
-        assert r.pump_power_w == DEFAULT_COOLANT.pump_power_w
-        assert r.total_power_w == r.cooler_power_w + r.pump_power_w
+    def test_pump_power_reported_when_active(self, loop, short_request):
+        # a cooled step's channels are drive's clamp and its Eq. 16 price
+        # plus the pump
+        trace, active = cooling_only_run(short_request, 310.0)
+        assert active.any()
+        tc = coolant_before_each_step(trace, 310.0)
+        inlet = loop.clamp_inlet(DEFAULT_COOLANT.min_inlet_temp_k, tc)
+        price = loop.cooler_power_w(inlet, tc) + DEFAULT_COOLANT.pump_power_w
+        assert np.array_equal(trace.inlet_temp_k[active], inlet[active])
+        assert np.array_equal(trace.cooling_power_w[active], price[active])
+        assert (trace.cooling_power_w[active] >= DEFAULT_COOLANT.pump_power_w).all()
 
-    def test_no_pump_power_when_inactive(self, loop):
-        r = loop.step(300.0, 300.0, 295.0, 0.0, 1.0, cooling_active=False)
-        assert r.pump_power_w == 0.0
-        assert r.cooler_power_w == 0.0
+    def test_no_pump_power_when_inactive(self, short_request):
+        # an idle step draws nothing and its inlet is the coolant itself
+        trace, active = cooling_only_run(short_request, 298.0)
+        idle = ~active
+        assert idle.any()
+        tc = coolant_before_each_step(trace, 298.0)
+        assert (trace.cooling_power_w[idle] == 0.0).all()
+        assert np.array_equal(trace.inlet_temp_k[idle], tc[idle])
 
     def test_rejects_nonpositive_dt(self, loop):
         with pytest.raises(ValueError):
@@ -132,13 +176,7 @@ class TestDynamics:
 class TestStepBatchMatchesStep:
     """Each ``step_batch`` column is the scalar ``step`` of that column."""
 
-    FIELDS = (
-        "battery_temp_k",
-        "coolant_temp_k",
-        "inlet_temp_k",
-        "cooler_power_w",
-        "pump_power_w",
-    )
+    FIELDS = ("battery_temp_k", "coolant_temp_k")
 
     @pytest.mark.parametrize("passive_ambient", [False, True])
     @pytest.mark.parametrize("dt", [0.5, 1.0, 5.0, 30.0])
@@ -147,9 +185,11 @@ class TestStepBatchMatchesStep:
         m = 2_000
         tb = rng.uniform(260.0, 340.0, m)
         tc = tb + rng.uniform(-15.0, 15.0, m)
-        inlet = rng.uniform(250.0, 345.0, m)
+        command = rng.uniform(250.0, 345.0, m)
         heat = rng.uniform(0.0, 25_000.0, m)
         active = rng.random(m) < 0.5
+        # the applied inlet, as the engine hands it over
+        inlet = np.where(active, loop.clamp_inlet(command, tc), tc)
         batch = loop.step_batch(
             tb, tc, inlet, heat, dt, active, passive_ambient=passive_ambient
         )

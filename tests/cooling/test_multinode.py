@@ -41,7 +41,9 @@ class TestReductionToLumped:
         tb, tc = 305.0, 305.0
         state = multi.initial_state(305.0)
         for _ in range(120):
-            r = lumped.step(tb, tc, 290.0, 2_000.0, 1.0, cooling_active=cooling)
+            # the lumped step takes the applied inlet (the engine clamps it)
+            inlet = lumped.clamp_inlet(290.0, tc) if cooling else tc
+            r = lumped.step(tb, tc, inlet, 2_000.0, 1.0, cooling_active=cooling)
             tb, tc = r.battery_temp_k, r.coolant_temp_k
             state = multi.step(state, 290.0, 2_000.0, 1.0, cooling_active=cooling)
 
@@ -85,7 +87,7 @@ class TestSpatialStructure:
         tb, tc = 305.0, 305.0
         state = multi.initial_state(305.0)
         for _ in range(600):
-            r = lumped.step(tb, tc, 290.0, 2_500.0, 1.0)
+            r = lumped.step(tb, tc, lumped.clamp_inlet(290.0, tc), 2_500.0, 1.0)
             tb, tc = r.battery_temp_k, r.coolant_temp_k
             state = multi.step(state, 290.0, 2_500.0, 1.0)
         assert state.mean_battery_temp_k <= tb + 0.1          # conservative mean

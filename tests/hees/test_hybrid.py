@@ -13,18 +13,28 @@ def plant():
     return HybridHEES(BatteryPack(), UltracapBank(UltracapParams()))
 
 
+def cap_eta(plant):
+    """The ultracap port's efficiency at the bank's voltage."""
+    return plant.cap_converter.efficiency(plant.bank.voltage())
+
+
+def c6_ceiling(pack):
+    """The pack's C6 power ceiling at its own cell pair."""
+    return pack.max_discharge_power_w(*pack.cell_voc_res())
+
+
 def _step_bus_powers(plant, request_w, cap_command_w):
     """Step ``plant`` for 1 s; return the result and its bus-side split.
 
     The bus side of each port is read back from its terminal power through
-    its converter at the pre-step port voltage, as the plant computes it.
+    its converter at the pre-step port efficiency, as the plant computes it.
     """
-    v_cap = plant.bank.voltage()
-    v_pack = plant.pack.open_circuit_voltage()
+    eta_cap = cap_eta(plant)
+    eta_bat = plant.battery_converter.efficiency(plant.pack.open_circuit_voltage())
     result = plant.step(request_w, cap_command_w, 1.0)
-    cap_bus = plant.cap_converter.bus_power_for_port(result.ultracap_power_w, v_cap)
+    cap_bus = plant.cap_converter.bus_power_for_port(result.ultracap_power_w, eta_cap)
     battery_bus = plant.battery_converter.bus_power_for_port(
-        result.battery_power_w, v_pack
+        result.battery_power_w, eta_bat
     )
     return result, cap_bus, battery_bus
 
@@ -55,7 +65,7 @@ class TestSplit:
         assert result.converter_loss_j > 0
 
     def test_command_clipped_to_bank_limits(self, plant):
-        _, hi = plant.cap_bus_limits(1.0)  # what the step clips against
+        _, hi = plant.cap_bus_limits(1.0, cap_eta(plant))  # what the step clips against
         _, cap_bus, _ = _step_bus_powers(plant, 10_000.0, 1e6)
         assert cap_bus <= hi * (1.0 + 1e-12)
 
@@ -63,7 +73,7 @@ class TestSplit:
 class TestLoadPriority:
     def test_charge_command_never_starves_load(self, plant):
         # ask for a huge charge while the load is near the battery limit
-        heavy_load = 0.9 * plant.pack.max_discharge_power_w()
+        heavy_load = 0.9 * c6_ceiling(plant.pack)
         result = plant.step(heavy_load, -60_000.0, 1.0)
         assert result.unmet_power_w < 100.0
 
@@ -79,7 +89,7 @@ class TestEmergencyReserve:
             BatteryPack(),
             UltracapBank(UltracapParams(), initial_soe_percent=20.0),
         )
-        peak = plant.pack.max_discharge_power_w() * 0.97 + 20_000.0
+        peak = c6_ceiling(plant.pack) * 0.97 + 20_000.0
         result = plant.step(peak, 0.0, 1.0)
         assert result.unmet_power_w < 500.0
         assert plant.bank.soe_percent < 20.0
@@ -105,11 +115,11 @@ class TestRegen:
 
 class TestCapBusLimits:
     def test_limits_shapes(self, plant):
-        lo, hi = plant.cap_bus_limits(1.0)
+        lo, hi = plant.cap_bus_limits(1.0, cap_eta(plant))
         assert lo <= 0 <= hi
 
     def test_full_bank_cannot_charge(self, plant):
-        lo, _ = plant.cap_bus_limits(1.0)
+        lo, _ = plant.cap_bus_limits(1.0, cap_eta(plant))
         assert lo == pytest.approx(0.0)
 
     def test_empty_bank_cannot_discharge(self):
@@ -117,7 +127,7 @@ class TestCapBusLimits:
             BatteryPack(),
             UltracapBank(UltracapParams(), initial_soe_percent=20.0),
         )
-        _, hi = plant.cap_bus_limits(1.0)
+        _, hi = plant.cap_bus_limits(1.0, cap_eta(plant))
         assert hi == pytest.approx(0.0)
 
     def test_rejects_nonpositive_dt(self, plant):

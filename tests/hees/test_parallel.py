@@ -20,7 +20,12 @@ def plant():
 
 class TestRestrungBank:
     def test_rated_voltage_equals_full_pack_voc(self, plant):
-        assert plant.effective_rated_voltage_v == pytest.approx(
+        vr_eff, _ = restrung_bank(
+            plant.pack,
+            plant.bank.params.rated_voltage_v,
+            plant.bank.params.internal_resistance_ohm,
+        )
+        assert vr_eff == pytest.approx(
             plant.pack.config.series
             * float(plant.pack.electrical.open_circuit_voltage(100.0))
         )

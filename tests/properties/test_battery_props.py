@@ -85,18 +85,18 @@ class TestPackInvariants:
     )
     def test_step_never_escapes_soc_bounds(self, p, dt):
         pack = BatteryPack(initial_soc_percent=50.0)
-        pack.apply_power(p, dt)
+        pack.apply_power(p, dt, *pack.cell_voc_res())
         assert 0.0 <= pack.soc_percent <= 100.0
 
     @given(st.floats(min_value=0.0, max_value=500_000.0))
     def test_heat_never_negative(self, p):
         pack = BatteryPack()
-        assert pack.apply_power(p, 1.0).heat_w >= 0.0
+        assert pack.apply_power(p, 1.0, *pack.cell_voc_res()).heat_w >= 0.0
 
     @given(st.floats(min_value=0.0, max_value=500_000.0))
     def test_delivered_never_exceeds_request_on_discharge(self, p):
         pack = BatteryPack()
-        result = pack.apply_power(p, 1.0)
+        result = pack.apply_power(p, 1.0, *pack.cell_voc_res())
         assert result.terminal_power_w <= p + 1e-6
 
 

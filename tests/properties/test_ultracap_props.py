@@ -16,13 +16,14 @@ farads = st.floats(min_value=1_000.0, max_value=50_000.0)
 class TestVoltageLaw:
     @given(soe)
     def test_voltage_bounded_by_rating(self, s):
-        bank = UltracapBank(UltracapParams(), initial_soe_percent=100.0)
-        assert 0.0 <= bank.voltage(s) <= bank.params.rated_voltage_v + 1e-9
+        bank = UltracapBank(UltracapParams(), initial_soe_percent=s)
+        assert 0.0 <= bank.voltage() <= bank.params.rated_voltage_v + 1e-9
 
     @given(st.floats(min_value=0.0, max_value=99.0))
     def test_voltage_monotone_in_soe(self, s):
-        bank = UltracapBank(UltracapParams())
-        assert bank.voltage(s + 1.0) > bank.voltage(s)
+        low = UltracapBank(UltracapParams(), initial_soe_percent=s)
+        high = UltracapBank(UltracapParams(), initial_soe_percent=s + 1.0)
+        assert high.voltage() > low.voltage()
 
     @given(farads)
     def test_energy_eq6(self, c):

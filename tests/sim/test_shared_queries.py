@@ -57,12 +57,17 @@ def twin_columns():
 
 LOOP = CoolingLoop(DEFAULT_COOLANT, DEFAULT_PACK.heat_capacity_j_per_k)
 
+
+def cap_bus_limits(plant):
+    """The hybrid limits at the ultracap port's efficiency, as a step reads them."""
+    return plant.cap_bus_limits(1.0, plant.cap_converter.efficiency(plant.bank.voltage()))
+
+
 #: name -> (build, query).  ``build`` wraps a (pack, bank) pair in the
 #: object that owns the query (its twin on column storage, see
 #: :data:`TWIN_OF`); ``query`` calls it.
 QUERIES = {
     "bank.voltage": (lambda pk, bk: bk, lambda o: o.voltage()),
-    "bank.voltage(soe)": (lambda pk, bk: bk, lambda o: o.voltage(o.soe_percent * 0.5)),
     "bank.energy_j": (lambda pk, bk: bk, lambda o: o.energy_j),
     "bank.headroom_j": (lambda pk, bk: bk, lambda o: o.headroom_j()),
     "bank.available_j": (lambda pk, bk: bk, lambda o: o.available_j()),
@@ -81,13 +86,11 @@ QUERIES = {
         lambda o: o.open_circuit_voltage(),
     ),
     "pack.internal_resistance": (lambda pk, bk: pk, lambda o: o.internal_resistance()),
+    "pack.cell_voc_res.voc": (lambda pk, bk: pk, lambda o: o.cell_voc_res()[0]),
+    "pack.cell_voc_res.res": (lambda pk, bk: pk, lambda o: o.cell_voc_res()[1]),
     "pack.max_discharge_power_w": (
         lambda pk, bk: pk,
-        lambda o: o.max_discharge_power_w(),
-    ),
-    "pack.discharge_headroom_j": (
-        lambda pk, bk: pk,
-        lambda o: o.discharge_headroom_j(),
+        lambda o: o.max_discharge_power_w(*o.cell_voc_res()),
     ),
     "parallel.cap_voltage": (ParallelHEES, lambda o: o.cap_voltage()),
     "parallel.sync_soe_to_battery": (
@@ -95,8 +98,8 @@ QUERIES = {
         lambda o: (o.sync_soe_to_battery(), o.bank.soe_percent)[1],
     ),
     "dual.cap_voltage": (DualHEES, lambda o: o.cap_voltage()),
-    "hybrid.cap_bus_limits.min": (HybridHEES, lambda o: o.cap_bus_limits(1.0)[0]),
-    "hybrid.cap_bus_limits.max": (HybridHEES, lambda o: o.cap_bus_limits(1.0)[1]),
+    "hybrid.cap_bus_limits.min": (HybridHEES, lambda o: cap_bus_limits(o)[0]),
+    "hybrid.cap_bus_limits.max": (HybridHEES, lambda o: cap_bus_limits(o)[1]),
 }
 
 #: The twin each scalar owner of a query becomes on column storage.

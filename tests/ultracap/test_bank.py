@@ -16,11 +16,13 @@ class TestVoltageLaw:
         assert bank.voltage() == pytest.approx(bank.params.rated_voltage_v)
 
     def test_eq8_square_root(self, bank):
-        v25 = bank.voltage(25.0)
+        bank.reset(25.0)
+        v25 = bank.voltage()
         assert v25 == pytest.approx(bank.params.rated_voltage_v * 0.5)
 
     def test_zero_soe_zero_voltage(self, bank):
-        assert bank.voltage(0.0) == 0.0
+        bank.reset(0.0)
+        assert bank.voltage() == 0.0
 
     def test_energy_property(self, bank):
         assert bank.energy_j == pytest.approx(bank.params.energy_capacity_j)
