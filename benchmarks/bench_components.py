@@ -26,14 +26,13 @@ from repro.vehicle.powertrain import Powertrain
 
 
 def make_model():
-    pack = BatteryPack(DEFAULT_PACK)
-    bank = UltracapBank(UltracapParams())
+    cap = UltracapParams()
     return PredictionModel(
         DEFAULT_PACK,
-        UltracapParams(),
+        cap,
         DEFAULT_COOLANT,
-        default_battery_converter(pack),
-        default_cap_converter(bank),
+        default_battery_converter(DEFAULT_PACK),
+        default_cap_converter(cap.rated_voltage_v, cap.max_power_w),
         CostWeights(),
     )
 

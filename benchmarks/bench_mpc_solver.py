@@ -19,13 +19,12 @@ import os
 import numpy as np
 
 from benchmarks.conftest import interleaved, run_once, spread
-from repro.battery.pack import DEFAULT_PACK, BatteryPack
+from repro.battery.pack import DEFAULT_PACK
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.cost import CostWeights
 from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner
 from repro.core.rollout import PredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
-from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams
 
 #: Paper-scale solve: horizon N=12, default weights, default budget.
@@ -43,12 +42,13 @@ REPEATS = 21
 
 
 def _make_planner(backend: str, evals: int = DEFAULT_MAX_EVALS) -> MPCPlanner:
+    cap = UltracapParams()
     model = PredictionModel(
         DEFAULT_PACK,
-        UltracapParams(),
+        cap,
         DEFAULT_COOLANT,
-        default_battery_converter(BatteryPack(DEFAULT_PACK)),
-        default_cap_converter(UltracapBank(UltracapParams())),
+        default_battery_converter(DEFAULT_PACK),
+        default_cap_converter(cap.rated_voltage_v, cap.max_power_w),
         CostWeights(),
     )
     return MPCPlanner(

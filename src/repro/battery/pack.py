@@ -229,13 +229,6 @@ class BatteryPack:
         cell_voc = self._electrical.open_circuit_voltage(self._state.soc_percent)
         return self._config.series * cell_voc
 
-    def internal_resistance(self) -> float:
-        """Pack internal resistance [Ohm] at the current SoC and temperature."""
-        cell_r = self._electrical.internal_resistance(
-            self._state.soc_percent, self._state.temp_k
-        )
-        return cell_r * self._config.series / self._config.parallel
-
     def max_discharge_power_w(self, voc, res) -> float:
         """Pack power ceiling [W] at the cell current limit (constraint C6).
 

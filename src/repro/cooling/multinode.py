@@ -36,16 +36,14 @@ class MultiNodeState:
     coolant_temps_k:
         In-segment coolant temperatures, upstream first [K].
     inlet_temp_k:
-        Applied (clamped) inlet temperature [K].
-    cooler_power_w / pump_power_w:
-        Electrical cost of the step [W].
+        Applied inlet temperature [K]: the command clamped to C2/C3 at the
+        pack outlet while cooling, the outlet itself otherwise.  Pricing it
+        is :class:`repro.cooling.loop.CoolingLoop`'s (Eq. 16).
     """
 
     battery_temps_k: np.ndarray
     coolant_temps_k: np.ndarray
     inlet_temp_k: float
-    cooler_power_w: float
-    pump_power_w: float
 
     @property
     def mean_battery_temp_k(self) -> float:
@@ -106,14 +104,11 @@ class MultiNodeCoolingLoop:
             battery_temps_k=np.full(self._m, float(temp_k)),
             coolant_temps_k=np.full(self._m, float(temp_k)),
             inlet_temp_k=float(temp_k),
-            cooler_power_w=0.0,
-            pump_power_w=0.0,
         )
 
-    #: C2/C3 inlet clamp and Eq. 16 cooler power of the lumped loop, priced
-    #: against the pack outlet (both read only the loop parameters).
+    #: C2/C3 inlet clamp of the lumped loop, applied against the pack outlet
+    #: (it reads only the loop parameters).
     clamp_inlet = CoolingLoop.clamp_inlet
-    cooler_power_w = CoolingLoop.cooler_power_w
 
     def step(
         self,
@@ -139,18 +134,14 @@ class MultiNodeCoolingLoop:
         q = pack_heat_w / m
 
         # the stream leaves the pack at (approximately) the last segment's
-        # coolant temperature; the cooler prices against that outlet
+        # coolant temperature; the C2/C3 clamp holds against that outlet
         outlet = float(state.coolant_temps_k[-1])
         if cooling_active:
             inlet = self.clamp_inlet(inlet_temp_k, outlet)
             wc = p.flow_capacity_rate_w_per_k
-            pump = p.pump_power_w
-            cooler = self.cooler_power_w(inlet, outlet)
         else:
             inlet = outlet
             wc = 0.0
-            pump = 0.0
-            cooler = 0.0
 
         new_tb = np.empty(m)
         new_tc = np.empty(m)
@@ -169,6 +160,4 @@ class MultiNodeCoolingLoop:
             battery_temps_k=new_tb,
             coolant_temps_k=new_tc,
             inlet_temp_k=inlet,
-            cooler_power_w=cooler,
-            pump_power_w=pump,
         )

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.battery.pack import DEFAULT_PACK, BatteryPack, PackConfig
+from repro.battery.pack import DEFAULT_PACK, PackConfig
 from repro.controllers.base import Architecture, Decision, Observation
 from repro.cooling.coolant import DEFAULT_COOLANT, CoolantParams
 from repro.core.cost import CostWeights
 from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner, SolverStats
 from repro.core.rollout import PredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
-from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams
 
 
@@ -30,9 +29,9 @@ def prediction_model(
 ) -> PredictionModel:
     """The MPC's prediction model for one simulated plant.
 
-    The converters come from probes of the plant's own pack and bank, so
-    they are identical to the plant's defaults and the predictions match
-    the simulated HEES.  :class:`OTEMController` builds its model here;
+    The converters come from the plant's own pack layout and bank ratings,
+    so they are identical to the plant's defaults and the predictions
+    match the simulated HEES.  :class:`OTEMController` builds its model here;
     the lockstep twin (:class:`repro.controllers.batched.BatchedOTEM`)
     races the controllers' own planners, so it shares these models.
     """
@@ -40,8 +39,8 @@ def prediction_model(
         pack_config,
         cap_params,
         coolant,
-        default_battery_converter(BatteryPack(pack_config)),
-        default_cap_converter(UltracapBank(cap_params)),
+        default_battery_converter(pack_config),
+        default_cap_converter(cap_params.rated_voltage_v, cap_params.max_power_w),
         weights,
     )
 

@@ -52,13 +52,11 @@ class DualHEES(RestrungHEES):
     #: that lands in the bank [-] (switch + wiring loss).
     ETA_PATH = 0.95
 
-    def _cap_deliverable_w(self, request_w: float, v_c: float, dt: float) -> float:
+    def _cap_deliverable_w(self, request_w: float, v_c: float, discharge_w) -> float:
         """Power the bank can push into the load at its voltage ``v_c``
-        (:meth:`cap_voltage`)."""
+        (:meth:`cap_voltage`) and its window's discharge limit."""
         max_point = v_c * v_c / (4.0 * self._rc)  # maximum-power-transfer point
-        return np.minimum(
-            request_w, np.minimum(max_point, self._bank.max_discharge_power_w(dt))
-        )
+        return np.minimum(request_w, np.minimum(max_point, discharge_w))
 
     def step(
         self,
@@ -77,7 +75,8 @@ class DualHEES(RestrungHEES):
             regen sink in this architecture [16] - with any excess going to
             the battery.
         mode:
-            Switch position chosen by the controller.
+            Switch position chosen by the controller: a :class:`DualMode`
+            member or its integer code.
         recharge_power_w:
             Battery->bank recharge power [W] when ``mode`` is RECHARGE
             (ignored otherwise).
@@ -88,19 +87,21 @@ class DualHEES(RestrungHEES):
             raise ValueError(f"dt must be positive, got {dt}")
         pack, bank = self._pack, self._bank
 
+        # at most one bank path runs, so one window serves it
         cap_request = 0.0
         bank_charge = 0.0
         regen_to_cap = 0.0
         if request_w < 0:
             # regen charges the bank first (switch position), excess to battery
-            regen_to_cap = min(-request_w, bank.max_charge_power_w(dt))
-        elif mode is DualMode.ULTRACAP:
+            window = bank.window(dt)
+            regen_to_cap = min(-request_w, window[0])
+        elif mode == DualMode.ULTRACAP:
+            window = bank.window(dt)
             v_c = self.cap_voltage()
-            cap_request = self._cap_deliverable_w(request_w, v_c, dt)
-        if mode is DualMode.RECHARGE and recharge_power_w > 0 and request_w >= 0:
-            bank_charge = min(
-                recharge_power_w, max(0.0, bank.max_charge_power_w(dt) - regen_to_cap)
-            )
+            cap_request = self._cap_deliverable_w(request_w, v_c, window[1])
+        elif mode == DualMode.RECHARGE and recharge_power_w > 0:
+            window = bank.window(dt)
+            bank_charge = min(recharge_power_w, window[0])
 
         circuit_loss = 0.0
         cap_energy = 0.0
@@ -111,7 +112,7 @@ class DualHEES(RestrungHEES):
             # (only the ULTRACAP branch sets a request, and v_c with it)
             disc = v_c * v_c - 4.0 * self._rc * cap_request
             i_c = (v_c - np.sqrt(max(disc, 0.0))) / (2.0 * self._rc)
-            cap = bank.apply_power(v_c * i_c, dt)
+            cap = bank.apply_power(v_c * i_c, dt, window)
             cap_energy = cap.energy_j
             cap_power = cap.power_w
             # the current actually flowing in the re-strung configuration
@@ -124,14 +125,14 @@ class DualHEES(RestrungHEES):
 
         if regen_to_cap > 0:
             # regen into the bank (lossy switch/wiring path)
-            cap = bank.apply_power(-regen_to_cap * self.ETA_PATH, dt)
+            cap = bank.apply_power(-regen_to_cap * self.ETA_PATH, dt, window)
             cap_energy += cap.energy_j
             cap_power += cap.power_w
             circuit_loss += regen_to_cap * (1.0 - self.ETA_PATH) * dt
 
         if bank_charge > 0:
             # battery pushes energy into the bank (lossy path)
-            cap = bank.apply_power(-bank_charge * self.ETA_PATH, dt)
+            cap = bank.apply_power(-bank_charge * self.ETA_PATH, dt, window)
             cap_energy += cap.energy_j
             circuit_loss += bank_charge * (1.0 - self.ETA_PATH) * dt
             battery_extra = bank_charge
@@ -196,23 +197,21 @@ class DualHEESVec(DualHEES):
         r_c = self._rc
         eta_path = DualHEES.ETA_PATH
 
-        max_charge = bank.max_charge_power_w(dt)
+        window = charge_w, discharge_w = bank.window(dt)
         v_c = self.cap_voltage()
         regen_to_cap = np.where(
-            request_w < 0, np.minimum(-request_w, max_charge), 0.0
+            request_w < 0, np.minimum(-request_w, charge_w), 0.0
         )
         cap_request = np.where(
             (request_w >= 0) & (mode == DualMode.ULTRACAP.value),
-            self._cap_deliverable_w(request_w, v_c, dt),
+            self._cap_deliverable_w(request_w, v_c, discharge_w),
             0.0,
         )
         bank_charge = np.where(
             (mode == DualMode.RECHARGE.value)
             & (recharge_power_w > 0)
             & (request_w >= 0),
-            np.minimum(
-                recharge_power_w, np.maximum(0.0, max_charge - regen_to_cap)
-            ),
+            np.minimum(recharge_power_w, charge_w),
             0.0,
         )
 
@@ -227,7 +226,7 @@ class DualHEESVec(DualHEES):
         bank_power = bank_power - regen_to_cap * eta_path
         bank_power = bank_power - bank_charge * eta_path
         touched = discharging | regenerating | charging
-        cap = bank.apply_power(bank_power, dt, active=touched)
+        cap = bank.apply_power(bank_power, dt, window, active=touched)
 
         cap_energy = cap.energy_j
         # the recharge path contributes energy only (matches the scalar

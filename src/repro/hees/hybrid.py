@@ -20,31 +20,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.battery.pack import BatteryPack, BatteryPackVec
+from repro.battery.pack import BatteryPack, BatteryPackVec, PackConfig
 from repro.hees.converter import ConverterParams, DCDCConverter
 from repro.hees.state import HEESStepResult
 from repro.ultracap.bank import UltracapBank, UltracapBankVec
 
 
-def default_battery_converter(pack: BatteryPack) -> DCDCConverter:
+def default_battery_converter(config: PackConfig) -> DCDCConverter:
     """Battery-port converter: flat, high efficiency near pack voltage."""
     return DCDCConverter(
         ConverterParams(
             eta_max=0.97,
             eta_min=0.90,
             droop=0.10,
-            v_ref=pack.config.nominal_voltage_v,
-            max_power_w=2.0 * pack.config.max_power_w,
+            v_ref=config.nominal_voltage_v,
+            max_power_w=2.0 * config.max_power_w,
         )
     )
 
 
-def default_cap_converter(bank: UltracapBank) -> DCDCConverter:
-    """Ultracap-port converter: efficiency sags as the bank depletes."""
-    return _cap_converter(bank.params.rated_voltage_v, bank.params.max_power_w)
-
-
-def _cap_converter(rated_voltage_v: float, max_power_w: float) -> DCDCConverter:
+def default_cap_converter(rated_voltage_v: float, max_power_w: float) -> DCDCConverter:
+    """Ultracap-port converter at a bank's ratings: efficiency sags as it depletes."""
     return DCDCConverter(
         ConverterParams(
             eta_max=0.97,
@@ -73,8 +69,10 @@ class HybridHEES:
     def __init__(self, pack: BatteryPack, bank: UltracapBank):
         self._pack = pack
         self._bank = bank
-        self._bat_conv = default_battery_converter(pack)
-        self._cap_conv = default_cap_converter(bank)
+        self._bat_conv = default_battery_converter(pack.config)
+        self._cap_conv = default_cap_converter(
+            bank.params.rated_voltage_v, bank.params.max_power_w
+        )
 
     @property
     def pack(self) -> BatteryPack:
@@ -96,21 +94,20 @@ class HybridHEES:
         """Ultracap-port converter."""
         return self._cap_conv
 
-    def cap_bus_limits(self, dt: float, eta: float) -> tuple[float, float]:
-        """(min, max) feasible ultracap bus-power command for a ``dt`` step.
+    @staticmethod
+    def cap_bus_limits(window, eta: float) -> tuple[float, float]:
+        """(min, max) feasible ultracap bus-power command.
 
-        ``eta`` is the ultracap-port efficiency at the bank's voltage, the
-        one the step's transfers take.  Max is discharge (bank energy,
-        converter rating); min is charge (negative; bank headroom,
-        converter rating).  NumPy ufunc expressions, so the lockstep twin
-        inherits it: floats here, one entry per column there.  ``eta``
-        never reaches zero - the converter clips it at ``eta_min`` >= 0.3 -
-        so the charge limits divide by it unguarded.
+        The bank's C5/C7 ``window``
+        (:meth:`~repro.ultracap.bank.UltracapBank.window`, already capped
+        at the bank rating, which is the converter's) carried through the
+        ultracap port at ``eta``, its efficiency at the bank's voltage.
+        Floats here, columns on the lockstep twin.  ``eta`` never reaches
+        zero - the converter clips it at ``eta_min`` >= 0.3 - so the charge
+        limit divides by it unguarded.
         """
-        rating = self._cap_conv.params.max_power_w
-        discharge = np.minimum(self._bank.max_discharge_power_w(dt) * eta, rating * eta)
-        charge = np.minimum(self._bank.max_charge_power_w(dt) / eta, rating / eta)
-        return (-charge, discharge)
+        charge_w, discharge_w = window
+        return (-(charge_w / eta), discharge_w * eta)
 
     def step(self, request_w: float, cap_bus_command_w: float, dt: float) -> HEESStepResult:
         """Advance one step with the controller's ultracap split.
@@ -138,7 +135,8 @@ class HybridHEES:
         eta_bat = self._bat_conv.efficiency(pack.config.series * voc)
         eta_cap = self._cap_conv.efficiency(bank.voltage())
 
-        lo, hi = self.cap_bus_limits(dt, eta_cap)
+        window = bank.window(dt)
+        lo, hi = self.cap_bus_limits(window, eta_cap)
         # charging the bank must never displace load delivery: the battery
         # has to cover request - cap_bus, so the charge command is limited
         # to the battery's remaining bus-side headroom
@@ -150,7 +148,7 @@ class HybridHEES:
         cap_bus = min(max(cap_bus_command_w, lo), hi)
 
         cap_port = self._cap_conv.port_power_for_bus(cap_bus, eta_cap)
-        cap = bank.apply_power(cap_port, dt)
+        cap = bank.apply_power(cap_port, dt, window)
         # realized bus contribution after any bank-side clipping
         cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, eta_cap)
         cap_conv_loss = abs(cap.power_w - cap_bus_real)
@@ -167,10 +165,13 @@ class HybridHEES:
 
         # emergency pass: if the battery clipped on a discharge peak, tap
         # the bank's reserve band (below the C5 floor, above the physical
-        # hard floor) rather than starve the EV load
+        # hard floor) rather than starve the EV load; the bank has moved, so
+        # the pass reads its window afresh
         if unmet > 1.0:
             extra_port = self._cap_conv.port_power_for_bus(unmet, eta_cap)
-            extra = bank.apply_power(extra_port, dt, tap_reserve=True)
+            extra = bank.apply_power(
+                extra_port, dt, bank.window(dt, tap_reserve=True)
+            )
             extra_bus = self._cap_conv.bus_power_for_port(extra.power_w, eta_cap)
             cap_conv_loss += abs(extra.power_w - extra_bus)
             cap_power += extra.power_w
@@ -205,7 +206,8 @@ class HybridHEESVec(HybridHEES):
     (hence the battery-port converter) is a lockstep group key.  The main
     bank call is unconditional - the scalar plant also rounds the SoE
     through ``apply_power`` at zero command - and the reserve-tap
-    emergency pass is masked on ``unmet > 1``.
+    emergency pass, which reads the post-step window once, is masked on
+    ``unmet > 1``.
     """
 
     def __init__(self, pack: BatteryPackVec, bank: UltracapBankVec):
@@ -219,8 +221,8 @@ class HybridHEESVec(HybridHEES):
             )
         self._pack = pack
         self._bank = bank
-        self._bat_conv = default_battery_converter(pack)
-        self._cap_conv = _cap_converter(*ratings.pop())
+        self._bat_conv = default_battery_converter(pack.config)
+        self._cap_conv = default_cap_converter(*ratings.pop())
 
     def step(
         self, request_w: np.ndarray, cap_bus_command_w: np.ndarray, dt: float
@@ -234,7 +236,8 @@ class HybridHEESVec(HybridHEES):
         eta_bat = self._bat_conv.efficiency(pack.config.series * voc)
         eta_cap = self._cap_conv.efficiency(bank.voltage())
 
-        lo, hi = self.cap_bus_limits(dt, eta_cap)
+        window = bank.window(dt)
+        lo, hi = self.cap_bus_limits(window, eta_cap)
         bat_max_bus = self._bat_conv.bus_power_for_port(
             pack.max_discharge_power_w(voc, res), eta_bat
         )
@@ -243,7 +246,7 @@ class HybridHEESVec(HybridHEES):
         cap_bus = np.minimum(np.maximum(cap_bus_command_w, lo), hi)
 
         cap_port = self._cap_conv.port_power_for_bus(cap_bus, eta_cap)
-        cap = bank.apply_power(cap_port, dt)
+        cap = bank.apply_power(cap_port, dt, window)
         cap_bus_real = self._cap_conv.bus_power_for_port(cap.power_w, eta_cap)
         cap_conv_loss = np.abs(cap.power_w - cap_bus_real)
 
@@ -265,7 +268,9 @@ class HybridHEESVec(HybridHEES):
         em = unmet > 1.0
         if np.any(em):
             extra_port = self._cap_conv.port_power_for_bus(unmet, eta_cap)
-            extra = bank.apply_power(extra_port, dt, tap_reserve=True, active=em)
+            extra = bank.apply_power(
+                extra_port, dt, bank.window(dt, tap_reserve=True), active=em
+            )
             extra_bus = self._cap_conv.bus_power_for_port(
                 extra.power_w, eta_cap
             )

@@ -147,7 +147,7 @@ class ParallelHEES(RestrungHEES):
         # energy leaves the capacitor store at OCV x current (Eq. 9);
         # the bank enforces C5/C7 and may clip, so re-derive the current
         # actually flowing in the re-strung (high-voltage) configuration
-        cap = bank.apply_power(v_c * i_c, dt)
+        cap = bank.apply_power(v_c * i_c, dt, bank.window(dt))
         i_c_real = cap.power_w / v_c if v_c > 1e-6 else 0.0
         realized_cap_bus = cap.power_w - (i_c_real**2) * r_c
 
@@ -215,7 +215,7 @@ class ParallelHEESVec(ParallelHEES):
         )
         i_c = np.where(bat.clipped, residual_i, i_c)
 
-        cap = bank.apply_power(v_c * i_c, dt)
+        cap = bank.apply_power(v_c * i_c, dt, bank.window(dt))
         i_c_real = np.where(
             v_c > 1e-6, cap.power_w / np.maximum(v_c, 1e-30), 0.0
         )

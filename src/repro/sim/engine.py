@@ -15,7 +15,8 @@ Per step it
    channel, the price the ``cooling_power_w`` channel,
 4. steps the HEES plant the controller's ``architecture`` names; the
    plant reads each of its states once per step (the pack's cell Voc and
-   R, the bank voltage, each converter port's efficiency),
+   R, the bank voltage, the bank's C5/C7 window, each converter port's
+   efficiency),
 5. advances the coupled battery/coolant temperatures (Eq. 14-15 via
    Eq. 17) at the applied inlet, with the flow term on where cooling is
    on,

@@ -23,12 +23,13 @@ bodies stay twinned because their scalar originals are measurably faster
 on floats; each mirrors its scalar counterpart expression-for-expression,
 with branches re-expressed as ``np.where`` masks that never round-trip
 untouched state.  Both twins of a step read each plant state once (the
-pack's cell Voc and R via ``cell_voc_res``, the bank voltage, each
-converter port's efficiency) and hand it on; the loop's twins take the
-inlet :func:`repro.sim.engine.drive` already clamped and priced, and
-return just the two new temperatures.  Everything else is defined once
+pack's cell Voc and R via ``cell_voc_res``, the bank voltage, the bank's
+C5/C7 ``window``, each converter port's efficiency) and hand it on: the
+bank's ``apply_power`` clips into the window it is handed and reads no
+state.  The loop's twins take the inlet :func:`repro.sim.engine.drive`
+already clamped and priced, and return just the two new temperatures.  Everything else is defined once
 and takes a float or a column array alike: every plant query (the bank's
-Eq. 8 voltage and C5/C7 energy and power limits, the pack's Voc, R and C6
+Eq. 8 voltage, energy queries and C5/C7 window, the pack's Voc, R and C6
 ceiling, the re-strung ``cap_voltage``, ``sync_soe_to_battery``,
 ``cap_bus_limits``, the loop's C2/C3 inlet clamp and Eq. 16 cooler power)
 is a NumPy ufunc expression the twins inherit.  Shared as well are the

@@ -4,7 +4,9 @@ The bank tracks State-of-Energy (SoE); voltage follows
 ``Vcap = V_r sqrt(SoE/100)`` (Eq. 8) and energy integrates
 ``Vcap * Icap`` (Eq. 9).  Power transfer is limited by the rated power
 (constraint C7) and by the C5 SoE window - a depleted bank delivers
-nothing, a full bank accepts nothing.
+nothing, a full bank accepts nothing.  Both limits are one query,
+:meth:`UltracapBank.window`, read once per bank state and handed to
+:meth:`UltracapBank.apply_power`, which reads no state of its own.
 """
 
 from __future__ import annotations
@@ -109,44 +111,40 @@ class UltracapBank:
             * self._p.energy_capacity_j
         )
 
-    def max_discharge_power_w(self, dt: float) -> float:
-        """Largest sustainable discharge power for a step of ``dt`` [W]."""
-        return np.minimum(
-            self._p.max_power_w, self.available_j() / dt if dt > 0 else 0.0
-        )
+    def window(self, dt: float, tap_reserve: bool = False) -> tuple[float, float]:
+        """The C5/C7 window ``(charge_w, discharge_w)`` for a step of ``dt``.
 
-    def max_charge_power_w(self, dt: float) -> float:
-        """Largest sustainable charge power for a step of ``dt`` [W] (positive)."""
-        return np.minimum(
-            self._p.max_power_w, self.headroom_j() / dt if dt > 0 else 0.0
-        )
+        Each side [W, positive] is the rated power (C7) or the energy left
+        before the C5 bound spread over ``dt``, whichever is smaller; a
+        ``dt <= 0`` step moves nothing.  ``tap_reserve`` widens the
+        discharge side down to the hard floor: the hybrid plant's emergency
+        pass, so a management constraint never starves the EV load.
+        """
+        charge = discharge = 0.0
+        if dt > 0:
+            charge = self.headroom_j() / dt
+            discharge = self.available_j()
+            if tap_reserve:
+                discharge = discharge + self.reserve_j()
+            discharge = discharge / dt
+        rating = self._p.max_power_w
+        return np.minimum(rating, charge), np.minimum(rating, discharge)
 
     def apply_power(
-        self, power_w: float, dt: float, tap_reserve: bool = False
+        self, power_w: float, dt: float, window: tuple[float, float]
     ) -> UltracapStepResult:
         """Transfer ``power_w`` for ``dt`` seconds (positive = discharge).
 
-        The transfer is clipped at the rated power (C7) and at the SoE
-        window (C5).  Energy bookkeeping uses Eq. 9; the bank's small series
-        resistance is neglected here as in the paper.
-
-        ``tap_reserve`` lets a discharge dip below the C5 floor down to the
-        physical hard floor - the emergency path the hybrid plant uses so a
-        management constraint never starves the EV load.
+        The transfer is clipped into ``window``, the :meth:`window` of the
+        state the step starts from; energy bookkeeping uses Eq. 9, the
+        bank's small series resistance neglected as in the paper.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        p = self._p
-        power = float(np.clip(power_w, -p.max_power_w, p.max_power_w))
-        if power > 0:
-            deliverable = self.available_j()
-            if tap_reserve:
-                deliverable += self.reserve_j()
-            power = min(power, deliverable / dt)
-        elif power < 0:
-            power = -min(-power, self.headroom_j() / dt)
+        charge_w, discharge_w = window
+        power = min(max(power_w, -charge_w), discharge_w)
         energy = power * dt
-        self._soe = 100.0 * (self.energy_j - energy) / p.energy_capacity_j
+        self._soe = 100.0 * (self.energy_j - energy) / self._p.energy_capacity_j
         return UltracapStepResult(power_w=power, energy_j=energy)
 
     def reset(self, soe_percent: float = 100.0):
@@ -178,8 +176,8 @@ class UltracapBankVec(UltracapBank):
     Unlike the battery pack, bank parameters vary across a sweep (the
     paper's Table I sizes), so :attr:`params` holds each field the bank and
     the plants read as a per-column array; SoE is per-column state.  Every
-    query is inherited from :class:`UltracapBank`; :meth:`apply_power`
-    mirrors the scalar step expression-for-expression so each column is
+    query, :meth:`window` included, is inherited from :class:`UltracapBank`;
+    :meth:`apply_power` adds only its ``active`` mask, so each column is
     bitwise-identical to a scalar bank run.  Every column starts full
     (SoE 100 %), as every route does; :meth:`reset` sets other SoEs.
     """
@@ -203,7 +201,7 @@ class UltracapBankVec(UltracapBank):
         self,
         power_w: np.ndarray,
         dt: float,
-        tap_reserve: bool = False,
+        window: tuple[np.ndarray, np.ndarray],
         active=None,
     ) -> UltracapStepResult:
         """Vectorized :meth:`UltracapBank.apply_power` over all columns.
@@ -211,23 +209,19 @@ class UltracapBankVec(UltracapBank):
         ``active`` (optional boolean mask) restricts the update to a subset
         of columns: inactive columns keep their exact SoE bit pattern and
         report zero power and energy - the lockstep equivalent of the
-        scalar plants *not calling* ``apply_power`` on a branch.
+        scalar plants *not calling* ``apply_power`` on a branch.  The clip
+        selects with ``np.where``, so a zero keeps its scalar sign.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        p = self._p
-        power = np.clip(power_w, -p.max_power_w, p.max_power_w)
-        deliverable = self.available_j()
-        if tap_reserve:
-            deliverable = deliverable + self.reserve_j()
+        charge_w, discharge_w = window
         power = np.where(
-            power > 0, np.minimum(power, deliverable / dt), power
-        )
-        power = np.where(
-            power < 0, -np.minimum(-power, self.headroom_j() / dt), power
+            power_w > discharge_w,
+            discharge_w,
+            np.where(power_w < -charge_w, -charge_w, power_w),
         )
         energy = power * dt
-        new_soe = 100.0 * (self.energy_j - energy) / p.energy_capacity_j
+        new_soe = 100.0 * (self.energy_j - energy) / self._p.energy_capacity_j
         if active is None:
             self._soe = new_soe
         else:

@@ -45,10 +45,6 @@ class TestPackElectrical:
         cell_voc = float(pack.electrical.open_circuit_voltage(100.0))
         assert pack.open_circuit_voltage() == pytest.approx(96 * cell_voc)
 
-    def test_pack_resistance_layout(self, pack):
-        cell_r = float(pack.electrical.internal_resistance(100.0, 298.0))
-        assert pack.internal_resistance() == pytest.approx(cell_r * 96 / 30)
-
 
 class TestApplyPower:
     def test_discharge_reduces_soc(self, pack):

@@ -106,9 +106,22 @@ class TestEnergyAndSafety:
         assert stored == pytest.approx(heat * steps, rel=1e-9)
 
     def test_cooler_power_within_ceiling(self):
+        # the applied inlet obeys C2 (no warmer than the pack outlet) and C3
+        # (priced by the lumped loop at that outlet, within the cooler's
+        # ceiling) at the outlet each step clamped it to
         loop = MultiNodeCoolingLoop(DEFAULT_COOLANT, CB, nodes=4)
-        state = run_multinode(loop, 320.0, 280.0, 3_000.0, 50)
-        assert state.cooler_power_w <= DEFAULT_COOLANT.max_cooler_power_w * (1 + 1e-9)
+        lumped = CoolingLoop(DEFAULT_COOLANT, CB)
+        state = loop.initial_state(320.0)
+        clamped = 0
+        for _ in range(50):
+            outlet = state.coolant_temps_k[-1]
+            state = loop.step(state, 280.0, 3_000.0, 1.0)
+            assert state.inlet_temp_k <= outlet
+            assert lumped.cooler_power_w(
+                state.inlet_temp_k, outlet
+            ) <= DEFAULT_COOLANT.max_cooler_power_w * (1 + 1e-9)
+            clamped += state.inlet_temp_k > 280.0
+        assert clamped > 0  # the command was raised to the coldest inlet
 
     def test_rejects_nonpositive_dt(self):
         loop = MultiNodeCoolingLoop(DEFAULT_COOLANT, CB, nodes=2)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from repro.battery.pack import DEFAULT_PACK, BatteryPack
+from repro.battery.pack import DEFAULT_PACK
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.cost import CostWeights
 from repro.core.lbfgsb_lockstep import FTOL, GTOL, MAXITER, minimize_lockstep
 from repro.core.mpc import DEFAULT_MAX_EVALS, MPCPlanner, MPCPlannerVec, _pad_previews
 from repro.core.rollout import PredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
-from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams
 
 
@@ -21,14 +20,12 @@ def make_model(capacitance_f=None, weights=None):
         if capacitance_f is None
         else UltracapParams(capacitance_f=capacitance_f)
     )
-    pack = BatteryPack(DEFAULT_PACK)
-    bank = UltracapBank(cap_params)
     return PredictionModel(
         DEFAULT_PACK,
         cap_params,
         DEFAULT_COOLANT,
-        default_battery_converter(pack),
-        default_cap_converter(bank),
+        default_battery_converter(DEFAULT_PACK),
+        default_cap_converter(cap_params.rated_voltage_v, cap_params.max_power_w),
         weights or CostWeights(),
     )
 

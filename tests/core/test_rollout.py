@@ -27,14 +27,13 @@ from repro.ultracap.params import UltracapParams
 
 @pytest.fixture()
 def model():
-    pack = BatteryPack(DEFAULT_PACK)
-    bank = UltracapBank(UltracapParams())
+    cap = UltracapParams()
     return PredictionModel(
         DEFAULT_PACK,
-        UltracapParams(),
+        cap,
         DEFAULT_COOLANT,
-        default_battery_converter(pack),
-        default_cap_converter(bank),
+        default_battery_converter(DEFAULT_PACK),
+        default_cap_converter(cap.rated_voltage_v, cap.max_power_w),
         CostWeights(),
     )
 
@@ -55,14 +54,13 @@ class TestScalarPiecesMatchVectorModels:
             )
 
     def test_cap_converter_efficiency(self, model):
-        bank = UltracapBank(UltracapParams())
-        conv = default_cap_converter(bank)
+        cap = UltracapParams()
+        conv = default_cap_converter(cap.rated_voltage_v, cap.max_power_w)
         for v in [8.0, 12.0, 16.2]:
             assert model._cap_eta(v) == pytest.approx(float(conv.efficiency(v)), rel=1e-12)
 
     def test_bat_converter_efficiency(self, model):
-        pack = BatteryPack()
-        conv = default_battery_converter(pack)
+        conv = default_battery_converter(DEFAULT_PACK)
         for v in [300.0, 345.6, 400.0]:
             assert model._bat_eta(v) == pytest.approx(float(conv.efficiency(v)), rel=1e-12)
 

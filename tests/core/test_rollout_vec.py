@@ -16,22 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.battery.pack import DEFAULT_PACK, BatteryPack
+from repro.battery.pack import DEFAULT_PACK
 from repro.cooling.coolant import DEFAULT_COOLANT
 from repro.core.cost import CostWeights
 from repro.core import rollout_vec
 from repro.core.rollout import TEMP_MAX_K, PredictionModel
 from repro.core.rollout_vec import BatchPredictionModel
 from repro.hees.hybrid import default_battery_converter, default_cap_converter
-from repro.ultracap.bank import UltracapBank
 from repro.ultracap.params import UltracapParams
 
+CAP = UltracapParams()
 SCALAR = PredictionModel(
     DEFAULT_PACK,
-    UltracapParams(),
+    CAP,
     DEFAULT_COOLANT,
-    default_battery_converter(BatteryPack(DEFAULT_PACK)),
-    default_cap_converter(UltracapBank(UltracapParams())),
+    default_battery_converter(DEFAULT_PACK),
+    default_cap_converter(CAP.rated_voltage_v, CAP.max_power_w),
     CostWeights(),
 )
 BATCH = BatchPredictionModel.from_scalar(SCALAR)
@@ -210,8 +210,8 @@ class TestStackedKernel:
             DEFAULT_PACK,
             small,
             DEFAULT_COOLANT,
-            default_battery_converter(BatteryPack(DEFAULT_PACK)),
-            default_cap_converter(UltracapBank(small)),
+            default_battery_converter(DEFAULT_PACK),
+            default_cap_converter(small.rated_voltage_v, small.max_power_w),
             CostWeights(),
         )
         states, previews, cap, inlet = self._rows()

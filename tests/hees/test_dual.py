@@ -1,10 +1,13 @@
 """Dual (switched) architecture tests."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.battery.pack import BatteryPack
-from repro.hees.dual import DualHEES, DualMode
-from repro.ultracap.bank import UltracapBank
+from repro.battery.pack import DEFAULT_PACK, BatteryPack, BatteryPackVec
+from repro.hees.dual import DualHEES, DualHEESVec, DualMode
+from repro.ultracap.bank import UltracapBank, UltracapBankVec
 from repro.ultracap.params import UltracapParams
 
 
@@ -118,3 +121,46 @@ class TestMisc:
     def test_default_resistance_derived(self):
         plant = DualHEES(BatteryPack(), UltracapBank(UltracapParams()))
         assert plant.cap_voltage() > 0  # construction succeeded with derived R
+
+
+class TestModeCodes:
+    """A switch position is its code: members, ints and NumPy ints alike.
+
+    The lockstep twin takes a column of codes; the scalar plant must read
+    the same code the same way.
+    """
+
+    SOE = 60.0
+
+    def _scalar_step(self, mode):
+        plant = DualHEES(
+            BatteryPack(), UltracapBank(UltracapParams(), initial_soe_percent=self.SOE)
+        )
+        result = plant.step(30_000.0, mode, 5_000.0, 1.0)
+        return [*dataclasses.astuple(result), plant.bank.soe_percent, plant.pack.soc_percent]
+
+    def _lockstep_step(self, mode):
+        plant = DualHEESVec(
+            BatteryPackVec(DEFAULT_PACK, np.array([100.0]), np.array([298.0])),
+            UltracapBankVec([UltracapParams()]),
+        )
+        plant.bank.reset(np.array([self.SOE]))
+        result = plant.step(
+            np.array([30_000.0]), np.array([int(mode)]), np.array([5_000.0]), 1.0
+        )
+        return [
+            *(field[0] for field in dataclasses.astuple(result)),
+            plant.bank.soe_percent[0],
+            plant.pack.soc_percent[0],
+        ]
+
+    @pytest.mark.parametrize("member", list(DualMode), ids=lambda m: m.name)
+    def test_codes_step_like_the_member(self, member):
+        def bits(values):
+            return np.array(values, dtype=float).tobytes()
+
+        scalar = self._scalar_step(member)
+        for code in (int(member), np.int64(member)):
+            assert bits(self._scalar_step(code)) == bits(scalar)
+        # the twins may round the two bookkeeping-only channels one ulp apart
+        np.testing.assert_allclose(self._lockstep_step(member), scalar, rtol=1e-12)

@@ -18,6 +18,11 @@ def cap_eta(plant):
     return plant.cap_converter.efficiency(plant.bank.voltage())
 
 
+def cap_bus_limits(plant, dt=1.0):
+    """The hybrid limits at the bank's window and port efficiency, as a step reads them."""
+    return plant.cap_bus_limits(plant.bank.window(dt), cap_eta(plant))
+
+
 def c6_ceiling(pack):
     """The pack's C6 power ceiling at its own cell pair."""
     return pack.max_discharge_power_w(*pack.cell_voc_res())
@@ -65,7 +70,7 @@ class TestSplit:
         assert result.converter_loss_j > 0
 
     def test_command_clipped_to_bank_limits(self, plant):
-        _, hi = plant.cap_bus_limits(1.0, cap_eta(plant))  # what the step clips against
+        _, hi = cap_bus_limits(plant)  # what the step clips against
         _, cap_bus, _ = _step_bus_powers(plant, 10_000.0, 1e6)
         assert cap_bus <= hi * (1.0 + 1e-12)
 
@@ -115,11 +120,11 @@ class TestRegen:
 
 class TestCapBusLimits:
     def test_limits_shapes(self, plant):
-        lo, hi = plant.cap_bus_limits(1.0, cap_eta(plant))
+        lo, hi = cap_bus_limits(plant)
         assert lo <= 0 <= hi
 
     def test_full_bank_cannot_charge(self, plant):
-        lo, _ = plant.cap_bus_limits(1.0, cap_eta(plant))
+        lo, _ = cap_bus_limits(plant)
         assert lo == pytest.approx(0.0)
 
     def test_empty_bank_cannot_discharge(self):
@@ -127,7 +132,7 @@ class TestCapBusLimits:
             BatteryPack(),
             UltracapBank(UltracapParams(), initial_soe_percent=20.0),
         )
-        _, hi = plant.cap_bus_limits(1.0, cap_eta(plant))
+        _, hi = cap_bus_limits(plant)
         assert hi == pytest.approx(0.0)
 
     def test_rejects_nonpositive_dt(self, plant):

@@ -27,12 +27,13 @@ from repro.ultracap.params import UltracapParams
 from tests.core.test_rollout import check_gradient
 from tests.core.test_rollout_vec import materialized_stencil
 
+CAP = UltracapParams()
 MODEL = PredictionModel(
     DEFAULT_PACK,
-    UltracapParams(),
+    CAP,
     DEFAULT_COOLANT,
-    default_battery_converter(BatteryPack(DEFAULT_PACK)),
-    default_cap_converter(UltracapBank(UltracapParams())),
+    default_battery_converter(DEFAULT_PACK),
+    default_cap_converter(CAP.rated_voltage_v, CAP.max_power_w),
     CostWeights(),
 )
 

@@ -35,7 +35,7 @@ class TestStepInvariants:
     @given(soe, power, dt)
     def test_soe_stays_in_window(self, s0, p, step):
         bank = UltracapBank(UltracapParams(), initial_soe_percent=s0)
-        bank.apply_power(p, step)
+        bank.apply_power(p, step, bank.window(step))
         params = bank.params
         assert (
             min(s0, params.soe_min_percent) - 1e-6
@@ -46,20 +46,20 @@ class TestStepInvariants:
     @given(soe, power, dt)
     def test_power_never_exceeds_rating(self, s0, p, step):
         bank = UltracapBank(UltracapParams(), initial_soe_percent=s0)
-        result = bank.apply_power(p, step)
+        result = bank.apply_power(p, step, bank.window(step))
         assert abs(result.power_w) <= bank.params.max_power_w + 1e-9
 
     @given(soe, power, dt)
     def test_energy_bookkeeping_exact(self, s0, p, step):
         bank = UltracapBank(UltracapParams(), initial_soe_percent=s0)
         before = bank.energy_j
-        result = bank.apply_power(p, step)
+        result = bank.apply_power(p, step, bank.window(step))
         assert before - bank.energy_j == pytest.approx(result.energy_j, abs=1e-6)
 
     @given(soe, st.floats(min_value=0.0, max_value=80_000.0), dt)
     def test_reserve_tap_respects_hard_floor(self, s0, p, step):
         bank = UltracapBank(UltracapParams(), initial_soe_percent=s0)
-        bank.apply_power(p, step, tap_reserve=True)
+        bank.apply_power(p, step, bank.window(step, tap_reserve=True))
         floor = min(s0, bank.params.soe_hard_min_percent)
         assert bank.soe_percent >= floor - 1e-6
 
@@ -71,7 +71,7 @@ class TestStepInvariants:
     def test_charge_discharge_roundtrip(self, s0, p, step):
         # start within the C5 window so the return discharge is not clipped
         bank = UltracapBank(UltracapParams(), initial_soe_percent=s0)
-        r1 = bank.apply_power(-p, step)
-        bank.apply_power(-r1.energy_j / step, step)
+        r1 = bank.apply_power(-p, step, bank.window(step))
+        bank.apply_power(-r1.energy_j / step, step, bank.window(step))
         # what went in comes back out (bank-level Eq. 9 is lossless)
         assert bank.soe_percent == pytest.approx(s0, abs=1e-6)

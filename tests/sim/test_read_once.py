@@ -5,6 +5,11 @@
   once (the bank's Eq. 8 voltage on the hybrid plant, the re-strung
   ``cap_voltage`` on the parallel and dual plants) and each converter
   port's efficiency once.
+- It reads each bank energy query (``available_j``, ``headroom_j``,
+  ``reserve_j``, behind the bank's C5/C7
+  :meth:`~repro.ultracap.bank.UltracapBank.window`) at most once per bank
+  state - a bank state lasts until the bank's next ``apply_power`` - and
+  ``apply_power`` itself reads none.
 - :func:`repro.sim.engine.drive` clamps and prices the cooling command
   once per cooled step (``clamp_inlet``, ``cooler_power_w``); the thermal
   step takes the applied inlet and prices nothing.
@@ -43,6 +48,10 @@ def spy(monkeypatch, targets: dict) -> dict:
     return calls
 
 
+#: The bank's energy queries, read at most once per bank state.
+BANK_QUERIES = ("available_j", "headroom_j", "reserve_j")
+
+
 def plant_queries(plant) -> dict:
     """The state reads of one plant step, by name."""
     elec = plant.pack.electrical
@@ -56,11 +65,52 @@ def plant_queries(plant) -> dict:
         targets["eta_cap"] = (plant.cap_converter, "efficiency")
     else:
         targets["bank_voltage"] = (plant, "cap_voltage")
+    for name in BANK_QUERIES:
+        targets[name] = (plant.bank, name)
     return targets
 
 
-def once(plant) -> dict:
-    return dict.fromkeys(plant_queries(plant), 1)
+def spy_step(monkeypatch, plant):
+    """Spy on :func:`plant_queries`; return the call counts and the bank reads.
+
+    The bank's energy queries are logged, not counted: each read as
+    ``(query, bank state, inside apply_power)``, the bank state counting
+    the bank's ``apply_power`` calls so far.
+    """
+    bank = plant.bank
+    state = {"epoch": 0, "applying": False}
+    reads = []
+    targets = plant_queries(plant)
+    bank_targets = {name: targets.pop(name) for name in BANK_QUERIES}
+    calls = spy(monkeypatch, targets)
+    for name, (owner, attr) in bank_targets.items():
+        query = getattr(owner, attr)
+
+        def logged(*args, _name=name, _query=query, **kwargs):
+            reads.append((_name, state["epoch"], state["applying"]))
+            return _query(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, logged)
+    apply_power = bank.apply_power
+
+    def applying(*args, **kwargs):
+        state["applying"] = True
+        try:
+            return apply_power(*args, **kwargs)
+        finally:
+            state["applying"] = False
+            state["epoch"] += 1
+
+    monkeypatch.setattr(bank, "apply_power", applying)
+    return calls, reads
+
+
+def check_reads(calls: dict, reads: list) -> None:
+    """Each pre-step state read once; each bank query once per bank state."""
+    assert calls == dict.fromkeys(calls, 1)
+    assert [read for read in reads if read[2]] == []  # apply_power reads none
+    per_state = [(name, epoch) for name, epoch, _ in reads]
+    assert len(set(per_state)) == len(per_state), per_state
 
 
 # ---------------------------------------------------------------------- #
@@ -106,6 +156,13 @@ SCALAR_CASES = {
     ),
 }
 
+#: Dual steps that never read the bank voltage, by name as above.
+DUAL_CASES = {
+    "dual-recharge": (DualMode.RECHARGE, 5_000.0, 10_000.0),
+    "dual-regen": (DualMode.BATTERY, 0.0, -15_000.0),
+    "dual-battery": (DualMode.BATTERY, 0.0, 30_000.0),
+}
+
 
 @pytest.mark.parametrize("case", list(SCALAR_CASES))
 def test_scalar_step_reads_each_state_once(case, monkeypatch):
@@ -113,11 +170,32 @@ def test_scalar_step_reads_each_state_once(case, monkeypatch):
     plant = build()
     request_w = request(plant)
     soe0 = plant.bank.soe_percent
-    calls = spy(monkeypatch, plant_queries(plant))
+    calls, reads = spy_step(monkeypatch, plant)
     plant.step(request_w, *args, 1.0)
-    assert calls == once(plant)
+    check_reads(calls, reads)
+    # every case touches the bank once, and reads its window before that
+    assert {name for name, epoch, _ in reads if epoch == 0} >= {
+        "available_j",
+        "headroom_j",
+    }
     if case == "hybrid-reserve-tap":
         assert plant.bank.soe_percent < soe0  # the emergency pass ran
+        # ... which read the moved bank's window once, reserve included
+        assert sorted(name for name, epoch, _ in reads if epoch == 1) == sorted(
+            BANK_QUERIES
+        )
+
+
+@pytest.mark.parametrize("case", list(DUAL_CASES))
+def test_scalar_dual_step_reads_the_window_once_where_it_needs_it(case, monkeypatch):
+    mode, recharge_w, request_w = DUAL_CASES[case]
+    plant = DualHEES(_pack(), _bank(soe=50.0))
+    calls, reads = spy_step(monkeypatch, plant)
+    plant.step(request_w, mode, recharge_w, 1.0)
+    assert calls["voc"] == calls["res"] == 1
+    assert [read for read in reads if read[2]] == []
+    expected = [] if case == "dual-battery" else [("available_j", 0), ("headroom_j", 0)]
+    assert sorted((name, epoch) for name, epoch, _ in reads) == expected
 
 
 # ---------------------------------------------------------------------- #
@@ -166,11 +244,18 @@ LOCKSTEP_CASES = {
 def test_lockstep_step_reads_each_state_once(case, monkeypatch):
     plant, args = LOCKSTEP_CASES[case]()
     soe0 = plant.bank.soe_percent.copy()
-    calls = spy(monkeypatch, plant_queries(plant))
+    calls, reads = spy_step(monkeypatch, plant)
     plant.step(*args, 1.0)
-    assert calls == once(plant)
+    check_reads(calls, reads)
+    assert {name for name, epoch, _ in reads if epoch == 0} == {
+        "available_j",
+        "headroom_j",
+    }
     if case == "hybrid":
         assert plant.bank.soe_percent[1] < soe0[1]  # the emergency pass ran
+        assert sorted(name for name, epoch, _ in reads if epoch == 1) == sorted(
+            BANK_QUERIES
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -60,7 +60,8 @@ LOOP = CoolingLoop(DEFAULT_COOLANT, DEFAULT_PACK.heat_capacity_j_per_k)
 
 def cap_bus_limits(plant):
     """The hybrid limits at the ultracap port's efficiency, as a step reads them."""
-    return plant.cap_bus_limits(1.0, plant.cap_converter.efficiency(plant.bank.voltage()))
+    eta = plant.cap_converter.efficiency(plant.bank.voltage())
+    return plant.cap_bus_limits(plant.bank.window(1.0), eta)
 
 
 #: name -> (build, query).  ``build`` wraps a (pack, bank) pair in the
@@ -72,20 +73,18 @@ QUERIES = {
     "bank.headroom_j": (lambda pk, bk: bk, lambda o: o.headroom_j()),
     "bank.available_j": (lambda pk, bk: bk, lambda o: o.available_j()),
     "bank.reserve_j": (lambda pk, bk: bk, lambda o: o.reserve_j()),
-    "bank.max_discharge_power_w": (
+    "bank.window.charge_w": (lambda pk, bk: bk, lambda o: o.window(1.0)[0]),
+    "bank.window.discharge_w": (lambda pk, bk: bk, lambda o: o.window(1.0)[1]),
+    "bank.window(tap_reserve).discharge_w": (
         lambda pk, bk: bk,
-        lambda o: o.max_discharge_power_w(1.0),
+        lambda o: o.window(1.0, tap_reserve=True)[1],
     ),
-    "bank.max_charge_power_w": (lambda pk, bk: bk, lambda o: o.max_charge_power_w(1.0)),
-    "bank.max_discharge_power_w(dt=0)": (
-        lambda pk, bk: bk,
-        lambda o: o.max_discharge_power_w(0.0),
-    ),
+    "bank.window(dt=0).charge_w": (lambda pk, bk: bk, lambda o: o.window(0.0)[0]),
+    "bank.window(dt=0).discharge_w": (lambda pk, bk: bk, lambda o: o.window(0.0)[1]),
     "pack.open_circuit_voltage": (
         lambda pk, bk: pk,
         lambda o: o.open_circuit_voltage(),
     ),
-    "pack.internal_resistance": (lambda pk, bk: pk, lambda o: o.internal_resistance()),
     "pack.cell_voc_res.voc": (lambda pk, bk: pk, lambda o: o.cell_voc_res()[0]),
     "pack.cell_voc_res.res": (lambda pk, bk: pk, lambda o: o.cell_voc_res()[1]),
     "pack.max_discharge_power_w": (
